@@ -314,8 +314,7 @@ def _cmd_stats(args) -> int:
     lines.append(f"mean_pa = {_fmt(float(samples.mean())) if samples.size else 0}")
     census_means = reader.census_current_means(trace, args.pores, open_pa, clogged)
     rates = reader.census_rates(trace, args.pores, open_pa, clogged)
-    for k in range(args.pores + 1):
-        entry = rates[k]
+    for k, entry in sorted(rates.items()):
         lines.append(f"census_{k}_seconds = {_fmt(entry.seconds)}")
         lines.append(f"census_{k}_events = {entry.events}")
         lines.append(f"census_{k}_rate_per_s = {_fmt(entry.rate_per_s)}")

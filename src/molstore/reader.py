@@ -426,9 +426,12 @@ def census_rates(
     event attributed to the baseline at its start; longer excursions are
     baseline shifts, not events.  Dips separated by less than
     ``merge_gap_s`` merge into one event, since a blockade sitting near a
-    census midpoint can flicker across it within a single passage.
+    census midpoint can flicker across it within a single passage.  An
+    empty trace has no baseline and gives an empty dict.
     """
     census = census_series(trace.samples, n_pores, open_current_pa, clogged_current_pa)
+    if census.size == 0:
+        return {}
     rate = trace.sample_rate_hz
     stride = max(1, int(rate * 1e-3))
     coarse = census[::stride]

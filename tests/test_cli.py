@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,37 @@ def test_stats_command(tmp_path):
     body = out.read_text()
     assert "census_3_rate_per_s" in body
     assert "census_3_mean_pa" in body
+
+
+def test_stats_empty_trace(tmp_path):
+    trace = tmp_path / "empty.trace"
+    traceio.write_trace_text(CurrentTrace(100000.0, np.empty(0)), str(trace))
+    out = tmp_path / "stats.txt"
+    assert run("stats", "--trace", str(trace), "--pores", "3", "--out", str(out)) == 0
+    body = out.read_text()
+    assert "samples = 0" in body
+    assert "census_" not in body
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"sample_rate_hz=1000\n1.0\nnan\n",
+        b"sample_rate_hz=1000\n1.0 2.0\n",
+        b"sample_rate_hz=1000\n1.0\n2\xe9\n",
+        struct.pack("<4sIdQ", traceio.MAGIC, 1, 1000.0, 2**40),
+    ],
+    ids=["nan", "two-values", "non-ascii", "binary-count"],
+)
+def test_malformed_trace_is_one_line_format_error(tmp_path, capsys, content):
+    trace = tmp_path / "bad.trace"
+    trace.write_bytes(content)
+    code = run("stats", "--trace", str(trace), "--out", str(tmp_path / "stats.txt"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: format:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_plan_defaults(tmp_path):

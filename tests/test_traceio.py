@@ -1,12 +1,18 @@
+import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from molstore.poresim import CurrentTrace
 from molstore.traceio import (
+    _TEXT_CHUNK,
     MAGIC,
     TraceFormatError,
+    _format_exact,
     read_trace,
     read_trace_binary,
     read_trace_text,
@@ -60,8 +66,141 @@ def test_text_bad_sample(tmp_path):
 def test_text_empty_trace(tmp_path):
     path = str(tmp_path / "empty.txt")
     write_trace_text(CurrentTrace(1000.0, np.empty(0)), path)
-    back = read_trace_text(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_trace_text(path)
     assert len(back) == 0
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"1.0\nnan\n",
+        b"1.0\ninf\n",
+        b"-inf\n2.0\n",
+        b"1.0 2.0\n",
+        b"1.0\n2.0\t3.0\n4.0\n",
+        b"1.0 2.0\n3.0 4.0\n",
+        b"# comment\n1.0\n",
+    ],
+    ids=["nan", "inf", "-inf", "two-values", "two-values-mid", "two-columns", "comment"],
+)
+def test_text_rejects_malformed_body(tmp_path, body):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"sample_rate_hz=1000\n" + body)
+    with pytest.raises(TraceFormatError):
+        read_trace_text(str(path))
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"sample_rate_hz=1000\xe9\n1.0\n",
+        b"sample_rate_hz=1000\n1.0\n2\xe9\n",
+        b"sample_rate_hz=1000\n" + b"1.000000\n" * 5000 + b"2\xe9\n",
+    ],
+    ids=["header", "body", "past-first-read"],
+)
+def test_text_rejects_non_ascii(tmp_path, content):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(content)
+    with pytest.raises(TraceFormatError, match="not ASCII"):
+        read_trace_text(str(path))
+
+
+def test_text_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.txt"
+    path.write_text("sample_rate_hz=1000\n\n1.5\n\n-2.25\n\n")
+    assert read_trace_text(str(path)).samples.tolist() == [1.5, -2.25]
+
+
+def _reference_body(x):
+    """Python's per-value formatting, which the writer must match byte for byte."""
+    return "".join(f"{v:.6f}\n" for v in x).encode("ascii")
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        np.random.default_rng(1).normal(250.0, 5.0, 1000),
+        np.array([249.5, 251.25, 250.0, 999.999999]),
+        np.array([250.1, -3.5, 25.0, 0.0, -0.0, -1e-9, 4e-7, 1234567.0625]),
+        np.array([-0.0]),
+        np.array([98765432.125, -7.0]),
+    ],
+    ids=["trace", "same-width", "mixed", "negative-zero", "large"],
+)
+def test_format_exact_matches_reference(x):
+    assert _format_exact(x) == _reference_body(x)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.nan, np.inf, -np.inf, 2.0**52 / 1e6, -1e300, 0.0078125, (250123 + 0.5) / 1e6],
+    ids=["nan", "inf", "-inf", "limit", "huge", "exact-tie", "near-tie"],
+)
+def test_format_exact_declines(value):
+    """Chunks that integer arithmetic cannot format exactly go to the
+    reference formatter."""
+    x = np.array([250.0, value, 1.0])
+    assert _format_exact(x) is None
+
+
+# Trace-like values, which the integer path formats, including +-0 and
+# tiny values of either sign.
+_PLAIN = st.one_of(
+    st.floats(-1000.0, 1000.0), st.floats(-1e-6, 1e-6), st.sampled_from([0.0, -0.0])
+)
+# Values it must decline: anything (+-inf, NaN, beyond 2**52 / 1e6),
+# near-ties (k + 0.5) / 1e6 and exact dyadic ties (odd multiples of 2**-7
+# scale to exact half-integers).
+_AWKWARD = st.one_of(
+    st.floats(width=64),
+    st.integers(-(10**10), 10**10).map(lambda k: (k + 0.5) / 1e6),
+    st.integers(-(2**20), 2**20).map(lambda n: (2 * n + 1) / 128),
+)
+
+
+def _value_lists(awkward):
+    return st.one_of(
+        st.lists(_PLAIN, min_size=1, max_size=40),
+        st.lists(st.one_of(_PLAIN, awkward), min_size=1, max_size=40),
+    )
+
+
+_LENGTHS = st.one_of(
+    st.sampled_from([0, 1, _TEXT_CHUNK - 1, _TEXT_CHUNK, _TEXT_CHUNK + 1]),
+    st.integers(2, 64),
+)
+
+
+def _samples(values, length):
+    return np.resize(np.array(values, dtype=np.float64), length)
+
+
+_FIXTURE_OK = settings(
+    deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_FIXTURE_OK
+@given(values=_value_lists(_AWKWARD), length=_LENGTHS)
+def test_text_writer_matches_reference(tmp_path, values, length):
+    x = _samples(values, length)
+    path = tmp_path / "t.txt"
+    write_trace_text(CurrentTrace(1000.0, x), str(path))
+    header, _, body = path.read_bytes().partition(b"\n")
+    assert header == b"sample_rate_hz=1000"
+    assert body == _reference_body(x)
+
+
+@_FIXTURE_OK
+@given(values=_value_lists(_AWKWARD.filter(math.isfinite)), length=_LENGTHS)
+def test_text_round_trip_is_exact(tmp_path, values, length):
+    x = _samples(values, length)
+    path = str(tmp_path / "t.txt")
+    write_trace_text(CurrentTrace(1000.0, x), path)
+    assert read_trace_text(path).samples.tolist() == [float(f"{v:.6f}") for v in x]
 
 
 def test_binary_round_trip(tmp_path):
@@ -100,6 +239,13 @@ def test_binary_truncated(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-8])
     with pytest.raises(TraceFormatError):
+        read_trace_binary(str(path))
+
+
+def test_binary_count_beyond_file_size(tmp_path):
+    path = tmp_path / "huge.mtrc"
+    path.write_bytes(struct.pack("<4sIdQ", MAGIC, 1, 1000.0, 2**40))
+    with pytest.raises(TraceFormatError, match="header promises 1099511627776"):
         read_trace_binary(str(path))
 
 
