@@ -141,6 +141,10 @@ class CalibrationTable:
             raise CalibrationError(
                 "monolevel_blockage_points must be strictly decreasing in voltage"
             )
+        if not all(0.0 < b < 1.0 for b in blockages):
+            raise CalibrationError("monolevel blockages must be in (0, 1)")
+        if not self.monolevel_sigma >= 0.0:
+            raise CalibrationError("monolevel_sigma must be >= 0")
         if not 0.0 <= self.bilevel_fraction <= 1.0:
             raise CalibrationError("bilevel_fraction must be in [0, 1]")
         if not 0.0 <= self.three_prime_first_fraction <= 1.0:

@@ -137,7 +137,7 @@ def _cmd_simulate(args) -> int:
     result = poresim.simulate(
         molecule, config, args.duration_s, calib, seed, clogs=_parse_clogs(args.clog)
     )
-    traceio.write_trace(result.trace, args.trace_out, args.format)
+    traceio.write_trace(result.synthesized, args.trace_out, args.format)
 
     lines = _header_lines(
         "simulate", _config_items(config, molecule, args.duration_s, seed, args.clog)
@@ -312,8 +312,9 @@ def _cmd_stats(args) -> int:
     lines.append(f"samples = {samples.size}")
     lines.append(f"duration_s = {_fmt(trace.duration_s)}")
     lines.append(f"mean_pa = {_fmt(float(samples.mean())) if samples.size else 0}")
-    census_means = reader.census_current_means(trace, args.pores, open_pa, clogged)
-    rates = reader.census_rates(trace, args.pores, open_pa, clogged)
+    census = reader.census_series(samples, args.pores, open_pa, clogged)
+    census_means = reader.census_current_means(samples, census, args.pores)
+    rates = reader.census_rates(census, trace.sample_rate_hz, args.pores)
     for k, entry in sorted(rates.items()):
         lines.append(f"census_{k}_seconds = {_fmt(entry.seconds)}")
         lines.append(f"census_{k}_events = {entry.events}")

@@ -10,10 +10,11 @@ explicit seed so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -135,6 +136,11 @@ class TranslocationEvent:
         return sum(s.level * s.duration_us for s in self.substates) / total
 
 
+# Samples per chunk of a synthesized trace, and per chunk a held trace
+# hands to the trace writers; bounds their working memory.
+_CHUNK = 1 << 18
+
+
 @dataclass(eq=False)
 class CurrentTrace:
     """Uniformly sampled ionic current in pA."""
@@ -149,6 +155,12 @@ class CurrentTrace:
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate_hz
 
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The samples as float64, in consecutive chunks."""
+        samples = np.asarray(self.samples, dtype=np.float64)
+        for start in range(0, samples.size, _CHUNK):
+            yield samples[start : start + _CHUNK]
+
 
 class PoreEvent(NamedTuple):
     pore: int
@@ -156,16 +168,6 @@ class PoreEvent(NamedTuple):
 
 
 ClogSchedule = Mapping[int, Sequence[tuple[float, float]]]
-
-
-@dataclass(eq=False)
-class SimulationResult:
-    """Trace plus the ground truth that produced it."""
-
-    trace: CurrentTrace
-    events: tuple[PoreEvent, ...]
-    clogs: dict[int, tuple[tuple[float, float], ...]] = field(default_factory=dict)
-    gating: bool = False
 
 
 # --- calibrated lookups ----------------------------------------------------
@@ -237,13 +239,21 @@ def mean_duration(voltage_mv: float, n_bases: int, calib: CalibrationTable) -> f
 # --- event sampling --------------------------------------------------------
 
 
+# Draws before a level draw gives up; a level inside a validated
+# calibration's range is accepted on the first draw nearly always.
+_MAX_LEVEL_DRAWS = 1000
+
+
 def _truncated_normal(rng: np.random.Generator, mean: float, sd: float) -> float:
-    # Rejection sampling onto the open interval (0, 1); acceptance is ~1 for
-    # all calibrated level statistics.
-    while True:
+    # Rejection sampling onto the open interval (0, 1).
+    for _ in range(_MAX_LEVEL_DRAWS):
         x = rng.normal(mean, sd)
         if 0.0 < x < 1.0:
             return x
+    raise SimulationError(
+        f"no blockade level in (0, 1) after {_MAX_LEVEL_DRAWS} draws "
+        f"from normal({mean:g}, {sd:g})"
+    )
 
 
 def _duration_jitter(rng: np.random.Generator, cv: float) -> float:
@@ -442,11 +452,79 @@ def _sample_slice(t_start: float, t_end: float, rate: float, n: int) -> tuple[in
     return i0, i1
 
 
-def _lowpass(samples: np.ndarray, cutoff_hz: float, rate: float) -> np.ndarray:
-    from scipy.signal import lfilter
+@dataclass(eq=False)
+class SynthesizedTrace:
+    """A simulated trace, produced in chunks of ``_CHUNK`` samples.
 
-    alpha = 1.0 - math.exp(-2.0 * math.pi * cutoff_hz / rate)
-    return lfilter([alpha], [1.0, alpha - 1.0], samples)
+    Each chunk starts at the all-pores-open current and has every segment
+    ``(first sample, end sample, pA)`` overlapping it subtracted, in the
+    order given, so samples where segments overlap round the same whatever
+    the chunking.  Then it gets its share of the one noise stream and runs
+    through the low-pass filter, whose state is carried across chunks.
+    Chunked noise draws and chunked filtering equal whole-array ones bit
+    for bit.  Every ``chunks()`` pass restarts the noise from the seed.
+    """
+
+    sample_rate_hz: float
+    n_samples: int
+    open_total_pa: float
+    segments: list[tuple[int, int, float]]
+    noise_sigma_pa: float
+    seed: int
+    cutoff_hz: float | None
+
+    def __post_init__(self):
+        self.segments = [seg for seg in self.segments if seg[0] < seg[1]]
+        self._starts = np.array([seg[0] for seg in self.segments], dtype=np.int64)
+        self._stops = np.array([seg[1] for seg in self.segments], dtype=np.int64)
+
+    def __len__(self) -> int:
+        return self.n_samples
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        noise = _noise_rng(self.seed) if self.noise_sigma_pa > 0 else None
+        draws = np.empty(min(_CHUNK, self.n_samples), dtype=np.float64)
+        if self.cutoff_hz is not None:
+            from scipy.signal import lfilter
+
+            alpha = 1.0 - math.exp(-2.0 * math.pi * self.cutoff_hz / self.sample_rate_hz)
+            zi = np.zeros(1)
+        for c0 in range(0, self.n_samples, _CHUNK):
+            c1 = min(c0 + _CHUNK, self.n_samples)
+            chunk = np.full(c1 - c0, self.open_total_pa, dtype=np.float64)
+            overlapping = (self._starts < c1) & (self._stops > c0)
+            for j in np.flatnonzero(overlapping).tolist():
+                i0, i1, drop_pa = self.segments[j]
+                chunk[max(i0, c0) - c0 : min(i1, c1) - c0] -= drop_pa
+            if noise is not None:
+                # The draws normal(0, sigma) makes, sigma * standard normal,
+                # without allocating a new array per chunk.
+                part = noise.standard_normal(out=draws[: c1 - c0])
+                part *= self.noise_sigma_pa
+                chunk += part
+            if self.cutoff_hz is not None:
+                chunk, zi = lfilter([alpha], [1.0, alpha - 1.0], chunk, zi=zi)
+            yield chunk
+
+
+@dataclass(eq=False)
+class SimulationResult:
+    """Synthesized trace plus the ground truth that produced it."""
+
+    synthesized: SynthesizedTrace
+    events: tuple[PoreEvent, ...]
+    clogs: dict[int, tuple[tuple[float, float], ...]] = field(default_factory=dict)
+    gating: bool = False
+
+    @functools.cached_property
+    def trace(self) -> CurrentTrace:
+        """The whole trace in memory; writers stream ``synthesized`` instead."""
+        samples = np.empty(len(self.synthesized), dtype=np.float64)
+        start = 0
+        for chunk in self.synthesized.chunks():
+            samples[start : start + chunk.size] = chunk
+            start += chunk.size
+        return CurrentTrace(self.synthesized.sample_rate_hz, samples)
 
 
 def simulate(
@@ -463,6 +541,8 @@ def simulate(
     so results do not depend on the order pores are evaluated in.  Pores
     held clogged (via ``clogs`` intervals, or spontaneously while gating at
     high salt) sit at the clogged residual current and capture nothing.
+    The events are drawn here; the samples are made chunk by chunk when
+    ``result.synthesized`` is iterated or ``result.trace`` is first read.
     """
     if duration_s <= 0:
         raise SimulationError("duration_s must be > 0")
@@ -488,26 +568,26 @@ def simulate(
             ):
                 all_events.append(PoreEvent(pore, event))
 
-    total = np.full(n, open_pa * config.n_pores, dtype=np.float64)
+    segments: list[tuple[int, int, float]] = []
     for _, event in all_events:
         t = event.t_start_s
         for level, dur_us in event.substates:
             t_end = t + dur_us * 1e-6
-            i0, i1 = _sample_slice(t, t_end, rate, n)
-            total[i0:i1] -= open_pa * (1.0 - level)
+            segments.append((*_sample_slice(t, t_end, rate, n), open_pa * (1.0 - level)))
             t = t_end
     for intervals in clog_map.values():
         for start, end in intervals:
-            i0, i1 = _sample_slice(start, end, rate, n)
-            total[i0:i1] -= open_pa - calib.clogged_current_pa
-    if config.noise_sigma_pa > 0:
-        total += _noise_rng(seed).normal(0.0, config.noise_sigma_pa, n)
-    if config.bandwidth_khz is not None:
-        total = _lowpass(total, config.bandwidth_khz * 1e3, rate)
+            segments.append(
+                (*_sample_slice(start, end, rate, n), open_pa - calib.clogged_current_pa)
+            )
+    cutoff_hz = None if config.bandwidth_khz is None else config.bandwidth_khz * 1e3
+    synthesized = SynthesizedTrace(
+        rate, n, open_pa * config.n_pores, segments, config.noise_sigma_pa, seed, cutoff_hz
+    )
 
     all_events.sort(key=lambda pe: (pe.event.t_start_s, pe.pore))
     return SimulationResult(
-        trace=CurrentTrace(rate, total),
+        synthesized=synthesized,
         events=tuple(all_events),
         clogs=clog_map,
         gating=gating,

@@ -372,6 +372,9 @@ def decode_event(
 
 # --- multi-pore census -----------------------------------------------------
 
+# Samples per pass of census_series; keeps its float temporaries in cache.
+_CENSUS_CHUNK = 1 << 16
+
 
 def pore_state_census(
     sample_pa: float,
@@ -393,12 +396,21 @@ def census_series(
     open_current_pa: float,
     clogged_current_pa: float,
 ) -> np.ndarray:
-    """Vectorized per-sample census; equivalent to pore_state_census."""
+    """Per-sample census, equivalent to pore_state_census, in the smallest
+    unsigned dtype that holds ``n_pores``; one pass over the samples in
+    chunks of ``_CENSUS_CHUNK``."""
     step = open_current_pa - clogged_current_pa
     if step <= 0:
         raise ReaderError("open current must exceed clogged current")
-    raw = (np.asarray(samples) - n_pores * clogged_current_pa) / step
-    return np.clip(np.rint(raw), 0, n_pores).astype(np.int64)
+    samples = np.asarray(samples)
+    offset = n_pores * clogged_current_pa
+    census = np.empty(samples.shape, dtype=np.min_scalar_type(n_pores))
+    for start in range(0, samples.size, _CENSUS_CHUNK):
+        raw = (samples[start : start + _CENSUS_CHUNK] - offset) / step
+        np.rint(raw, out=raw)
+        np.clip(raw, 0, n_pores, out=raw)
+        census[start : start + _CENSUS_CHUNK] = raw
+    return census
 
 
 @dataclass(frozen=True)
@@ -409,44 +421,40 @@ class CensusRate:
 
 
 def census_rates(
-    trace: CurrentTrace,
+    census: np.ndarray,
+    sample_rate_hz: float,
     n_pores: int,
-    open_current_pa: float,
-    clogged_current_pa: float,
     baseline_window_s: float = 0.021,
     max_event_s: float = 0.01,
     merge_gap_s: float = 50e-6,
 ) -> dict[int, CensusRate]:
     """Blockade rates split by how many pores the baseline shows open.
 
-    The baseline census is a rolling median over ``baseline_window_s`` of a
-    1 ms decimated census (blockades occupy well under a percent of any
-    window, persistent clogs shift the median).  Each maximal run of
-    below-baseline census lasting at most ``max_event_s`` counts as one
-    event attributed to the baseline at its start; longer excursions are
-    baseline shifts, not events.  Dips separated by less than
-    ``merge_gap_s`` merge into one event, since a blockade sitting near a
-    census midpoint can flicker across it within a single passage.  An
-    empty trace has no baseline and gives an empty dict.
+    ``census`` is the trace's census_series.  The baseline census is a
+    rolling median over ``baseline_window_s`` of a 1 ms decimated census
+    (blockades occupy well under a percent of any window, persistent clogs
+    shift the median).  Each maximal run of below-baseline census lasting
+    at most ``max_event_s`` counts as one event attributed to the baseline
+    at its start; longer excursions are baseline shifts, not events.  Dips
+    separated by less than ``merge_gap_s`` merge into one event, since a
+    blockade sitting near a census midpoint can flicker across it within a
+    single passage.  An empty trace has no baseline and gives an empty dict.
     """
-    census = census_series(trace.samples, n_pores, open_current_pa, clogged_current_pa)
     if census.size == 0:
         return {}
-    rate = trace.sample_rate_hz
-    stride = max(1, int(rate * 1e-3))
+    stride = max(1, int(sample_rate_hz * 1e-3))
     coarse = census[::stride]
-    window = max(1, int(round(baseline_window_s / (stride / rate))))
+    window = max(1, int(round(baseline_window_s / (stride / sample_rate_hz))))
     if window % 2 == 0:
         window += 1
     if len(coarse) >= window:
         padded = np.pad(coarse, window // 2, mode="edge")
         view = np.lib.stride_tricks.sliding_window_view(padded, window)
-        coarse_base = np.median(view, axis=1).astype(np.int64)
+        coarse_base = np.median(view, axis=1).astype(census.dtype)
     else:
         coarse_base = np.full_like(coarse, int(np.median(coarse)))
+    # len(coarse) * stride >= len(census), so the repeat covers every sample.
     baseline = np.repeat(coarse_base, stride)[: len(census)]
-    if len(baseline) < len(census):
-        baseline = np.pad(baseline, (0, len(census) - len(baseline)), mode="edge")
 
     dips = census < baseline
     edges = np.diff(dips.astype(np.int8))
@@ -456,8 +464,8 @@ def census_rates(
         starts = np.concatenate(([0], starts))
     if dips.size and dips[-1]:
         ends = np.concatenate((ends, [dips.size]))
-    max_samples = max_event_s * rate
-    merge_gap = merge_gap_s * rate
+    max_samples = max_event_s * sample_rate_hz
+    merge_gap = merge_gap_s * sample_rate_hz
 
     merged: list[tuple[int, int]] = []
     for i0, i1 in zip(starts, ends):
@@ -473,25 +481,23 @@ def census_rates(
         counts[int(baseline[i0])] = counts.get(int(baseline[i0]), 0) + 1
     out: dict[int, CensusRate] = {}
     for k in range(n_pores + 1):
-        seconds = float(np.count_nonzero(baseline == k)) / rate
+        seconds = float(np.count_nonzero(baseline == k)) / sample_rate_hz
         events = counts.get(k, 0)
         out[k] = CensusRate(events, seconds, events / seconds if seconds > 0 else 0.0)
     return out
 
 
 def census_current_means(
-    trace: CurrentTrace,
-    n_pores: int,
-    open_current_pa: float,
-    clogged_current_pa: float,
+    samples: np.ndarray, census: np.ndarray, n_pores: int
 ) -> dict[int, float]:
-    """Mean measured current of the samples assigned to each census state."""
-    census = census_series(trace.samples, n_pores, open_current_pa, clogged_current_pa)
+    """Mean measured current of the samples assigned to each census state;
+    ``census`` is the samples' census_series."""
+    samples = np.asarray(samples)
     out: dict[int, float] = {}
     for k in range(n_pores + 1):
         mask = census == k
         if np.any(mask):
-            out[k] = float(np.mean(np.asarray(trace.samples)[mask]))
+            out[k] = float(np.mean(samples[mask]))
     return out
 
 

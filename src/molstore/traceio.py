@@ -1,12 +1,18 @@
 """Current-trace file formats.
 
+Both formats hold finite samples only: the writers refuse a non-finite
+sample (in the binary format, one whose float32 value is not finite) and
+the readers refuse a file holding one, as ``TraceFormatError``; a writer
+that refuses a sample removes the file it was writing.  Writers take any
+trace with ``sample_rate_hz``, ``len()`` and ``chunks()`` (float64 sample
+chunks), so a simulated trace is written as it is made.
+
 Text format: ASCII.  A header line ``sample_rate_hz=<integer>``, then one
-finite decimal pA value per line, written as ``"%.6f"`` formats it (the
-exact binary value rounded to 6 places, ties to even, ``-`` on every
-negative value, so ``-0.0`` prints ``-0.000000``).  The reader skips blank
-lines and rejects anything else: non-ASCII bytes, ``#`` lines, a line
-holding more than one value, and ``nan`` or ``inf``.  The writer does not
-check finiteness; it prints ``nan`` and ``inf`` as ``"%.6f"`` does.
+decimal pA value per line, written as ``"%.6f"`` formats it (the exact
+binary value rounded to 6 places, ties to even, ``-`` on every negative
+value, so ``-0.0`` prints ``-0.000000``).  The reader skips blank lines and
+rejects anything else: non-ASCII bytes, ``#`` lines, a line holding more
+than one value, and ``nan`` or ``inf``.
 
 Binary format: magic ``MTRC``, little-endian u32 version (1), f64 sample
 rate, u64 sample count, then float32 samples; the reader refuses a count
@@ -34,8 +40,10 @@ class TraceFormatError(ValueError):
 
 # Samples formatted per numpy pass; bounds the writer's working memory.
 _TEXT_CHUNK = 1 << 14
+# Samples read per pass of the binary reader.
+_READ_CHUNK = 1 << 18
 # A float64 this large has no fractional bits left to round; chunks with
-# |x * 1e6| at or past it, or NaN, go to Python's formatter.
+# |x * 1e6| at or past it go to Python's formatter.
 _EXACT_LIMIT = 2.0**52
 
 
@@ -82,19 +90,45 @@ def _format_exact(x: np.ndarray) -> bytes | None:
     return rows[keep].tobytes()
 
 
-def write_trace_text(trace: CurrentTrace, path: str) -> None:
+def _refuse_non_finite(values: np.ndarray, start: int) -> None:
+    """Raise unless every value is finite; ``start`` is the index of the first."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise TraceFormatError(f"non-finite sample {values[bad]} at index {start + bad}")
+
+
+def _write_chunks(path: str, header: bytes, trace, write_chunk) -> None:
+    """Write ``header``, then ``write_chunk(fh, chunk, start)`` for each chunk
+    of ``trace``; if a chunk is refused, the file is removed."""
+    try:
+        with open(path, "wb") as fh:
+            fh.write(header)
+            start = 0
+            for chunk in trace.chunks():
+                write_chunk(fh, chunk, start)
+                start += chunk.size
+    except TraceFormatError:
+        os.remove(path)
+        raise
+
+
+def _write_text_chunk(fh, samples: np.ndarray, start: int) -> None:
+    _refuse_non_finite(samples, start)
+    for offset in range(0, samples.size, _TEXT_CHUNK):
+        chunk = samples[offset : offset + _TEXT_CHUNK]
+        body = _format_exact(chunk)
+        if body is None:
+            body = ("%.6f\n" * chunk.size % tuple(chunk.tolist())).encode("ascii")
+        fh.write(body)
+
+
+def write_trace_text(trace, path: str) -> None:
     rate = trace.sample_rate_hz
     if rate != int(rate):
         raise TraceFormatError("text format stores an integer sample rate")
-    samples = np.asarray(trace.samples, dtype=np.float64)
-    with open(path, "wb") as fh:
-        fh.write(f"sample_rate_hz={int(rate)}\n".encode("ascii"))
-        for start in range(0, samples.size, _TEXT_CHUNK):
-            chunk = samples[start : start + _TEXT_CHUNK]
-            body = _format_exact(chunk)
-            if body is None:
-                body = ("%.6f\n" * chunk.size % tuple(chunk.tolist())).encode("ascii")
-            fh.write(body)
+    header = f"sample_rate_hz={int(rate)}\n".encode("ascii")
+    _write_chunks(path, header, trace, _write_text_chunk)
 
 
 def read_trace_text(path: str) -> CurrentTrace:
@@ -123,18 +157,20 @@ def read_trace_text(path: str) -> CurrentTrace:
     if table.shape[1] != 1:
         raise TraceFormatError(f"expected one value per line, found {table.shape[1]}")
     samples = table.reshape(-1)
-    finite = np.isfinite(samples)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise TraceFormatError(f"non-finite sample {samples[bad]} at index {bad}")
+    _refuse_non_finite(samples, 0)
     return CurrentTrace(float(rate), samples)
 
 
-def write_trace_binary(trace: CurrentTrace, path: str) -> None:
-    samples = np.asarray(trace.samples, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, VERSION, float(trace.sample_rate_hz), samples.size))
-        fh.write(samples.tobytes())
+def _write_binary_chunk(fh, samples: np.ndarray, start: int) -> None:
+    with np.errstate(over="ignore"):  # a sample past float32 range is refused
+        stored = samples.astype("<f4")
+    _refuse_non_finite(stored, start)
+    fh.write(stored)
+
+
+def write_trace_binary(trace, path: str) -> None:
+    header = _HEADER.pack(MAGIC, VERSION, float(trace.sample_rate_hz), len(trace))
+    _write_chunks(path, header, trace, _write_binary_chunk)
 
 
 def read_trace_binary(path: str) -> CurrentTrace:
@@ -154,12 +190,18 @@ def read_trace_binary(path: str) -> CurrentTrace:
             raise TraceFormatError(
                 f"truncated samples: header promises {count}, file holds {held}"
             )
-        payload = fh.read(count * 4)
-    samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        samples = np.empty(count, dtype=np.float64)
+        buffer = np.empty(min(count, _READ_CHUNK), dtype="<f4")
+        for start in range(0, count, _READ_CHUNK):
+            part = buffer[: min(_READ_CHUNK, count - start)]
+            if fh.readinto(part) != part.nbytes:
+                raise TraceFormatError(f"truncated samples at index {start}")
+            _refuse_non_finite(part, start)
+            samples[start : start + part.size] = part
     return CurrentTrace(rate, samples)
 
 
-def write_trace(trace: CurrentTrace, path: str, fmt: str) -> None:
+def write_trace(trace, path: str, fmt: str) -> None:
     if fmt == "text":
         write_trace_text(trace, path)
     elif fmt == "binary":

@@ -25,6 +25,7 @@ from molstore.reader import (
     BiLevel,
     census_current_means,
     census_rates,
+    census_series,
     classify_event,
     complete_duration_floor_us,
     decode_event,
@@ -143,14 +144,16 @@ def test_criterion_4_duration_scaling():
 
 def test_criterion_5_multi_pore_fig10(fig10_run):
     result, open_per_pore = fig10_run
-    means = census_current_means(result.trace, 3, open_per_pore, CALIB.clogged_current_pa)
+    samples = result.trace.samples
+    census = census_series(samples, 3, open_per_pore, CALIB.clogged_current_pa)
+    means = census_current_means(samples, census, 3)
     mean_errors = {
         3: means[3] - 400.0,
         2: means[2] - 290.0,
         1: means[1] - 190.0,
     }
     truth_rate = sum(1 for _, e in result.events if e.t_start_s < 20.0) / 20.0
-    rates = census_rates(result.trace, 3, open_per_pore, CALIB.clogged_current_pa)
+    rates = census_rates(census, result.trace.sample_rate_hz, 3)
     r3, r2, r1 = (rates[k].rate_per_s for k in (3, 2, 1))
     ok = (
         all(abs(e) <= 10.0 for e in mean_errors.values())

@@ -41,6 +41,23 @@ def test_monolevel_blockage_must_decrease():
         )
 
 
+@pytest.mark.parametrize(
+    "points",
+    [((90.0, 1.0), (210.0, 0.99)), ((90.0, 0.5), (210.0, 0.0)), ((90.0, float("nan")),)],
+    ids=["full-blockage", "no-blockage", "nan"],
+)
+def test_monolevel_blockage_in_open_unit_interval(points):
+    with pytest.raises(CalibrationError, match=r"monolevel blockages must be in \(0, 1\)"):
+        CalibrationTable(monolevel_blockage_points=points)
+
+
+@pytest.mark.parametrize("sigma", [-0.01, float("nan")])
+def test_monolevel_sigma_non_negative(sigma):
+    with pytest.raises(CalibrationError, match="monolevel_sigma must be >= 0"):
+        CalibrationTable(monolevel_sigma=sigma)
+    assert CalibrationTable(monolevel_sigma=0.0).monolevel_sigma == 0.0
+
+
 def test_level_stats_bounds():
     bad = dict(CalibrationTable().level_stats)
     bad[("C", "3prime")] = LevelStats(1.2, 0.09)

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,8 +253,10 @@ def test_stats_empty_trace(tmp_path):
         b"sample_rate_hz=1000\n1.0 2.0\n",
         b"sample_rate_hz=1000\n1.0\n2\xe9\n",
         struct.pack("<4sIdQ", traceio.MAGIC, 1, 1000.0, 2**40),
+        struct.pack("<4sIdQ3f", traceio.MAGIC, 1, 1000.0, 3, 1.0, float("nan"), 2.0),
+        struct.pack("<4sIdQ2f", traceio.MAGIC, 1, 1000.0, 2, float("-inf"), 2.0),
     ],
-    ids=["nan", "two-values", "non-ascii", "binary-count"],
+    ids=["nan", "two-values", "non-ascii", "binary-count", "binary-nan", "binary-inf"],
 )
 def test_malformed_trace_is_one_line_format_error(tmp_path, capsys, content):
     trace = tmp_path / "bad.trace"
@@ -264,6 +267,46 @@ def test_malformed_trace_is_one_line_format_error(tmp_path, capsys, content):
     assert err.startswith("error: format:")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def test_simulate_rejects_unsimulatable_calibration(tmp_path, capsys):
+    # A full monolevel blockage with no spread would leave no level in (0, 1).
+    calib = tmp_path / "cal.txt"
+    calib.write_text(
+        "monolevel_blockage_points = 90:1.0 210:0.99\nmonolevel_sigma = 0\n"
+    )
+    code, trace, _ = _simulate(
+        tmp_path, "--voltage-mv", "90", "--calibration", str(calib), duration="10"
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "error: config: monolevel blockages must be in (0, 1)\n"
+    assert not trace.exists()
+
+
+def _simulate_peak_bytes(tmp_path, fmt, duration):
+    """Peak traced allocation of one in-process 3-pore ``simulate``."""
+    tracemalloc.start()
+    try:
+        code = run(
+            "simulate", "--molecule", "(AC)60", "--voltage-mv", "150",
+            "--pores", "3", "--clog", "0:0.5:4", "--clog", "1:0.8:4",
+            "--duration-s", duration, "--seed", "5", "--format", fmt,
+            "--trace-out", str(tmp_path / f"{fmt}{duration}.trace"),
+            "--log-out", str(tmp_path / f"{fmt}{duration}.log"),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+def test_simulate_memory_flat_in_duration(tmp_path, fmt):
+    one_s = _simulate_peak_bytes(tmp_path, fmt, "1")
+    four_s = _simulate_peak_bytes(tmp_path, fmt, "4")
+    assert four_s <= 1.25 * one_s, (one_s, four_s)
 
 
 def test_plan_defaults(tmp_path):

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from molstore import poresim
 from molstore.calibration import CalibrationTable, ChannelConfig, RangeError
 from molstore.poresim import (
     MoleculeSpec,
@@ -16,6 +21,7 @@ from molstore.poresim import (
     sample_event,
     simulate,
     synthesize_trace,
+    _truncated_normal,
 )
 
 CALIB = CalibrationTable()
@@ -315,3 +321,109 @@ def test_simulate_parameter_errors():
 def test_complete_fraction_clamped():
     assert complete_fraction(210.0, CALIB) == pytest.approx(0.40)
     assert complete_fraction(50.0, CALIB) == pytest.approx(0.40)
+
+
+# --- bounded level draws -----------------------------------------------------
+
+
+def test_truncated_normal_gives_up():
+    # A level at exactly 0 is never inside (0, 1).
+    with pytest.raises(SimulationError, match="no blockade level in"):
+        _truncated_normal(np.random.default_rng(0), 0.0, 0.0)
+
+
+@pytest.mark.parametrize("mean,sd", [(0.35, 0.05), (0.02, 0.05), (0.97, 0.1), (0.5, 0.0)])
+def test_truncated_normal_draws_as_unbounded_loop(mean, sd):
+    bounded = np.random.default_rng(4)
+    unbounded = np.random.default_rng(4)
+    for _ in range(200):
+        while True:
+            x = unbounded.normal(mean, sd)
+            if 0.0 < x < 1.0:
+                break
+        assert _truncated_normal(bounded, mean, sd) == x
+    assert bounded.random() == unbounded.random()
+
+
+def test_zero_sigma_monolevel_calibration_simulates():
+    calib = CALIB.replace(
+        monolevel_blockage_points=((90.0, 0.999), (210.0, 0.99)), monolevel_sigma=0.0
+    )
+    config = ChannelConfig(voltage_mv=90.0, sample_rate_hz=10_000)
+    result = simulate(MoleculeSpec.from_string("(AC)60"), config, 10.0, calib, seed=3)
+    levels = {e.substates[0].level for _, e in result.events if e.complete}
+    assert len(levels) == 1
+    assert levels.pop() == pytest.approx(0.001)
+
+
+# --- chunked synthesis ---------------------------------------------------------
+
+# Dense enough at 210 mV that blockades of different pores overlap.
+_BUSY = CALIB.replace(
+    event_rate_points=(
+        (90.0, 200.0, 0.4), (120.0, 350.0, 0.4), (150.0, 1060.0, 0.4), (210.0, 2100.0, 0.4)
+    )
+)
+
+
+def _overlap_across_pores(events) -> bool:
+    spans = sorted(
+        (e.t_start_s, e.t_start_s + e.duration_us * 1e-6, pore) for pore, e in events
+    )
+    return any(b[0] < a[1] and b[2] != a[2] for a, b in zip(spans, spans[1:]))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    noise=st.sampled_from([0.0, 5.0]),
+    bandwidth=st.sampled_from([None, 10.0]),
+    chunk=st.sampled_from([1, 7, 4096, 10**6]),
+)
+def test_simulate_independent_of_chunk_size(seed, noise, bandwidth, chunk):
+    config = ChannelConfig(
+        voltage_mv=210.0, sample_rate_hz=100_000, noise_sigma_pa=noise,
+        bandwidth_khz=bandwidth, n_pores=3,
+    )
+    clogs = {0: [(0.004, 0.012)], 2: [(0.01, 0.03)]}
+    reference = simulate(MOLECULE, config, 0.03, _BUSY, seed, clogs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poresim, "_CHUNK", chunk)
+        chunked = simulate(MOLECULE, config, 0.03, _BUSY, seed, clogs)
+        pieces = [c.size for c in chunked.synthesized.chunks()]
+        samples = chunked.trace.samples
+    assert pieces == [min(chunk, 3000 - i) for i in range(0, 3000, chunk)]
+    assert samples.tobytes() == reference.trace.samples.tobytes()
+    assert chunked.events == reference.events
+    assert chunked.clogs == reference.clogs
+
+
+def test_chunk_invariance_covers_overlapping_pores():
+    config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=100_000, n_pores=3)
+    result = simulate(MOLECULE, config, 0.03, _BUSY, seed=1)
+    assert _overlap_across_pores(result.events)
+
+
+def test_synthesized_trace_is_reiterable():
+    config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=100_000, n_pores=2)
+    synthesized = simulate(MOLECULE, config, 0.2, _BUSY, seed=8).synthesized
+    first = np.concatenate(list(synthesized.chunks()))
+    second = np.concatenate(list(synthesized.chunks()))
+    assert len(synthesized) == first.size == 20_000
+    assert first.tobytes() == second.tobytes()
+
+
+@pytest.mark.parametrize("bandwidth", [None, 10.0])
+def test_noise_and_filter_match_whole_array_calls(monkeypatch, bandwidth):
+    from scipy.signal import lfilter
+
+    monkeypatch.setattr(poresim, "_CHUNK", 999)
+    config = ChannelConfig(
+        voltage_mv=0.0, sample_rate_hz=10_000, noise_sigma_pa=3.0, bandwidth_khz=bandwidth
+    )
+    samples = simulate(MOLECULE, config, 1.0, CALIB, seed=21).trace.samples
+    expected = np.full(10_000, 0.0) + poresim._noise_rng(21).normal(0.0, 3.0, 10_000)
+    if bandwidth is not None:
+        alpha = 1.0 - math.exp(-2.0 * math.pi * bandwidth * 1e3 / 10_000)
+        expected = lfilter([alpha], [1.0, alpha - 1.0], expected)
+    assert samples.tobytes() == expected.tobytes()

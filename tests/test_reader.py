@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from molstore import reader
 from molstore.calibration import CalibrationTable, ChannelConfig
 from molstore.codec import RunLengthScheme
 from molstore.poresim import (
@@ -280,6 +283,42 @@ def test_census_series_matches_scalar():
         assert pore_state_census(sample, 3, 130.0, 30.0) == k
 
 
+def _census_reference(x, n_pores, open_pa, clogged_pa):
+    """The census as five full-size temporaries computed it."""
+    return np.clip(np.rint((x - n_pores * clogged_pa) / (open_pa - clogged_pa)), 0, n_pores)
+
+
+@st.composite
+def _census_cases(draw):
+    n_pores = draw(st.one_of(st.integers(1, 8), st.just(300)))
+    clogged = draw(st.sampled_from([30.0, 0.0, 12.5]))
+    step = draw(st.sampled_from([100.0, 130.0, 0.5]))
+    # Currents exactly half-way between two census levels, where rint
+    # rounds to even.
+    halfway = st.integers(-2, n_pores + 2).map(
+        lambda k: n_pores * clogged + (k + 0.5) * step
+    )
+    values = draw(
+        st.lists(st.one_of(st.floats(-1e300, 1e300), halfway), min_size=1, max_size=40)
+    )
+    chunk = reader._CENSUS_CHUNK
+    length = draw(
+        st.one_of(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1]), st.integers(2, 64))
+    )
+    x = np.resize(np.array(values, dtype=np.float64), length)
+    return x, n_pores, clogged + step, clogged
+
+
+@settings(deadline=None)
+@given(case=_census_cases())
+def test_census_series_matches_reference(case):
+    x, n_pores, open_pa, clogged_pa = case
+    census = census_series(x, n_pores, open_pa, clogged_pa)
+    assert census.dtype == np.min_scalar_type(n_pores)
+    assert census.shape == x.shape
+    assert np.array_equal(census, _census_reference(x, n_pores, open_pa, clogged_pa))
+
+
 def test_census_rates_counts_dips_per_baseline():
     rate = 100_000.0
     n = int(2.0 * rate)
@@ -293,7 +332,7 @@ def test_census_rates_counts_dips_per_baseline():
     for t0 in (1.3, 1.7):
         i = int(t0 * rate)
         samples[i : i + 10] = 192.0
-    rates = census_rates(CurrentTrace(rate, samples), 3, 130.0, 30.0)
+    rates = census_rates(census_series(samples, 3, 130.0, 30.0), rate, 3)
     assert rates[3].events == 3
     assert rates[2].events == 2
     assert rates[3].seconds == pytest.approx(1.0, abs=0.05)
@@ -302,7 +341,7 @@ def test_census_rates_counts_dips_per_baseline():
 
 def test_census_current_means():
     samples = np.concatenate([np.full(100, 390.0), np.full(50, 290.0)])
-    means = census_current_means(CurrentTrace(1000.0, samples), 3, 130.0, 30.0)
+    means = census_current_means(samples, census_series(samples, 3, 130.0, 30.0), 3)
     assert means[3] == pytest.approx(390.0)
     assert means[2] == pytest.approx(290.0)
 

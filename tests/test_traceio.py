@@ -7,7 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from molstore.poresim import CurrentTrace
+from molstore import poresim, traceio
+from molstore.calibration import CalibrationTable, ChannelConfig
+from molstore.poresim import CurrentTrace, MoleculeSpec, simulate
 from molstore.traceio import (
     _TEXT_CHUNK,
     MAGIC,
@@ -39,7 +41,8 @@ def test_text_round_trip(tmp_path):
 def test_text_header_format(tmp_path):
     path = str(tmp_path / "t.txt")
     write_trace_text(_trace(n=2), path)
-    lines = open(path).read().splitlines()
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     assert lines[0] == "sample_rate_hz=1000000"
     assert len(lines) == 3
 
@@ -188,6 +191,11 @@ _FIXTURE_OK = settings(
 def test_text_writer_matches_reference(tmp_path, values, length):
     x = _samples(values, length)
     path = tmp_path / "t.txt"
+    if not np.isfinite(x).all():
+        with pytest.raises(TraceFormatError, match="non-finite sample"):
+            write_trace_text(CurrentTrace(1000.0, x), str(path))
+        assert not path.exists()
+        return
     write_trace_text(CurrentTrace(1000.0, x), str(path))
     header, _, body = path.read_bytes().partition(b"\n")
     assert header == b"sample_rate_hz=1000"
@@ -216,13 +224,75 @@ def test_binary_round_trip(tmp_path):
 def test_binary_layout(tmp_path):
     path = str(tmp_path / "t.mtrc")
     write_trace_binary(CurrentTrace(250_000.0, np.array([1.5, -2.0])), path)
-    raw = open(path, "rb").read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
     magic, version, rate, count = struct.unpack("<4sIdQ", raw[:24])
     assert magic == MAGIC == b"MTRC"
     assert version == 1
     assert rate == 250_000.0
     assert count == 2
     assert struct.unpack("<2f", raw[24:]) == (1.5, -2.0)
+
+
+def _binary_file(path, values):
+    path.write_bytes(
+        struct.pack(f"<4sIdQ{len(values)}f", MAGIC, 1, 1000.0, len(values), *values)
+    )
+
+
+def test_binary_reads_in_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(traceio, "_READ_CHUNK", 3)
+    values = [float(v) for v in range(-5, 6)]
+    path = tmp_path / "t.mtrc"
+    _binary_file(path, values)
+    back = read_trace_binary(str(path))
+    assert back.samples.dtype == np.float64
+    assert back.samples.tolist() == values
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("index", [0, 4, 10])
+def test_binary_reader_refuses_non_finite(tmp_path, monkeypatch, bad, index):
+    monkeypatch.setattr(traceio, "_READ_CHUNK", 3)
+    values = [250.0] * 11
+    values[index] = bad
+    path = tmp_path / "bad.mtrc"
+    _binary_file(path, values)
+    with pytest.raises(TraceFormatError, match=f"non-finite sample .* at index {index}$"):
+        read_trace_binary(str(path))
+
+
+@pytest.mark.parametrize("writer", [write_trace_text, write_trace_binary])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_writers_refuse_non_finite(tmp_path, monkeypatch, writer, bad):
+    monkeypatch.setattr(poresim, "_CHUNK", 4)
+    x = np.full(10, 250.0)
+    x[6] = bad
+    path = tmp_path / "bad.trace"
+    with pytest.raises(TraceFormatError, match="non-finite sample .* at index 6"):
+        writer(CurrentTrace(1000.0, x), str(path))
+    assert not path.exists()
+
+
+def test_binary_writer_refuses_float32_overflow(tmp_path):
+    path = tmp_path / "big.mtrc"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TraceFormatError, match="non-finite sample inf at index 1"):
+            write_trace_binary(CurrentTrace(1000.0, np.array([1.0, 1e300])), str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_streamed_trace_writes_held_trace_bytes(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(poresim, "_CHUNK", 1000)
+    config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=100_000, n_pores=2)
+    result = simulate(MoleculeSpec.from_string("A50C100"), config, 0.1, CalibrationTable(), 6)
+    streamed, held = tmp_path / "streamed", tmp_path / "held"
+    write_trace(result.synthesized, str(streamed), fmt)
+    write_trace(CurrentTrace(100_000.0, result.trace.samples.copy()), str(held), fmt)
+    assert streamed.read_bytes() == held.read_bytes()
+    assert len(read_trace(str(streamed))) == 10_000
 
 
 def test_binary_bad_magic(tmp_path):
