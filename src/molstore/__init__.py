@@ -29,7 +29,6 @@ from .poresim import (
     open_current,
     sample_event,
     simulate,
-    synthesize_trace,
 )
 
 __all__ = [
@@ -52,5 +51,4 @@ __all__ = [
     "open_current",
     "sample_event",
     "simulate",
-    "synthesize_trace",
 ]

@@ -210,11 +210,16 @@ def _resolve_open_current(args, calib) -> float:
     return poresim.open_current(args.voltage_mv, args.kcl_molar, calib)
 
 
+def _check_pores(args) -> None:
+    if args.pores < 1:
+        raise _fail("usage", f"--pores must be >= 1, got {args.pores}")
+
+
 def _cmd_read(args) -> int:
+    _check_pores(args)
     calib = _load_calibration(args.calibration)
     trace = traceio.read_trace(args.trace)
     open_pa = _resolve_open_current(args, calib)
-    noise_norm = args.noise_sigma_pa / open_pa
     floor_us = args.complete_floor_us
     if floor_us is None and args.molecule:
         molecule = poresim.MoleculeSpec.from_string(args.molecule)
@@ -224,40 +229,15 @@ def _cmd_read(args) -> int:
     if floor_us is None:
         floor_us = 0.0
 
-    detected = reader.detect_events(
-        trace, open_pa, args.threshold_fraction, args.min_duration_us
-    )
-    classes = [
-        reader.classify_event(d, noise_norm, args.min_substate_us, floor_us)
-        for d in detected
-    ]
-    scheme = codec.RunLengthScheme.from_string(args.scheme)
-    events = []
-    payload_lines: list[str] = []
-    decode_failures = 0
-    rows = []
-    for det, cls in zip(detected, classes):
-        orientation = poresim.Orientation.UNKNOWN
-        if isinstance(cls, reader.BiLevel):
-            orientation = reader.infer_orientation(cls, calib).orientation
-            try:
-                bits = reader.decode_event(
-                    cls, scheme, calib, args.voltage_mv, args.tolerance
-                )
-                payload_lines.append(codec.format_payload(bits).strip())
-            except (codec.CodecError, reader.ReaderError):
-                decode_failures += 1
-        event = reader.to_translocation_event(det, cls, orientation)
-        events.append(event)
-        kind = type(cls).__name__.lower()
-        rows.append(
-            f"{det.t_start_s:.9f},{det.duration_us:.3f},"
-            f"{100.0 * (1.0 - det.mean_level):.3f},{kind},{orientation}"
-        )
-
-    stats = reader.trace_stats(
-        trace, events, open_pa, args.threshold_fraction, args.pores,
-        calib.clogged_current_pa,
+    result = reader.read_station(
+        trace, open_pa, args.noise_sigma_pa, calib,
+        codec.RunLengthScheme.from_string(args.scheme), args.voltage_mv,
+        threshold_fraction=args.threshold_fraction,
+        min_duration_us=args.min_duration_us,
+        min_substate_us=args.min_substate_us,
+        complete_floor_us=floor_us,
+        tolerance=args.tolerance,
+        n_pores=args.pores,
     )
     header_items = [
         ("trace", args.trace),
@@ -272,19 +252,32 @@ def _cmd_read(args) -> int:
     ]
     lines = _header_lines("read", header_items)
     lines.append("start_s,duration_us,blockage_pct,class,orientation")
-    lines.extend(rows)
+    kinds = [reader.EVENT_KINDS[k] for k in result.kind.tolist()]
+    orientations = [reader.ORIENTATIONS[o] for o in result.orientation.tolist()]
+    lines.extend(
+        f"{start:.9f},{duration:.3f},{blockage:.3f},{kind},{orientation}"
+        for start, duration, blockage, kind, orientation in zip(
+            result.t_start_s.tolist(), result.duration_us.tolist(),
+            (100.0 * (1.0 - result.mean_level)).tolist(), kinds, orientations,
+        )
+    )
     _write_text(args.events_out, "\n".join(lines) + "\n")
 
+    payload_lines = [
+        codec.format_payload(bits).strip()
+        for bits in result.decoded if isinstance(bits, tuple)
+    ]
+    failures = sum(isinstance(outcome, Exception) for outcome in result.decoded)
     summary = _header_lines("read summary", header_items)
-    summary.append(f"events = {len(events)}")
-    summary.append(f"open_fraction = {stats.open_fraction:.6f}")
-    summary.append(f"complete_rate_per_s = {_fmt(stats.complete_rate)}")
-    summary.append(f"partial_rate_per_s = {_fmt(stats.partial_rate)}")
-    summary.append(f"total_rate_per_s = {_fmt(stats.total_rate)}")
+    summary.append(f"events = {len(result)}")
+    summary.append(f"open_fraction = {result.open_fraction:.6f}")
+    summary.append(f"complete_rate_per_s = {_fmt(result.complete_rate)}")
+    summary.append(f"partial_rate_per_s = {_fmt(result.partial_rate)}")
+    summary.append(f"total_rate_per_s = {_fmt(result.total_rate)}")
     summary.append(f"decoded_events = {len(payload_lines)}")
-    summary.append(f"decode_failures = {decode_failures}")
-    for k in sorted(stats.pore_census_histogram):
-        summary.append(f"census_{k}_samples = {stats.pore_census_histogram[k]}")
+    summary.append(f"decode_failures = {failures}")
+    for k, count in result.census_histogram.items():
+        summary.append(f"census_{k}_samples = {count}")
     _write_text(args.summary_out, "\n".join(summary) + "\n")
 
     _write_text(
@@ -295,6 +288,7 @@ def _cmd_read(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    _check_pores(args)
     calib = _load_calibration(args.calibration)
     trace = traceio.read_trace(args.trace)
     open_pa = _resolve_open_current(args, calib)

@@ -592,15 +592,3 @@ def simulate(
         clogs=clog_map,
         gating=gating,
     )
-
-
-def synthesize_trace(
-    molecule: MoleculeSpec,
-    config: ChannelConfig,
-    duration_s: float,
-    calib: CalibrationTable,
-    seed: int,
-    clogs: ClogSchedule | None = None,
-) -> CurrentTrace:
-    """Trace-only convenience wrapper around :func:`simulate`."""
-    return simulate(molecule, config, duration_s, calib, seed, clogs).trace

@@ -3,9 +3,10 @@ inference, base recovery, and multi-pore census statistics.
 
 The single-pore path finds threshold crossings, fits a one- or two-level
 model per event, infers which chemical end entered first from the level
-ordering, and converts substate dwell times back into base counts.  The
-multi-pore path quantizes total current into a pore census and counts
-blockade dips per census baseline.
+ordering, and converts substate dwell times back into base counts;
+read_station runs it for a whole trace on arrays.  The multi-pore path
+quantizes total current into a pore census and counts blockade dips per
+census baseline.
 """
 
 from __future__ import annotations
@@ -17,7 +18,13 @@ from typing import Sequence, Union
 import numpy as np
 
 from .calibration import CalibrationTable
-from .codec import BaseSequence, Nucleotide, RunLengthScheme, decode_runlength
+from .codec import (
+    BaseSequence,
+    CodecError,
+    Nucleotide,
+    RunLengthScheme,
+    decode_runlength,
+)
 from .poresim import (
     CurrentTrace,
     Orientation,
@@ -102,6 +109,28 @@ def complete_duration_floor_us(
     return factor * mean_duration(voltage_mv, n_bases, calib)
 
 
+def _event_bounds(
+    samples: np.ndarray,
+    sample_rate_hz: float,
+    open_current_pa: float,
+    threshold_fraction: float,
+    min_duration_us: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end sample of each event detect_events reports."""
+    if open_current_pa <= 0:
+        raise ReaderError("open_current_pa must be > 0")
+    if not 0.0 < threshold_fraction < 1.0:
+        raise ReaderError("threshold_fraction must be in (0, 1)")
+    # Below-threshold mask padded with one open sample at each end, so the
+    # run edges pair up as (start, end) even for runs touching the trace ends.
+    below = np.zeros(samples.size + 2, dtype=bool)
+    np.less(samples, threshold_fraction * open_current_pa, out=below[1:-1])
+    edges = np.flatnonzero(below[1:] != below[:-1])
+    starts, ends = edges[0::2], edges[1::2]
+    keep = ~(ends - starts < min_duration_us * 1e-6 * sample_rate_hz)
+    return starts[keep], ends[keep]
+
+
 def detect_events(
     trace: CurrentTrace,
     open_current_pa: float,
@@ -114,54 +143,103 @@ def detect_events(
     ``min_duration_us`` are rejected as noise spikes.  Events are disjoint
     and time ordered.  An empty trace yields an empty list.
     """
-    if open_current_pa <= 0:
-        raise ReaderError("open_current_pa must be > 0")
-    if not 0.0 < threshold_fraction < 1.0:
-        raise ReaderError("threshold_fraction must be in (0, 1)")
     samples = np.asarray(trace.samples)
-    if samples.size == 0:
-        return []
-    below = samples < threshold_fraction * open_current_pa
-    edges = np.diff(below.astype(np.int8))
-    starts = np.flatnonzero(edges == 1) + 1
-    ends = np.flatnonzero(edges == -1) + 1
-    if below[0]:
-        starts = np.concatenate(([0], starts))
-    if below[-1]:
-        ends = np.concatenate((ends, [samples.size]))
     rate = trace.sample_rate_hz
-    min_samples = min_duration_us * 1e-6 * rate
-    out: list[DetectedEvent] = []
-    for i0, i1 in zip(starts, ends):
-        if i1 - i0 < min_samples:
-            continue
-        out.append(
-            DetectedEvent(
-                t_start_s=i0 / rate,
-                levels=samples[i0:i1] / open_current_pa,
-                sample_rate_hz=rate,
-            )
-        )
-    return out
+    starts, ends = _event_bounds(
+        samples, rate, open_current_pa, threshold_fraction, min_duration_us
+    )
+    return [
+        DetectedEvent(i0 / rate, samples[i0:i1] / open_current_pa, rate)
+        for i0, i1 in zip(starts.tolist(), ends.tolist())
+    ]
 
 
-def _best_split(levels: np.ndarray) -> tuple[int, float, float]:
-    """Change point minimizing total within-segment variance, O(n).
+# Class codes of the array kernels, in EVENT_KINDS order.
+INCOMPLETE, MONOLEVEL, BILEVEL = 0, 1, 2
+EVENT_KINDS = ("incomplete", "monolevel", "bilevel")
+# Orientation codes of the array kernels index this tuple.
+ORIENTATIONS = (
+    Orientation.UNKNOWN,
+    Orientation.THREE_PRIME_FIRST,
+    Orientation.FIVE_PRIME_FIRST,
+)
+TIE_TOLERANCE = 0.02
+# Cells (events x samples) per batch of the classification kernels; bounds
+# their float temporaries whatever the event count.  An event longer than
+# this is one batch, and the split search walks it in column blocks.
+_BATCH_CELLS = 1 << 16
 
-    Returns (k, left mean, right mean) where k is the length of the first
-    segment, searched exhaustively over 1 <= k <= n-1 via prefix sums.
+
+def _best_splits(prefix: np.ndarray) -> np.ndarray:
+    """Per row of prefix sums (m x n, n >= 2), the change point k in
+    [1, n-1] minimizing total within-segment variance.
+
+    Minimizing SSE over a two-mean model is equivalent to maximizing the
+    between-segment sum of squares ``k*left^2 + (n-k)*right^2``; ties go to
+    the first k, and a NaN wins as np.argmax has it.
     """
-    n = len(levels)
-    s1 = np.cumsum(levels)
-    total = s1[-1]
-    ks = np.arange(1, n)
-    left_mean = s1[:-1] / ks
-    right_mean = (total - s1[:-1]) / (n - ks)
-    # Minimizing SSE over a two-mean model is equivalent to maximizing the
-    # between-segment sum of squares.
-    between = ks * left_mean**2 + (n - ks) * right_mean**2
-    best = int(np.argmax(between))
-    return int(ks[best]), float(left_mean[best]), float(right_mean[best])
+    m, n = prefix.shape
+    rows = np.arange(m)
+    total = prefix[:, -1:]
+    width = max(1, _BATCH_CELLS // m)
+    block_best, block_k = [], []
+    for c0 in range(0, n - 1, width):
+        ks = np.arange(c0 + 1, min(c0 + width, n - 1) + 1, dtype=np.float64)
+        head = prefix[:, c0 : c0 + ks.size]
+        left = head / ks
+        right = total - head
+        right /= n - ks
+        np.square(left, out=left)
+        left *= ks
+        np.square(right, out=right)
+        right *= n - ks
+        left += right
+        i = np.argmax(left, axis=1)
+        block_best.append(left[rows, i])
+        block_k.append(i + (c0 + 1))
+    # The first block holding the row's first NaN or first maximum holds it
+    # first, so argmax over the block maxima picks the whole row's argmax.
+    best = np.argmax(np.stack(block_best, axis=1), axis=1)
+    return np.stack(block_k, axis=1)[rows, best]
+
+
+def _classify_rows(
+    levels: np.ndarray,
+    sample_rate_hz: float,
+    noise_sigma_norm: float,
+    min_substate_us: float,
+    complete_floor_us: float,
+) -> tuple[np.ndarray, ...]:
+    """classify_event for equal-length events, one per row of normalized
+    samples; overwrites ``levels`` with their prefix sums.
+
+    Returns the mean level, the class code, and the first and second
+    substate levels and durations, which are NaN unless the row is BiLevel.
+    """
+    m, n = levels.shape
+    mean = np.add.reduce(levels, axis=1) / n
+    kind = np.full(m, MONOLEVEL, dtype=np.int8)
+    first, second, first_us, second_us = np.full((4, m), np.nan)
+    if n / sample_rate_hz * 1e6 < complete_floor_us:
+        kind[:] = INCOMPLETE
+    elif n >= 2:
+        prefix = np.cumsum(levels, axis=1, out=levels)
+        k = _best_splits(prefix)
+        at = prefix[np.arange(m), k - 1]
+        left = at / k
+        right = (prefix[:, -1] - at) / (n - k)
+        k_us = k / sample_rate_hz * 1e6
+        rest_us = (n - k) / sample_rate_hz * 1e6
+        bi = (
+            (k_us >= min_substate_us)
+            & (rest_us >= min_substate_us)
+            & (np.abs(left - right) > 3.0 * noise_sigma_norm)
+        )
+        kind[bi] = BILEVEL
+        first[bi], second[bi], first_us[bi], second_us[bi] = (
+            left[bi], right[bi], k_us[bi], rest_us[bi]
+        )
+    return mean, kind, first, second, first_us, second_us
 
 
 def classify_event(
@@ -178,30 +256,24 @@ def classify_event(
     segments at least ``min_substate_us`` long, to call BiLevel; anything
     else is MonoLevel at the overall mean.
     """
-    if event.duration_us < complete_floor_us:
-        return Incomplete()
-    levels = event.levels
-    n = len(levels)
-    rate = event.sample_rate_hz
-    if n < 2:
-        return MonoLevel(event.mean_level)
-    k, mean1, mean2 = _best_split(levels)
-    long_enough = (
-        k / rate * 1e6 >= min_substate_us
-        and (n - k) / rate * 1e6 >= min_substate_us
-    )
-    if long_enough and abs(mean1 - mean2) > 3.0 * noise_sigma_norm:
-        return BiLevel(
-            first_level=mean1,
-            second_level=mean2,
-            first_duration_us=k / rate * 1e6,
-            second_duration_us=(n - k) / rate * 1e6,
+    levels = np.array(event.levels, dtype=np.float64, ndmin=2)
+    mean, kind, first, second, first_us, second_us = (
+        a[0].item()
+        for a in _classify_rows(
+            levels, event.sample_rate_hz, noise_sigma_norm, min_substate_us,
+            complete_floor_us,
         )
-    return MonoLevel(event.mean_level)
+    )
+    if kind == INCOMPLETE:
+        return Incomplete()
+    if kind == BILEVEL:
+        return BiLevel(first, second, first_us, second_us)
+    return MonoLevel(mean)
 
 
-def _clip_level(level: float) -> float:
-    return min(max(level, 1e-6), 1.0 - 1e-6)
+def _clip_levels(levels):
+    """Levels held inside (0, 1), as a TranslocationEvent needs them."""
+    return np.clip(levels, 1e-6, 1.0 - 1e-6)
 
 
 def to_translocation_event(
@@ -210,28 +282,31 @@ def to_translocation_event(
     """Package a detected event and its classification as a domain event."""
     if isinstance(cls, BiLevel):
         substates = (
-            Substate(_clip_level(cls.first_level), cls.first_duration_us),
-            Substate(_clip_level(cls.second_level), cls.second_duration_us),
+            Substate(float(_clip_levels(cls.first_level)), cls.first_duration_us),
+            Substate(float(_clip_levels(cls.second_level)), cls.second_duration_us),
         )
-        complete = True
-    elif isinstance(cls, MonoLevel):
-        substates = (Substate(_clip_level(cls.level), event.duration_us),)
-        complete = True
     else:
-        substates = (Substate(_clip_level(event.mean_level), event.duration_us),)
-        complete = False
+        level = cls.level if isinstance(cls, MonoLevel) else event.mean_level
+        substates = (Substate(float(_clip_levels(level)), event.duration_us),)
     return TranslocationEvent(
         t_start_s=event.t_start_s,
         substates=substates,
-        complete=complete,
+        complete=not isinstance(cls, Incomplete),
         orientation=orientation,
     )
+
+
+def _orientation_codes(first, second, tie_tolerance: float) -> np.ndarray:
+    """ORIENTATIONS index of each bi-level (first, second) level pair."""
+    return np.where(
+        np.abs(first - second) <= tie_tolerance, 0, np.where(first > second, 1, 2)
+    ).astype(np.int8)
 
 
 def infer_orientation(
     cls: BiLevel,
     calib: CalibrationTable,
-    tie_tolerance: float = 0.02,
+    tie_tolerance: float = TIE_TOLERANCE,
 ) -> OrientationCall:
     """Decide entry direction for the A-then-C two-segment molecule family.
 
@@ -243,13 +318,9 @@ def infer_orientation(
     annotation; the ordering rule alone decides.
     """
     first, second = cls.first_level, cls.second_level
-    if abs(first - second) <= tie_tolerance:
+    orientation = ORIENTATIONS[_orientation_codes(first, second, tie_tolerance)]
+    if orientation is Orientation.UNKNOWN:
         return OrientationCall(Orientation.UNKNOWN, None)
-    orientation = (
-        Orientation.THREE_PRIME_FIRST
-        if first > second
-        else Orientation.FIVE_PRIME_FIRST
-    )
 
     consistent: bool | None = None
     three = (calib.level_for("C", "3prime"), calib.level_for("A", "3prime"))
@@ -264,36 +335,79 @@ def infer_orientation(
     return OrientationCall(orientation, consistent)
 
 
-def _assign_bases(levels: Sequence[float], means: dict[str, float]) -> list[str]:
+def _first_min(cost: np.ndarray, candidates: Sequence[int]) -> np.ndarray:
+    """Per row, the candidate column ``min(candidates, key=row.__getitem__)``
+    picks: the first least cost, and the first candidate if its cost is NaN."""
+    rows = np.arange(len(cost))
+    best = np.full(len(cost), candidates[0])
+    for p in candidates[1:]:
+        best = np.where(cost[:, p] < cost[rows, best], p, best)
+    return best
+
+
+def _assign_bases(levels: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Minimum total |level - mean| assignment with adjacent bases distinct.
 
-    A recovered molecule is a segment layout, and adjacent segments always
-    carry distinct bases, so the assignment is solved jointly under that
-    constraint (dynamic program over substates).  Independent per-substate
-    nearest-mean would merge adjacent segments whenever one level strays
-    toward the other base's mean; the joint assignment fails only when the
-    levels misrank the segments.
+    ``levels`` holds one event's substate levels per row; the result holds
+    the index into ``means`` of each substate's base.  A recovered molecule
+    is a segment layout, and adjacent segments always carry distinct bases,
+    so the assignment is solved jointly under that constraint (dynamic
+    program over substates).  Independent per-substate nearest-mean would
+    merge adjacent segments whenever one level strays toward the other
+    base's mean; the joint assignment fails only when the levels misrank
+    the segments.
     """
-    bases = list(means)
-    n = len(levels)
-    cost = {b: abs(levels[0] - means[b]) for b in bases}
-    back: list[dict[str, str]] = []
-    for level in levels[1:]:
-        nxt: dict[str, float] = {}
-        arg: dict[str, str] = {}
-        for b in bases:
-            candidates = [p for p in bases if p != b] or bases
-            prev = min(candidates, key=lambda p: cost[p])
-            nxt[b] = cost[prev] + abs(level - means[b])
-            arg[b] = prev
-        cost = nxt
-        back.append(arg)
-    last = min(bases, key=lambda b: cost[b])
-    out = [last]
-    for arg in reversed(back):
-        out.append(arg[out[-1]])
-    out.reverse()
-    return out
+    rows = np.arange(len(levels))
+    n_bases = len(means)
+    cost = np.abs(levels[:, :1] - means)
+    back = []
+    for column in range(1, levels.shape[1]):
+        prev = np.stack(
+            [
+                _first_min(cost, [p for p in range(n_bases) if p != b] or range(n_bases))
+                for b in range(n_bases)
+            ],
+            axis=1,
+        )
+        cost = cost[rows[:, None], prev] + np.abs(levels[:, column : column + 1] - means)
+        back.append(prev)
+    path = [_first_min(cost, range(n_bases))]
+    for prev in reversed(back):
+        path.append(prev[rows, path[-1]])
+    return np.stack(path[::-1], axis=1)
+
+
+def _segment_layouts(
+    levels: np.ndarray,
+    durations_us: np.ndarray,
+    orientation: Orientation,
+    calib: CalibrationTable,
+    voltage_mv: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """recover_bases for events with equal substate counts, one per row:
+    the base letter and count (a float) of each segment, 5' to 3'."""
+    if voltage_mv <= 0:
+        raise ReaderError("voltage must be > 0")
+    if not voltage_mv < math.inf:
+        raise ReaderError("voltage must be finite")
+    means = {
+        base: stats.mean
+        for (base, end), stats in calib.level_stats.items()
+        if end == orientation.entry_end
+    }
+    if not means:
+        raise ReaderError("calibration has no level statistics for this orientation")
+    dwell_us = calib.base_dwell_us * calib.ref_voltage_mv / voltage_mv
+    assigned = _assign_bases(levels, np.array(list(means.values())))
+    bases = np.array(list(means))[assigned]
+    counts = np.maximum(np.trunc(durations_us / dwell_us + 0.5), 1.0)
+    if orientation is Orientation.THREE_PRIME_FIRST:
+        bases, counts = bases[:, ::-1], counts[:, ::-1]
+    return bases, counts
+
+
+def _segments(bases: Sequence[str], counts: Sequence[float]) -> list[tuple[Nucleotide, int]]:
+    return [(Nucleotide(base), int(count)) for base, count in zip(bases, counts)]
 
 
 def recover_bases(
@@ -314,28 +428,69 @@ def recover_bases(
         raise OrientationUnknownError("cannot recover bases without an entry direction")
     if not event.complete:
         raise ReaderError("base recovery needs a complete event")
-    if voltage_mv <= 0:
-        raise ReaderError("voltage must be > 0")
-    means = {
-        base: stats.mean
-        for (base, end), stats in calib.level_stats.items()
-        if end == orientation.entry_end
-    }
-    if not means:
-        raise ReaderError("calibration has no level statistics for this orientation")
-    dwell_us = calib.base_dwell_us * calib.ref_voltage_mv / voltage_mv
-    assigned = _assign_bases([s.level for s in event.substates], means)
-    segments: list[tuple[Nucleotide, int]] = []
-    for base, (_, duration_us) in zip(assigned, event.substates):
-        count = max(1, int(duration_us / dwell_us + 0.5))
-        segments.append((Nucleotide(base), count))
-    if orientation is Orientation.THREE_PRIME_FIRST:
-        segments.reverse()
-    return segments
+    bases, counts = _segment_layouts(
+        np.array([[s.level for s in event.substates]]),
+        np.array([[s.duration_us for s in event.substates]]),
+        orientation, calib, voltage_mv,
+    )
+    return _segments(bases[0].tolist(), counts[0].tolist())
 
 
 def segments_to_sequence(segments: Sequence[tuple[Nucleotide, int]]) -> BaseSequence:
     return BaseSequence("".join(base.value * count for base, count in segments))
+
+
+Decoded = Union[tuple, CodecError, ReaderError, None]
+
+
+def _decode_bilevels(
+    first: np.ndarray,
+    second: np.ndarray,
+    first_us: np.ndarray,
+    second_us: np.ndarray,
+    orientation: np.ndarray,
+    scheme: RunLengthScheme,
+    calib: CalibrationTable,
+    voltage_mv: float,
+    tolerance: float,
+) -> list[Decoded]:
+    """decode_event for bi-level events given as arrays, with their
+    ORIENTATIONS codes: the bits of each, or the error that refused it.
+
+    Base recovery runs on the arrays, and decoding once per distinct
+    (base, count) layout; events with one layout share its result.
+    """
+    out: list[Decoded] = [None] * len(first)
+    tie = OrientationUnknownError("level ordering is a tie; orientation unknown")
+    for i in np.flatnonzero(orientation == 0).tolist():
+        out[i] = tie
+    memo: dict[tuple, Decoded] = {}
+    for code in (1, 2):
+        picked = np.flatnonzero(orientation == code)
+        if not picked.size:
+            continue
+        try:
+            bases, counts = _segment_layouts(
+                _clip_levels(np.stack([first[picked], second[picked]], axis=1)),
+                np.stack([first_us[picked], second_us[picked]], axis=1),
+                ORIENTATIONS[code], calib, voltage_mv,
+            )
+        except ReaderError as exc:
+            for i in picked.tolist():
+                out[i] = exc
+            continue
+        for i, layout in zip(picked.tolist(), zip(*bases.T.tolist(), *counts.T.tolist())):
+            if layout not in memo:
+                half = len(layout) // 2
+                segments = _segments(layout[:half], layout[half:])
+                try:
+                    memo[layout] = tuple(
+                        decode_runlength(segments_to_sequence(segments), scheme, tolerance)
+                    )
+                except CodecError as exc:
+                    memo[layout] = exc
+            out[i] = memo[layout]
+    return out
 
 
 def decode_event(
@@ -344,7 +499,7 @@ def decode_event(
     calib: CalibrationTable,
     voltage_mv: float,
     tolerance: float = 0.45,
-    tie_tolerance: float = 0.02,
+    tie_tolerance: float = TIE_TOLERANCE,
 ) -> list[int]:
     """Full per-event pipeline: orient, recover bases, run-length decode.
 
@@ -354,20 +509,140 @@ def decode_event(
     """
     if not isinstance(cls, BiLevel):
         raise ReaderError("only bi-level events can be decoded against a scheme")
-    call = infer_orientation(cls, calib, tie_tolerance=tie_tolerance)
-    if call.orientation is Orientation.UNKNOWN:
-        raise OrientationUnknownError("level ordering is a tie; orientation unknown")
-    event = TranslocationEvent(
-        t_start_s=0.0,
-        substates=(
-            Substate(_clip_level(cls.first_level), cls.first_duration_us),
-            Substate(_clip_level(cls.second_level), cls.second_duration_us),
-        ),
-        complete=True,
-        orientation=call.orientation,
+    first, second, first_us, second_us = (
+        np.array([x], dtype=np.float64)
+        for x in (cls.first_level, cls.second_level, cls.first_duration_us,
+                  cls.second_duration_us)
     )
-    segments = recover_bases(event, call.orientation, calib, voltage_mv)
-    return decode_runlength(segments_to_sequence(segments), scheme, tolerance)
+    (outcome,) = _decode_bilevels(
+        first, second, first_us, second_us,
+        _orientation_codes(first, second, tie_tolerance),
+        scheme, calib, voltage_mv, tolerance,
+    )
+    if isinstance(outcome, Exception):
+        raise outcome
+    return list(outcome)
+
+
+# --- the read station ------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class ReadResult:
+    """Everything one read of a single-pore trace finds, per event as arrays
+    in time order, plus the trace summary.
+
+    ``kind`` indexes EVENT_KINDS and ``orientation`` indexes ORIENTATIONS
+    (Unknown unless bi-level); the ``first_*``/``second_*`` substate fields
+    are NaN unless the event is bi-level.  ``decoded`` holds, per event,
+    the decoded bits, the CodecError or ReaderError that refused a bi-level
+    event, or None for an event that is not bi-level.
+    """
+
+    sample_rate_hz: float
+    start: np.ndarray
+    length: np.ndarray
+    mean_level: np.ndarray
+    kind: np.ndarray
+    first_level: np.ndarray
+    second_level: np.ndarray
+    first_duration_us: np.ndarray
+    second_duration_us: np.ndarray
+    orientation: np.ndarray
+    decoded: tuple[Decoded, ...]
+    open_fraction: float
+    complete_rate: float
+    partial_rate: float
+    census_histogram: dict[int, int]
+
+    def __len__(self) -> int:
+        return len(self.start)
+
+    @property
+    def t_start_s(self) -> np.ndarray:
+        return self.start / self.sample_rate_hz
+
+    @property
+    def duration_us(self) -> np.ndarray:
+        return self.length / self.sample_rate_hz * 1e6
+
+    @property
+    def total_rate(self) -> float:
+        return self.complete_rate + self.partial_rate
+
+
+def read_station(
+    trace: CurrentTrace,
+    open_current_pa: float,
+    noise_sigma_pa: float,
+    calib: CalibrationTable,
+    scheme: RunLengthScheme,
+    voltage_mv: float,
+    threshold_fraction: float = 0.5,
+    min_duration_us: float = 10.0,
+    min_substate_us: float = 20.0,
+    complete_floor_us: float = 0.0,
+    tolerance: float = 0.45,
+    n_pores: int = 1,
+) -> ReadResult:
+    """Detect, classify, orient and decode every event of a trace, and
+    summarize it.
+
+    Gives per event what detect_events, classify_event, infer_orientation
+    and decode_event give, bit for bit, and the summary trace_stats gives
+    for those events, computed on arrays: events of one length are
+    classified together in batches of at most ``_BATCH_CELLS`` samples,
+    and no float array as long as the trace is made.
+    """
+    samples = np.asarray(trace.samples, dtype=np.float64)
+    rate = trace.sample_rate_hz
+    starts, ends = _event_bounds(
+        samples, rate, open_current_pa, threshold_fraction, min_duration_us
+    )
+    noise_sigma_norm = noise_sigma_pa / open_current_pa
+    lengths = ends - starts
+    fields = (mean, kind, first, second, first_us, second_us) = (
+        np.empty(len(starts)), np.empty(len(starts), np.int8),
+        *np.empty((4, len(starts))),
+    )
+    order = np.argsort(lengths, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        if not group.size:
+            continue
+        n = int(lengths[group[0]])
+        windows = np.lib.stride_tricks.sliding_window_view(samples, n)
+        step = max(1, _BATCH_CELLS // n)
+        for b in range(0, group.size, step):
+            batch = group[b : b + step]
+            levels = windows[starts[batch]]
+            levels /= open_current_pa
+            results = _classify_rows(
+                levels, rate, noise_sigma_norm, min_substate_us, complete_floor_us
+            )
+            for out, result in zip(fields, results):
+                out[batch] = result
+
+    orientation = np.zeros(len(starts), dtype=np.int8)
+    decoded: list[Decoded] = [None] * len(starts)
+    bi = np.flatnonzero(kind == BILEVEL)
+    orientation[bi] = _orientation_codes(first[bi], second[bi], TIE_TOLERANCE)
+    bi_decoded = _decode_bilevels(
+        first[bi], second[bi], first_us[bi], second_us[bi], orientation[bi],
+        scheme, calib, voltage_mv, tolerance,
+    )
+    for i, outcome in zip(bi.tolist(), bi_decoded):
+        decoded[i] = outcome
+
+    n_complete = int(np.count_nonzero(kind != INCOMPLETE))
+    open_fraction, complete_rate, partial_rate, histogram = _summary(
+        samples, trace.duration_s, n_complete, len(starts) - n_complete,
+        open_current_pa, threshold_fraction, n_pores, calib.clogged_current_pa,
+    )
+    return ReadResult(
+        rate, starts, lengths, mean, kind, first, second, first_us, second_us,
+        orientation, tuple(decoded), open_fraction, complete_rate, partial_rate,
+        histogram,
+    )
 
 
 # --- multi-pore census -----------------------------------------------------
@@ -376,29 +651,18 @@ def decode_event(
 _CENSUS_CHUNK = 1 << 16
 
 
-def pore_state_census(
-    sample_pa: float,
-    n_pores: int,
-    open_current_pa: float,
-    clogged_current_pa: float,
-) -> int:
-    """Number of open pores whose quantized total current sits nearest."""
-    if n_pores < 1:
-        raise ReaderError("n_pores must be >= 1")
-    ks = np.arange(n_pores + 1)
-    levels = ks * open_current_pa + (n_pores - ks) * clogged_current_pa
-    return int(np.argmin(np.abs(levels - sample_pa)))
-
-
 def census_series(
     samples: np.ndarray,
     n_pores: int,
     open_current_pa: float,
     clogged_current_pa: float,
 ) -> np.ndarray:
-    """Per-sample census, equivalent to pore_state_census, in the smallest
+    """Per-sample census: the number of open pores k whose quantized total
+    current ``k*open + (n_pores-k)*clogged`` sits nearest, in the smallest
     unsigned dtype that holds ``n_pores``; one pass over the samples in
     chunks of ``_CENSUS_CHUNK``."""
+    if n_pores < 1:
+        raise ReaderError("n_pores must be >= 1")
     step = open_current_pa - clogged_current_pa
     if step <= 0:
         raise ReaderError("open current must exceed clogged current")
@@ -411,6 +675,27 @@ def census_series(
         np.clip(raw, 0, n_pores, out=raw)
         census[start : start + _CENSUS_CHUNK] = raw
     return census
+
+
+def _census_counts(census: np.ndarray, n_pores: int) -> np.ndarray:
+    """Samples in each census state 0..n_pores, counted in chunks of
+    ``_CENSUS_CHUNK`` so no census-long int64 copy is made.
+
+    A census is piecewise constant, so most chunks span a few states;
+    those are counted state by state, which costs less than bincount's
+    cast to intp for up to about eight states.
+    """
+    counts = np.zeros(n_pores + 1, dtype=np.int64)
+    for start in range(0, census.size, _CENSUS_CHUNK):
+        chunk = census[start : start + _CENSUS_CHUNK]
+        lo, hi = int(chunk.min()), min(int(chunk.max()), n_pores)
+        if hi - lo < 8:
+            for k in range(lo, hi + 1):
+                counts[k] += np.count_nonzero(chunk == k)
+        else:
+            in_chunk = np.bincount(chunk.astype(np.intp))
+            counts[: in_chunk.size] += in_chunk[: n_pores + 1]
+    return counts
 
 
 @dataclass(frozen=True)
@@ -480,8 +765,8 @@ def census_rates(
             continue
         counts[int(baseline[i0])] = counts.get(int(baseline[i0]), 0) + 1
     out: dict[int, CensusRate] = {}
-    for k in range(n_pores + 1):
-        seconds = float(np.count_nonzero(baseline == k)) / sample_rate_hz
+    for k, n_samples in enumerate(_census_counts(baseline, n_pores).tolist()):
+        seconds = float(n_samples) / sample_rate_hz
         events = counts.get(k, 0)
         out[k] = CensusRate(events, seconds, events / seconds if seconds > 0 else 0.0)
     return out
@@ -493,12 +778,10 @@ def census_current_means(
     """Mean measured current of the samples assigned to each census state;
     ``census`` is the samples' census_series."""
     samples = np.asarray(samples)
-    out: dict[int, float] = {}
-    for k in range(n_pores + 1):
-        mask = census == k
-        if np.any(mask):
-            out[k] = float(np.mean(samples[mask]))
-    return out
+    return {
+        k: float(np.mean(samples[census == k]))
+        for k in np.flatnonzero(_census_counts(census, n_pores)).tolist()
+    }
 
 
 # --- summary statistics ----------------------------------------------------
@@ -516,6 +799,34 @@ class StatsReport:
     pore_census_histogram: dict[int, int]
 
 
+def _summary(
+    samples: np.ndarray,
+    duration_s: float,
+    n_complete: int,
+    n_partial: int,
+    open_current_pa: float,
+    threshold_fraction: float,
+    n_pores: int,
+    clogged_current_pa: float,
+) -> tuple[float, float, float, dict[int, int]]:
+    """Open fraction, complete and partial event rates, census histogram."""
+    if samples.size:
+        open_fraction = float(
+            np.count_nonzero(samples >= threshold_fraction * open_current_pa)
+            / samples.size
+        )
+        counts = _census_counts(
+            census_series(samples, n_pores, open_current_pa, clogged_current_pa), n_pores
+        )
+        histogram = {k: int(counts[k]) for k in np.flatnonzero(counts).tolist()}
+    else:
+        open_fraction = 1.0
+        histogram = {}
+    complete_rate = n_complete / duration_s if duration_s > 0 else 0.0
+    partial_rate = n_partial / duration_s if duration_s > 0 else 0.0
+    return open_fraction, complete_rate, partial_rate, histogram
+
+
 def trace_stats(
     trace: CurrentTrace,
     events: Sequence[TranslocationEvent],
@@ -525,24 +836,12 @@ def trace_stats(
     clogged_current_pa: float = 30.0,
 ) -> StatsReport:
     """Aggregate detected events and census occupancy for one trace."""
-    samples = np.asarray(trace.samples)
-    if samples.size:
-        open_fraction = float(
-            np.count_nonzero(samples >= threshold_fraction * open_current_pa)
-            / samples.size
-        )
-        census = census_series(samples, n_pores, open_current_pa, clogged_current_pa)
-        histogram = {
-            int(k): int(c) for k, c in zip(*np.unique(census, return_counts=True))
-        }
-    else:
-        open_fraction = 1.0
-        histogram = {}
-    duration = trace.duration_s
     n_complete = sum(1 for e in events if e.complete)
-    n_partial = len(events) - n_complete
-    complete_rate = n_complete / duration if duration > 0 else 0.0
-    partial_rate = n_partial / duration if duration > 0 else 0.0
+    open_fraction, complete_rate, partial_rate, histogram = _summary(
+        np.asarray(trace.samples), trace.duration_s, n_complete,
+        len(events) - n_complete, open_current_pa, threshold_fraction, n_pores,
+        clogged_current_pa,
+    )
     pairs = tuple(
         (e.duration_us, 100.0 * (1.0 - e.mean_level)) for e in events
     )

@@ -269,6 +269,25 @@ def test_malformed_trace_is_one_line_format_error(tmp_path, capsys, content):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command,pores",
+    [("read", "0"), ("read", "-1"), ("stats", "0"), ("stats", "-1")],
+)
+def test_pores_below_one_is_one_line_usage_error(tmp_path, capsys, command, pores):
+    trace = tmp_path / "t.trace"
+    traceio.write_trace_text(CurrentTrace(1000.0, np.full(10, 250.0)), str(trace))
+    outs = {
+        "read": ["--events-out", tmp_path / "e.csv", "--summary-out", tmp_path / "s.txt",
+                 "--payload-out", tmp_path / "p.txt"],
+        "stats": ["--out", tmp_path / "stats.txt"],
+    }[command]
+    code = run(command, "--trace", str(trace), "--pores", pores, *map(str, outs))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == f"error: usage: --pores must be >= 1, got {pores}\n"
+    assert not any(tmp_path.glob("*.txt")) and not any(tmp_path.glob("*.csv"))
+
+
 def test_simulate_rejects_unsimulatable_calibration(tmp_path, capsys):
     # A full monolevel blockage with no spread would leave no level in (0, 1).
     calib = tmp_path / "cal.txt"

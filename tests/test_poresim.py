@@ -20,7 +20,6 @@ from molstore.poresim import (
     pore_events,
     sample_event,
     simulate,
-    synthesize_trace,
     _truncated_normal,
 )
 
@@ -198,22 +197,22 @@ def test_monolevel_complete_tracks_blockage_table():
 
 def test_trace_length_law():
     config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=1_000_000)
-    trace = synthesize_trace(MOLECULE, config, 0.001, CALIB, seed=3)
+    trace = simulate(MOLECULE, config, 0.001, CALIB, seed=3).trace
     assert len(trace) == 1000
 
 
 def test_trace_deterministic():
     config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=100_000)
-    a = synthesize_trace(MOLECULE, config, 2.0, CALIB, seed=17)
-    b = synthesize_trace(MOLECULE, config, 2.0, CALIB, seed=17)
+    a = simulate(MOLECULE, config, 2.0, CALIB, seed=17).trace
+    b = simulate(MOLECULE, config, 2.0, CALIB, seed=17).trace
     assert np.array_equal(a.samples, b.samples)
-    c = synthesize_trace(MOLECULE, config, 2.0, CALIB, seed=18)
+    c = simulate(MOLECULE, config, 2.0, CALIB, seed=18).trace
     assert not np.array_equal(a.samples, c.samples)
 
 
 def test_zero_voltage_trace_has_zero_mean():
     config = ChannelConfig(voltage_mv=0.0, sample_rate_hz=100_000, noise_sigma_pa=5.0)
-    trace = synthesize_trace(MOLECULE, config, 2.0, CALIB, seed=1)
+    trace = simulate(MOLECULE, config, 2.0, CALIB, seed=1).trace
     assert np.mean(trace.samples) == pytest.approx(0.0, abs=0.1)
 
 
@@ -222,7 +221,7 @@ def test_multi_pore_open_current_additivity():
         config = ChannelConfig(
             voltage_mv=210.0, sample_rate_hz=50_000, noise_sigma_pa=0.0, n_pores=pores
         )
-        trace = synthesize_trace(MOLECULE, config, 2.0, CALIB, seed=23)
+        trace = simulate(MOLECULE, config, 2.0, CALIB, seed=23).trace
         assert np.mean(trace.samples) == pytest.approx(250.0 * pores, rel=0.005)
 
 
@@ -300,12 +299,12 @@ def test_lowpass_filter_smooths_edges():
         voltage_mv=210.0, sample_rate_hz=1_000_000, noise_sigma_pa=0.0,
         bandwidth_khz=100.0,
     )
-    filtered = synthesize_trace(MOLECULE, config, 0.05, CALIB, seed=12)
-    raw = synthesize_trace(
+    filtered = simulate(MOLECULE, config, 0.05, CALIB, seed=12).trace
+    raw = simulate(
         MOLECULE,
         ChannelConfig(voltage_mv=210.0, sample_rate_hz=1_000_000, noise_sigma_pa=0.0),
         0.05, CALIB, seed=12,
-    )
+    ).trace
     # same events, but the filtered trace cannot jump a full blockade depth
     # in one sample
     assert np.max(np.abs(np.diff(filtered.samples))) < np.max(np.abs(np.diff(raw.samples)))

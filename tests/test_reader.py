@@ -31,7 +31,6 @@ from molstore.reader import (
     decode_event,
     detect_events,
     infer_orientation,
-    pore_state_census,
     recover_bases,
     to_translocation_event,
     trace_stats,
@@ -78,6 +77,45 @@ def test_detect_parameter_errors():
         detect_events(_flat(250.0, 10), 0.0)
     with pytest.raises(ReaderError):
         detect_events(_flat(250.0, 10), 250.0, threshold_fraction=1.5)
+
+
+@st.composite
+def _detect_cases(draw):
+    # Runs of open (1.0) and blocked (0.2) current, so runs touch sample 0
+    # and the last sample as often as not.
+    runs = draw(st.lists(st.tuples(st.booleans(), st.integers(1, 12)), max_size=30))
+    samples = np.array([0.2 if low else 1.0 for low, n in runs for _ in range(n)]) * 250.0
+    rate = draw(st.sampled_from([1e6, 250_000.0, 100_000.0]))
+    min_duration_us = draw(st.sampled_from([0.0, 1.0, 10.0, 24.0, 40.0]))
+    return CurrentTrace(rate, samples), min_duration_us
+
+
+@settings(deadline=None)
+@given(case=_detect_cases())
+def test_detect_events_are_ordered_disjoint_in_bounds_and_long_enough(case):
+    trace, min_duration_us = case
+    samples = trace.samples
+    events = detect_events(trace, 250.0, 0.5, min_duration_us)
+    bounds = [
+        (round(e.t_start_s * trace.sample_rate_hz), len(e.levels)) for e in events
+    ]
+    end = 0
+    for start, n in bounds:
+        assert start >= end  # ordered and disjoint
+        end = start + n
+        assert 0 <= start and end <= samples.size
+        assert n >= min_duration_us * 1e-6 * trace.sample_rate_hz
+        assert np.all(samples[start:end] < 125.0)
+        # maximal: an open sample or a trace end on both sides
+        assert start == 0 or samples[start - 1] >= 125.0
+        assert end == samples.size or samples[end] >= 125.0
+    # every long-enough blocked run is reported
+    edges = np.diff(np.concatenate(([0], samples < 125.0, [0])).astype(np.int8))
+    runs = zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
+    expected = [
+        (i, j - i) for i, j in runs if j - i >= min_duration_us * 1e-6 * trace.sample_rate_hz
+    ]
+    assert bounds == expected
 
 
 def test_detect_recovers_seeded_events_within_10us():
@@ -263,16 +301,23 @@ def test_decode_event_requires_bilevel():
 # --- census ------------------------------------------------------------------
 
 
+def _nearest_level_census(sample_pa, n_pores, open_pa, clogged_pa):
+    """The census of one sample by argmin over the quantized total currents."""
+    ks = np.arange(n_pores + 1)
+    levels = ks * open_pa + (n_pores - ks) * clogged_pa
+    return int(np.argmin(np.abs(levels - sample_pa)))
+
+
 @pytest.mark.parametrize("sample,expected", [(400.0, 3), (290.0, 2), (190.0, 1)])
 def test_pore_state_census_examples(sample, expected):
-    assert pore_state_census(sample, 3, 130.0, 30.0) == expected
+    assert census_series(np.array([sample]), 3, 130.0, 30.0)[0] == expected
 
 
 def test_pore_state_census_exact_on_quantized_currents():
     for n_pores in range(1, 9):
         for k in range(n_pores + 1):
             current = k * 130.0 + (n_pores - k) * 30.0
-            assert pore_state_census(current, n_pores, 130.0, 30.0) == k
+            assert census_series(np.array([current]), n_pores, 130.0, 30.0)[0] == k
 
 
 def test_census_series_matches_scalar():
@@ -280,7 +325,7 @@ def test_census_series_matches_scalar():
     samples = rng.uniform(0.0, 420.0, 500)
     series = census_series(samples, 3, 130.0, 30.0)
     for sample, k in zip(samples, series):
-        assert pore_state_census(sample, 3, 130.0, 30.0) == k
+        assert _nearest_level_census(sample, 3, 130.0, 30.0) == k
 
 
 def _census_reference(x, n_pores, open_pa, clogged_pa):
@@ -317,6 +362,24 @@ def test_census_series_matches_reference(case):
     assert census.dtype == np.min_scalar_type(n_pores)
     assert census.shape == x.shape
     assert np.array_equal(census, _census_reference(x, n_pores, open_pa, clogged_pa))
+
+
+def test_census_series_needs_a_pore():
+    for n_pores in (0, -1):
+        with pytest.raises(ReaderError):
+            census_series(np.full(4, 250.0), n_pores, 130.0, 30.0)
+
+
+@settings(deadline=None)
+@given(case=_census_cases())
+def test_census_counts_match_unique(case):
+    x, n_pores, open_pa, clogged_pa = case
+    census = census_series(x, n_pores, open_pa, clogged_pa)
+    counts = reader._census_counts(census, n_pores)
+    assert counts.shape == (n_pores + 1,)
+    states, expected = np.unique(census, return_counts=True)
+    assert np.flatnonzero(counts).tolist() == states.tolist()
+    assert counts[states].tolist() == expected.tolist()
 
 
 def test_census_rates_counts_dips_per_baseline():
