@@ -16,8 +16,6 @@ import secrets
 import sys
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import __version__, calibration, chipmodel, codec, poresim, reader, traceio
 
 CALIBRATION_ENV = "MOLSTORE_CALIBRATION"
@@ -213,6 +211,8 @@ def _resolve_open_current(args, calib) -> float:
 def _check_pores(args) -> None:
     if args.pores < 1:
         raise _fail("usage", f"--pores must be >= 1, got {args.pores}")
+    if args.pores > reader.MAX_PORES:
+        raise _fail("usage", f"--pores must be <= {reader.MAX_PORES}, got {args.pores}")
 
 
 def _cmd_read(args) -> int:
@@ -302,19 +302,16 @@ def _cmd_stats(args) -> int:
             ("pores", args.pores),
         ],
     )
-    samples = np.asarray(trace.samples)
-    lines.append(f"samples = {samples.size}")
-    lines.append(f"duration_s = {_fmt(trace.duration_s)}")
-    lines.append(f"mean_pa = {_fmt(float(samples.mean())) if samples.size else 0}")
-    census = reader.census_series(samples, args.pores, open_pa, clogged)
-    census_means = reader.census_current_means(samples, census, args.pores)
-    rates = reader.census_rates(census, trace.sample_rate_hz, args.pores)
-    for k, entry in sorted(rates.items()):
+    result = reader.census_stats(trace, args.pores, open_pa, clogged)
+    lines.append(f"samples = {result.n_samples}")
+    lines.append(f"duration_s = {_fmt(result.duration_s)}")
+    lines.append(f"mean_pa = {_fmt(result.mean_pa)}")
+    for k, entry in sorted(result.rates.items()):
         lines.append(f"census_{k}_seconds = {_fmt(entry.seconds)}")
         lines.append(f"census_{k}_events = {entry.events}")
         lines.append(f"census_{k}_rate_per_s = {_fmt(entry.rate_per_s)}")
-        if k in census_means:
-            lines.append(f"census_{k}_mean_pa = {_fmt(census_means[k])}")
+        if k in result.current_means:
+            lines.append(f"census_{k}_mean_pa = {_fmt(result.current_means[k])}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -121,14 +121,19 @@ def _event_bounds(
         raise ReaderError("open_current_pa must be > 0")
     if not 0.0 < threshold_fraction < 1.0:
         raise ReaderError("threshold_fraction must be in (0, 1)")
-    # Below-threshold mask padded with one open sample at each end, so the
-    # run edges pair up as (start, end) even for runs touching the trace ends.
     below = np.zeros(samples.size + 2, dtype=bool)
     np.less(samples, threshold_fraction * open_current_pa, out=below[1:-1])
-    edges = np.flatnonzero(below[1:] != below[:-1])
-    starts, ends = edges[0::2], edges[1::2]
+    starts, ends = _run_bounds(below)
     keep = ~(ends - starts < min_duration_us * 1e-6 * sample_rate_hz)
     return starts[keep], ends[keep]
+
+
+def _run_bounds(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end index, into ``padded[1:-1]``, of each maximal run of
+    True in it.  ``padded`` is a bool mask with False at both ends, so the
+    run edges pair up as (start, end) even for runs touching the ends."""
+    edges = np.flatnonzero(padded[1:] != padded[:-1])
+    return edges[0::2], edges[1::2]
 
 
 def detect_events(
@@ -649,6 +654,20 @@ def read_station(
 
 # Samples per pass of census_series; keeps its float temporaries in cache.
 _CENSUS_CHUNK = 1 << 16
+# The most pores a census holds: its largest state fits a uint16.
+MAX_PORES = np.iinfo(np.uint16).max
+
+
+def _census_scale(
+    n_pores: int, open_current_pa: float, clogged_current_pa: float
+) -> tuple[float, float]:
+    """The current of census state 0 and the current one more open pore adds."""
+    if not 1 <= n_pores <= MAX_PORES:
+        raise ReaderError(f"n_pores must be in [1, {MAX_PORES}], got {n_pores}")
+    step = open_current_pa - clogged_current_pa
+    if step <= 0:
+        raise ReaderError("open current must exceed clogged current")
+    return n_pores * clogged_current_pa, step
 
 
 def census_series(
@@ -661,13 +680,8 @@ def census_series(
     current ``k*open + (n_pores-k)*clogged`` sits nearest, in the smallest
     unsigned dtype that holds ``n_pores``; one pass over the samples in
     chunks of ``_CENSUS_CHUNK``."""
-    if n_pores < 1:
-        raise ReaderError("n_pores must be >= 1")
-    step = open_current_pa - clogged_current_pa
-    if step <= 0:
-        raise ReaderError("open current must exceed clogged current")
+    offset, step = _census_scale(n_pores, open_current_pa, clogged_current_pa)
     samples = np.asarray(samples)
-    offset = n_pores * clogged_current_pa
     census = np.empty(samples.shape, dtype=np.min_scalar_type(n_pores))
     for start in range(0, samples.size, _CENSUS_CHUNK):
         raw = (samples[start : start + _CENSUS_CHUNK] - offset) / step
@@ -698,6 +712,38 @@ def _census_counts(census: np.ndarray, n_pores: int) -> np.ndarray:
     return counts
 
 
+def _census_sums(census: np.ndarray, samples: np.ndarray, n_pores: int) -> np.ndarray:
+    """Sum of the samples in each census state 0..n_pores, in chunks of
+    ``_CENSUS_CHUNK``.
+
+    Each state's samples in a chunk are summed pairwise, as ``np.sum``
+    sums an array: a chunk of one state directly, one of a few states by a
+    mask per state, a wider one by sorting it by state.
+    """
+    sums = np.zeros(n_pores + 1)
+    for start in range(0, census.size, _CENSUS_CHUNK):
+        chunk = census[start : start + _CENSUS_CHUNK]
+        values = samples[start : start + _CENSUS_CHUNK]
+        lo, hi = int(chunk.min()), min(int(chunk.max()), n_pores)
+        if lo == hi:
+            sums[lo] += np.add.reduce(values)
+        elif hi - lo < 8:
+            for k in range(lo, hi + 1):
+                sums[k] += np.add.reduce(values[chunk == k])
+        else:
+            order = np.argsort(chunk, kind="stable")
+            states = chunk[order]
+            firsts = np.flatnonzero(np.r_[True, states[1:] != states[:-1]])
+            present = states[firsts]
+            keep = present <= n_pores
+            sums[present[keep]] += np.add.reduceat(values[order], firsts)[keep]
+    return sums
+
+
+def _state_means(counts: np.ndarray, sums: np.ndarray) -> dict[int, float]:
+    return {k: float(sums[k] / counts[k]) for k in np.flatnonzero(counts).tolist()}
+
+
 @dataclass(frozen=True)
 class CensusRate:
     events: int
@@ -718,9 +764,10 @@ def census_rates(
     ``census`` is the trace's census_series.  The baseline census is a
     rolling median over ``baseline_window_s`` of a 1 ms decimated census
     (blockades occupy well under a percent of any window, persistent clogs
-    shift the median).  Each maximal run of below-baseline census lasting
-    at most ``max_event_s`` counts as one event attributed to the baseline
-    at its start; longer excursions are baseline shifts, not events.  Dips
+    shift the median), held for the 1 ms block each decimated sample
+    starts.  Each maximal run of below-baseline census lasting at most
+    ``max_event_s`` counts as one event attributed to the baseline at its
+    start; longer excursions are baseline shifts, not events.  Dips
     separated by less than ``merge_gap_s`` merge into one event, since a
     blockade sitting near a census midpoint can flicker across it within a
     single passage.  An empty trace has no baseline and gives an empty dict.
@@ -738,50 +785,105 @@ def census_rates(
         coarse_base = np.median(view, axis=1).astype(census.dtype)
     else:
         coarse_base = np.full_like(coarse, int(np.median(coarse)))
-    # len(coarse) * stride >= len(census), so the repeat covers every sample.
-    baseline = np.repeat(coarse_base, stride)[: len(census)]
 
-    dips = census < baseline
-    edges = np.diff(dips.astype(np.int8))
-    starts = np.flatnonzero(edges == 1) + 1
-    ends = np.flatnonzero(edges == -1) + 1
-    if dips.size and dips[0]:
-        starts = np.concatenate(([0], starts))
-    if dips.size and dips[-1]:
-        ends = np.concatenate((ends, [dips.size]))
-    max_samples = max_event_s * sample_rate_hz
-    merge_gap = merge_gap_s * sample_rate_hz
-
-    merged: list[tuple[int, int]] = []
-    for i0, i1 in zip(starts, ends):
-        if merged and i0 - merged[-1][1] < merge_gap:
-            merged[-1] = (merged[-1][0], int(i1))
-        else:
-            merged.append((int(i0), int(i1)))
-
-    counts: dict[int, int] = {}
-    for i0, i1 in merged:
-        if i1 - i0 > max_samples:
-            continue
-        counts[int(baseline[i0])] = counts.get(int(baseline[i0]), 0) + 1
+    # Dips: census below its block's baseline, compared block by block; the
+    # last block may be partial.
+    dips = np.zeros(census.size + 2, dtype=bool)
+    whole = census.size - census.size % stride
+    np.less(
+        census[:whole].reshape(-1, stride),
+        coarse_base[: whole // stride, None],
+        out=dips[1 : whole + 1].reshape(-1, stride),
+    )
+    np.less(census[whole:], coarse_base[-1], out=dips[whole + 1 : -1])
+    starts, ends = _run_bounds(dips)
+    # A dip joins the one before it when the gap between them is shorter
+    # than merge_gap; each merged run keeps its first start and last end.
+    split = starts[1:] - ends[:-1] >= merge_gap_s * sample_rate_hz
+    first = np.ones(starts.size, dtype=bool)
+    first[1:] = split
+    last = np.ones(starts.size, dtype=bool)
+    last[:-1] = split
+    run_starts, run_ends = starts[first], ends[last]
+    is_event = ~(run_ends - run_starts > max_event_s * sample_rate_hz)
+    events = np.bincount(
+        coarse_base[run_starts[is_event] // stride], minlength=n_pores + 1
+    )
+    # Samples under each baseline state: whole blocks, less the part of the
+    # last block past the end of the census.
+    held = np.bincount(coarse_base, minlength=n_pores + 1) * stride
+    held[coarse_base[-1]] -= coarse_base.size * stride - census.size
     out: dict[int, CensusRate] = {}
-    for k, n_samples in enumerate(_census_counts(baseline, n_pores).tolist()):
+    for k, (n_events, n_samples) in enumerate(
+        zip(events[: n_pores + 1].tolist(), held[: n_pores + 1].tolist())
+    ):
         seconds = float(n_samples) / sample_rate_hz
-        events = counts.get(k, 0)
-        out[k] = CensusRate(events, seconds, events / seconds if seconds > 0 else 0.0)
+        out[k] = CensusRate(n_events, seconds, n_events / seconds if seconds > 0 else 0.0)
     return out
 
 
 def census_current_means(
     samples: np.ndarray, census: np.ndarray, n_pores: int
 ) -> dict[int, float]:
-    """Mean measured current of the samples assigned to each census state;
-    ``census`` is the samples' census_series."""
+    """Mean measured current of the samples assigned to each census state
+    present; ``census`` is the samples' census_series."""
     samples = np.asarray(samples)
-    return {
-        k: float(np.mean(samples[census == k]))
-        for k in np.flatnonzero(_census_counts(census, n_pores)).tolist()
-    }
+    return _state_means(
+        _census_counts(census, n_pores), _census_sums(census, samples, n_pores)
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class CensusStats:
+    """The census statistics of one trace: its census_series, the samples
+    in each census state 0..n_pores, the mean current of the trace and of
+    each state present (as census_current_means gives it) and census_rates.
+    """
+
+    duration_s: float
+    mean_pa: float
+    census: np.ndarray
+    state_counts: np.ndarray
+    current_means: dict[int, float]
+    rates: dict[int, CensusRate]
+
+    @property
+    def n_samples(self) -> int:
+        return self.census.size
+
+
+def census_stats(
+    trace,
+    n_pores: int,
+    open_current_pa: float,
+    clogged_current_pa: float,
+) -> CensusStats:
+    """Census statistics of a trace in one pass over ``trace.chunks()``.
+
+    Each chunk's census_series goes into one census array and its samples
+    into a count and a sum per census state; the means come from those,
+    and census_rates runs on the census.  No float array as long as the
+    trace is made.  ``mean_pa`` of an empty trace is 0.
+    """
+    _census_scale(n_pores, open_current_pa, clogged_current_pa)
+    census = np.empty(len(trace), dtype=np.min_scalar_type(n_pores))
+    counts = np.zeros(n_pores + 1, dtype=np.int64)
+    sums = np.zeros(n_pores + 1)
+    start = 0
+    for chunk in trace.chunks():
+        part = census[start : start + chunk.size]
+        part[:] = census_series(chunk, n_pores, open_current_pa, clogged_current_pa)
+        counts += _census_counts(part, n_pores)
+        sums += _census_sums(part, chunk, n_pores)
+        start += chunk.size
+    return CensusStats(
+        duration_s=trace.duration_s,
+        mean_pa=float(sums.sum() / census.size) if census.size else 0.0,
+        census=census,
+        state_counts=counts,
+        current_means=_state_means(counts, sums),
+        rates=census_rates(census, trace.sample_rate_hz, n_pores),
+    )
 
 
 # --- summary statistics ----------------------------------------------------

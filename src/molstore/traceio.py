@@ -7,6 +7,13 @@ that refuses a sample removes the file it was writing.  Writers take any
 trace with ``sample_rate_hz``, ``len()`` and ``chunks()`` (float64 sample
 chunks), so a simulated trace is written as it is made.
 
+Readers return chunked traces with the same attributes, plus
+``duration_s`` and ``samples`` (the whole float64 array).  The text reader
+parses the whole file when it is opened.  The binary reader checks the
+header and the sample count when the file is opened and reads the samples
+on each ``chunks()`` pass, so a non-finite sample is reported when the
+chunk holding it is read.
+
 Text format: ASCII.  A header line ``sample_rate_hz=<integer>``, then one
 decimal pA value per line, written as ``"%.6f"`` formats it (the exact
 binary value rounded to 6 places, ties to even, ``-`` on every negative
@@ -24,6 +31,8 @@ from __future__ import annotations
 import os
 import struct
 import warnings
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -40,7 +49,7 @@ class TraceFormatError(ValueError):
 
 # Samples formatted per numpy pass; bounds the writer's working memory.
 _TEXT_CHUNK = 1 << 14
-# Samples read per pass of the binary reader.
+# Samples per chunk the binary reader reads.
 _READ_CHUNK = 1 << 18
 # A float64 this large has no fractional bits left to round; chunks with
 # |x * 1e6| at or past it go to Python's formatter.
@@ -173,7 +182,54 @@ def write_trace_binary(trace, path: str) -> None:
     _write_chunks(path, header, trace, _write_binary_chunk)
 
 
-def read_trace_binary(path: str) -> CurrentTrace:
+@dataclass(frozen=True)
+class BinaryTrace:
+    """A binary trace file whose header has been checked; its samples are
+    read on each ``chunks()`` pass."""
+
+    path: str
+    sample_rate_hz: float
+    n_samples: int
+
+    def __len__(self) -> int:
+        return self.n_samples
+
+    @property
+    def duration_s(self) -> float:
+        return self.n_samples / self.sample_rate_hz
+
+    def _stored_chunks(self) -> Iterator[np.ndarray]:
+        """The samples as stored (float32), ``_READ_CHUNK`` at a time in one
+        reused buffer; raises ``TraceFormatError`` on a non-finite sample."""
+        buffer = np.empty(min(self.n_samples, _READ_CHUNK), dtype="<f4")
+        with open(self.path, "rb") as fh:
+            fh.seek(_HEADER.size)
+            for start in range(0, self.n_samples, _READ_CHUNK):
+                part = buffer[: min(_READ_CHUNK, self.n_samples - start)]
+                if fh.readinto(part) != part.nbytes:
+                    raise TraceFormatError(f"truncated samples at index {start}")
+                _refuse_non_finite(part, start)
+                yield part
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The samples as float64, ``_READ_CHUNK`` at a time, read from the
+        file; raises ``TraceFormatError`` on a non-finite sample."""
+        for part in self._stored_chunks():
+            yield part.astype(np.float64)
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The whole trace as one float64 array, read from the file on
+        each access."""
+        samples = np.empty(self.n_samples, dtype=np.float64)
+        start = 0
+        for part in self._stored_chunks():
+            samples[start : start + part.size] = part
+            start += part.size
+        return samples
+
+
+def read_trace_binary(path: str) -> BinaryTrace:
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -190,15 +246,7 @@ def read_trace_binary(path: str) -> CurrentTrace:
             raise TraceFormatError(
                 f"truncated samples: header promises {count}, file holds {held}"
             )
-        samples = np.empty(count, dtype=np.float64)
-        buffer = np.empty(min(count, _READ_CHUNK), dtype="<f4")
-        for start in range(0, count, _READ_CHUNK):
-            part = buffer[: min(_READ_CHUNK, count - start)]
-            if fh.readinto(part) != part.nbytes:
-                raise TraceFormatError(f"truncated samples at index {start}")
-            _refuse_non_finite(part, start)
-            samples[start : start + part.size] = part
-    return CurrentTrace(rate, samples)
+    return BinaryTrace(path, rate, count)
 
 
 def write_trace(trace, path: str, fmt: str) -> None:
@@ -210,7 +258,7 @@ def write_trace(trace, path: str, fmt: str) -> None:
         raise TraceFormatError(f"unknown trace format {fmt!r}")
 
 
-def read_trace(path: str, fmt: str | None = None) -> CurrentTrace:
+def read_trace(path: str, fmt: str | None = None) -> CurrentTrace | BinaryTrace:
     """Read a trace file; sniffs the format from the magic when not given."""
     if fmt is None:
         with open(path, "rb") as fh:

@@ -271,7 +271,10 @@ def test_malformed_trace_is_one_line_format_error(tmp_path, capsys, content):
 
 @pytest.mark.parametrize(
     "command,pores",
-    [("read", "0"), ("read", "-1"), ("stats", "0"), ("stats", "-1")],
+    [
+        ("read", "0"), ("read", "-1"), ("read", "65536"),
+        ("stats", "0"), ("stats", "-1"), ("stats", "65536"),
+    ],
 )
 def test_pores_below_one_is_one_line_usage_error(tmp_path, capsys, command, pores):
     trace = tmp_path / "t.trace"
@@ -284,7 +287,32 @@ def test_pores_below_one_is_one_line_usage_error(tmp_path, capsys, command, pore
     code = run(command, "--trace", str(trace), "--pores", pores, *map(str, outs))
     assert code == 1
     err = capsys.readouterr().err
-    assert err == f"error: usage: --pores must be >= 1, got {pores}\n"
+    bound = ">= 1" if int(pores) < 1 else "<= 65535"
+    assert err == f"error: usage: --pores must be {bound}, got {pores}\n"
+    assert not any(tmp_path.glob("*.txt")) and not any(tmp_path.glob("*.csv"))
+
+
+def test_stats_at_most_pores_prints_every_census_state(tmp_path):
+    trace = tmp_path / "t.trace"
+    traceio.write_trace_binary(CurrentTrace(1000.0, np.full(1000, 250.0)), str(trace))
+    out = tmp_path / "stats.txt"
+    assert run("stats", "--trace", str(trace), "--pores", "65535", "--out", str(out)) == 0
+    body = out.read_text()
+    assert body.count("_seconds = ") == 65536
+    assert "census_0_seconds = " in body and "census_65535_rate_per_s = " in body
+
+
+@pytest.mark.parametrize("command", ["read", "stats"])
+def test_non_finite_binary_sample_is_reported_with_its_index(tmp_path, capsys, command):
+    trace = tmp_path / "bad.trace"
+    trace.write_bytes(struct.pack("<4sIdQ3f", traceio.MAGIC, 1, 1000.0, 3, 1.0, np.nan, 2.0))
+    outs = {
+        "read": ["--events-out", tmp_path / "e.csv", "--summary-out", tmp_path / "s.txt",
+                 "--payload-out", tmp_path / "p.txt"],
+        "stats": ["--out", tmp_path / "stats.txt"],
+    }[command]
+    assert run(command, "--trace", str(trace), *map(str, outs)) == 1
+    assert capsys.readouterr().err == "error: format: non-finite sample nan at index 1\n"
     assert not any(tmp_path.glob("*.txt")) and not any(tmp_path.glob("*.csv"))
 
 
@@ -326,6 +354,24 @@ def test_simulate_memory_flat_in_duration(tmp_path, fmt):
     one_s = _simulate_peak_bytes(tmp_path, fmt, "1")
     four_s = _simulate_peak_bytes(tmp_path, fmt, "4")
     assert four_s <= 1.25 * one_s, (one_s, four_s)
+
+
+def test_stats_never_holds_the_float64_trace(tmp_path):
+    _simulate_peak_bytes(tmp_path, "binary", "4")
+    trace = str(tmp_path / "binary4.trace")
+    n_samples = len(traceio.read_trace(trace))
+    tracemalloc.start()
+    try:
+        code = run(
+            "stats", "--trace", trace, "--voltage-mv", "150", "--pores", "3",
+            "--out", str(tmp_path / "stats.txt"),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # 8 bytes per sample is the float64 trace alone.
+    assert peak < 8 * n_samples, (peak, n_samples)
 
 
 def test_plan_defaults(tmp_path):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from molstore import reader
+from molstore import poresim, reader
 from molstore.calibration import CalibrationTable, ChannelConfig
 from molstore.codec import RunLengthScheme
 from molstore.poresim import (
@@ -26,6 +26,7 @@ from molstore.reader import (
     census_current_means,
     census_rates,
     census_series,
+    census_stats,
     classify_event,
     complete_duration_floor_us,
     decode_event,
@@ -407,6 +408,173 @@ def test_census_current_means():
     means = census_current_means(samples, census_series(samples, 3, 130.0, 30.0), 3)
     assert means[3] == pytest.approx(390.0)
     assert means[2] == pytest.approx(290.0)
+
+
+def _census_rates_loop(
+    census, sample_rate_hz, n_pores, baseline_window_s, max_event_s, merge_gap_s
+):
+    """census_rates as it was written with a census-long baseline, an int8
+    edge diff and a per-dip merge loop; the reference for the array form."""
+    stride = max(1, int(sample_rate_hz * 1e-3))
+    coarse = census[::stride]
+    window = max(1, int(round(baseline_window_s / (stride / sample_rate_hz))))
+    if window % 2 == 0:
+        window += 1
+    if len(coarse) >= window:
+        padded = np.pad(coarse, window // 2, mode="edge")
+        view = np.lib.stride_tricks.sliding_window_view(padded, window)
+        coarse_base = np.median(view, axis=1).astype(census.dtype)
+    else:
+        coarse_base = np.full_like(coarse, int(np.median(coarse)))
+    baseline = np.repeat(coarse_base, stride)[: len(census)]
+    dips = census < baseline
+    edges = np.diff(dips.astype(np.int8))
+    starts = np.flatnonzero(edges == 1) + 1
+    ends = np.flatnonzero(edges == -1) + 1
+    if dips.size and dips[0]:
+        starts = np.concatenate(([0], starts))
+    if dips.size and dips[-1]:
+        ends = np.concatenate((ends, [dips.size]))
+    max_samples = max_event_s * sample_rate_hz
+    merge_gap = merge_gap_s * sample_rate_hz
+    merged = []
+    for i0, i1 in zip(starts, ends):
+        if merged and i0 - merged[-1][1] < merge_gap:
+            merged[-1] = (merged[-1][0], int(i1))
+        else:
+            merged.append((int(i0), int(i1)))
+    counts = {}
+    for i0, i1 in merged:
+        if i1 - i0 > max_samples:
+            continue
+        counts[int(baseline[i0])] = counts.get(int(baseline[i0]), 0) + 1
+    out = {}
+    for k in range(n_pores + 1):
+        seconds = float(np.count_nonzero(baseline == k)) / sample_rate_hz
+        events = counts.get(k, 0)
+        out[k] = reader.CensusRate(events, seconds, events / seconds if seconds > 0 else 0.0)
+    return out
+
+
+# Power-of-two rates make gaps and runs of a whole number of samples land
+# exactly on merge_gap and max_event; 5 kHz gives a 5-sample stride.
+_RATES = (1024.0, 4096.0, 8192.0, 5000.0)
+
+
+@st.composite
+def _rates_cases(draw):
+    n_pores = draw(st.one_of(st.integers(1, 4), st.just(300)))
+    rate = draw(st.sampled_from(_RATES))
+    stride = max(1, int(rate * 1e-3))
+    base = draw(st.integers(1, n_pores))
+    # Pieces of a run at ``base + d`` then ``gap`` samples at ``base``: short
+    # runs below base are dips, gaps and run lengths of a few samples meet
+    # merge_gap and max_event exactly, and long runs shift the baseline.
+    pieces = draw(
+        st.lists(
+            st.tuples(
+                st.integers(-base, n_pores - base),
+                st.one_of(st.integers(1, 8), st.integers(1, 40 * stride)),
+                st.integers(0, 8),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    census = np.array(
+        [v for d, n, gap in pieces for v in [base + d] * n + [base] * gap],
+        dtype=np.min_scalar_type(n_pores),
+    )
+    window_s = draw(st.sampled_from([0.021, 3 * stride / rate, 5 * stride / rate, 0.0]))
+    max_event_s = draw(st.integers(0, 12)) / rate
+    merge_gap_s = draw(st.integers(0, 6)) / rate
+    return census, rate, n_pores, window_s, max_event_s, merge_gap_s
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=_rates_cases())
+@example(
+    # dips at both ends, a gap of exactly merge_gap, dips of exactly
+    # max_event, a partial last stride, a census shorter than the window
+    case=(
+        np.array([1, 1] + [3] * 20 + [2] * 3 + [3] * 2 + [2] * 3 + [3] * 30 + [2] * 3, np.uint8),
+        4096.0, 3, 0.021, 3 / 4096, 2 / 4096,
+    )
+)
+@example(
+    case=(
+        np.array([2] * 3 + [3] * 40 + [1] * 9 + [3] * 41 + [2] * 2, np.uint8),
+        4096.0, 3, 12 / 4096, 9 / 4096, 1 / 4096,
+    )
+)
+def test_census_rates_match_merge_loop(case):
+    census, rate, n_pores, window_s, max_event_s, merge_gap_s = case
+    got = census_rates(census, rate, n_pores, window_s, max_event_s, merge_gap_s)
+    want = _census_rates_loop(census, rate, n_pores, window_s, max_event_s, merge_gap_s)
+    assert got == want
+
+
+_CENSUS_CHUNK = reader._CENSUS_CHUNK
+
+
+@st.composite
+def _stats_cases(draw):
+    # The size of the trace's chunks (CurrentTrace.chunks() yields
+    # poresim._CHUNK samples), at and around census_series' own chunk.
+    chunk = draw(
+        st.sampled_from([1, 7, _CENSUS_CHUNK - 1, _CENSUS_CHUNK, _CENSUS_CHUNK + 1])
+    )
+    n_pores = draw(st.one_of(st.integers(1, 8), st.just(300)))
+    clogged = draw(st.sampled_from([30.0, 12.5]))
+    step = draw(st.sampled_from([100.0, 130.0]))
+    top = n_pores * clogged + (n_pores + 1) * step
+    halfway = st.integers(-1, n_pores).map(lambda k: n_pores * clogged + (k + 0.5) * step)
+    values = draw(
+        st.lists(st.one_of(st.floats(0.0, top), halfway), min_size=1, max_size=40)
+    )
+    lengths = [0, 1, chunk - 1, chunk, chunk + 1]
+    if chunk > 100:
+        lengths += [2 * chunk + 1, _CENSUS_CHUNK + 1]
+    length = draw(st.one_of(st.sampled_from(lengths), st.integers(2, 64)))
+    x = np.resize(np.array(values, dtype=np.float64), length)
+    return chunk, x, n_pores, clogged + step, clogged
+
+
+@settings(deadline=None, max_examples=100)
+@given(case=_stats_cases())
+@example(
+    # Long runs of cancelling sums, which a sequential sum gets wrong by
+    # more than 1e-12.
+    case=(
+        _CENSUS_CHUNK - 1, np.resize([153.1781458684767, -52.5], _CENSUS_CHUNK - 2),
+        1, 142.5, 12.5,
+    )
+)
+def test_census_stats_matches_whole_array_reference(case):
+    chunk, x, n_pores, open_pa, clogged_pa = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poresim, "_CHUNK", chunk)
+        stats = census_stats(CurrentTrace(1000.0, x), n_pores, open_pa, clogged_pa)
+    census = _census_reference(x, n_pores, open_pa, clogged_pa)
+    assert stats.census.dtype == np.min_scalar_type(n_pores)
+    assert np.array_equal(stats.census, census)
+    states, counts = np.unique(census.astype(np.int64), return_counts=True)
+    assert stats.state_counts.shape == (n_pores + 1,)
+    assert np.flatnonzero(stats.state_counts).tolist() == states.tolist()
+    assert stats.state_counts[states].tolist() == counts.tolist()
+    assert stats.n_samples == x.size
+    assert stats.mean_pa == (pytest.approx(np.mean(x), rel=1e-12) if x.size else 0.0)
+    assert sorted(stats.current_means) == states.tolist()
+    for k, mean in stats.current_means.items():
+        assert mean == pytest.approx(np.mean(x[census == k]), rel=1e-12)
+    assert stats.rates == census_rates(stats.census, 1000.0, n_pores)
+
+
+def test_census_stats_refuses_pore_counts_past_uint16():
+    trace = _flat(250.0, 10)
+    with pytest.raises(ReaderError, match="n_pores"):
+        census_stats(trace, reader.MAX_PORES + 1, 130.0, 30.0)
+    assert census_stats(trace, reader.MAX_PORES, 130.0, 30.0).census.dtype == np.uint16
 
 
 # --- stats -------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import math
 import struct
 import warnings
@@ -250,6 +251,26 @@ def test_binary_reads_in_chunks(tmp_path, monkeypatch):
     assert back.samples.tolist() == values
 
 
+def test_binary_chunk_passes_close_their_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(traceio, "_READ_CHUNK", 3)
+    values = [float(v) for v in range(11)]
+    path = tmp_path / "t.mtrc"
+    _binary_file(path, values)
+    trace = read_trace_binary(str(path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(2):
+            assert np.concatenate(list(trace.chunks())).tolist() == values
+            for chunk in trace.chunks():
+                assert chunk.tolist() == values[:3]
+                break  # an abandoned pass
+            partial = trace.chunks()
+            next(partial)
+            del partial
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("index", [0, 4, 10])
 def test_binary_reader_refuses_non_finite(tmp_path, monkeypatch, bad, index):
@@ -258,8 +279,9 @@ def test_binary_reader_refuses_non_finite(tmp_path, monkeypatch, bad, index):
     values[index] = bad
     path = tmp_path / "bad.mtrc"
     _binary_file(path, values)
+    trace = read_trace_binary(str(path))
     with pytest.raises(TraceFormatError, match=f"non-finite sample .* at index {index}$"):
-        read_trace_binary(str(path))
+        list(trace.chunks())
 
 
 @pytest.mark.parametrize("writer", [write_trace_text, write_trace_binary])
