@@ -9,6 +9,7 @@ a flat key-value text file.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping, NamedTuple
 
@@ -19,6 +20,10 @@ class CalibrationError(ValueError):
 
 class RangeError(CalibrationError):
     """A lookup fell outside the tabulated range (no extrapolation)."""
+
+
+class ParamError(CalibrationError):
+    """A measurement setting that is not finite or outside its range."""
 
 
 class LevelStats(NamedTuple):
@@ -55,16 +60,22 @@ class ChannelConfig:
     n_pores: int = 1
 
     def __post_init__(self):
-        if self.kcl_molar <= 0:
-            raise CalibrationError("kcl_molar must be > 0")
+        if not math.isfinite(self.voltage_mv):
+            raise ParamError(f"voltage_mv must be finite, got {self.voltage_mv}")
+        if not 0 < self.kcl_molar < math.inf:
+            raise ParamError(f"kcl_molar must be finite and > 0, got {self.kcl_molar}")
         if self.sample_rate_hz <= 0:
-            raise CalibrationError("sample_rate_hz must be > 0")
-        if self.noise_sigma_pa < 0:
-            raise CalibrationError("noise_sigma_pa must be >= 0")
+            raise ParamError("sample_rate_hz must be > 0")
+        if not 0 <= self.noise_sigma_pa < math.inf:
+            raise ParamError(
+                f"noise_sigma_pa must be finite and >= 0, got {self.noise_sigma_pa}"
+            )
         if self.n_pores < 1:
-            raise CalibrationError("n_pores must be >= 1")
-        if self.bandwidth_khz is not None and self.bandwidth_khz <= 0:
-            raise CalibrationError("bandwidth_khz must be > 0 when set")
+            raise ParamError("n_pores must be >= 1")
+        if self.bandwidth_khz is not None and not 0 < self.bandwidth_khz < math.inf:
+            raise ParamError(
+                f"bandwidth_khz must be finite and > 0 when set, got {self.bandwidth_khz}"
+            )
 
 
 @dataclass(frozen=True)

@@ -424,6 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _CATEGORIES = (
     (traceio.TraceFormatError, "format"),
+    (calibration.ParamError, "param"),
     (calibration.RangeError, "range"),
     (calibration.CalibrationError, "config"),
     (codec.CodecError, "decode"),

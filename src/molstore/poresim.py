@@ -196,8 +196,10 @@ def open_current(voltage_mv: float, kcl_molar: float, calib: CalibrationTable) -
     knots, no extrapolation); conductance scales linearly with KCl molarity
     relative to the 1 M reference.
     """
-    if kcl_molar <= 0:
-        raise SimulationError("kcl_molar must be > 0")
+    if not math.isfinite(voltage_mv):
+        raise SimulationError(f"voltage_mv must be finite, got {voltage_mv}")
+    if not 0 < kcl_molar < math.inf:
+        raise SimulationError(f"kcl_molar must be finite and > 0, got {kcl_molar}")
     return _interp_strict(voltage_mv, calib.iv_points, "open_current voltage") * kcl_molar
 
 
@@ -357,11 +359,15 @@ def _normalize_clogs(
             raise SimulationError(f"clog pore index {pore} outside 0..{n_pores - 1}")
         cleaned = []
         for start, end in intervals:
-            start = max(0.0, float(start))
-            end = min(float(end), duration_s)
-            if end <= start:
-                continue
-            cleaned.append((start, end))
+            start, end = float(start), float(end)
+            if not -math.inf < start < end < math.inf:
+                raise SimulationError(
+                    f"clog interval on pore {pore} must be finite with start < end, "
+                    f"got {start}:{end}"
+                )
+            start, end = max(0.0, start), min(end, duration_s)
+            if start < end:  # else outside the trace
+                cleaned.append((start, end))
         cleaned.sort()
         for (_, e0), (s1, _) in zip(cleaned, cleaned[1:]):
             if s1 < e0:
@@ -544,8 +550,8 @@ def simulate(
     The events are drawn here; the samples are made chunk by chunk when
     ``result.synthesized`` is iterated or ``result.trace`` is first read.
     """
-    if duration_s <= 0:
-        raise SimulationError("duration_s must be > 0")
+    if not 0 < duration_s < math.inf:
+        raise SimulationError(f"duration_s must be finite and > 0, got {duration_s}")
     if seed < 0:
         raise SimulationError("seed must be a non-negative integer")
     rate = float(config.sample_rate_hz)

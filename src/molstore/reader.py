@@ -117,8 +117,8 @@ def _event_bounds(
     min_duration_us: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Start and end sample of each event detect_events reports."""
-    if open_current_pa <= 0:
-        raise ReaderError("open_current_pa must be > 0")
+    if not 0 < open_current_pa < math.inf:
+        raise ReaderError(f"open_current_pa must be finite and > 0, got {open_current_pa}")
     if not 0.0 < threshold_fraction < 1.0:
         raise ReaderError("threshold_fraction must be in (0, 1)")
     below = np.zeros(samples.size + 2, dtype=bool)
@@ -599,6 +599,18 @@ def read_station(
     classified together in batches of at most ``_BATCH_CELLS`` samples,
     and no float array as long as the trace is made.
     """
+    for name, value in (
+        ("noise_sigma_pa", noise_sigma_pa),
+        ("min_duration_us", min_duration_us),
+        ("min_substate_us", min_substate_us),
+        ("complete_floor_us", complete_floor_us),
+    ):
+        if not 0 <= value < math.inf:
+            raise ReaderError(f"{name} must be finite and >= 0, got {value}")
+    if not 0 <= tolerance < 1:
+        raise ReaderError(f"tolerance must be in [0, 1), got {tolerance}")
+    if not math.isfinite(voltage_mv):
+        raise ReaderError(f"voltage_mv must be finite, got {voltage_mv}")
     samples = np.asarray(trace.samples, dtype=np.float64)
     rate = trace.sample_rate_hz
     starts, ends = _event_bounds(
@@ -664,6 +676,11 @@ def _census_scale(
     """The current of census state 0 and the current one more open pore adds."""
     if not 1 <= n_pores <= MAX_PORES:
         raise ReaderError(f"n_pores must be in [1, {MAX_PORES}], got {n_pores}")
+    if not (math.isfinite(open_current_pa) and math.isfinite(clogged_current_pa)):
+        raise ReaderError(
+            f"open and clogged currents must be finite, got {open_current_pa} "
+            f"and {clogged_current_pa}"
+        )
     step = open_current_pa - clogged_current_pa
     if step <= 0:
         raise ReaderError("open current must exceed clogged current")

@@ -17,9 +17,23 @@ chunk holding it is read.
 Text format: ASCII.  A header line ``sample_rate_hz=<integer>``, then one
 decimal pA value per line, written as ``"%.6f"`` formats it (the exact
 binary value rounded to 6 places, ties to even, ``-`` on every negative
-value, so ``-0.0`` prints ``-0.000000``).  The reader skips blank lines and
-rejects anything else: non-ASCII bytes, ``#`` lines, a line holding more
-than one value, and ``nan`` or ``inf``.
+value, so ``-0.0`` prints ``-0.000000``).  Lines end in LF, CR LF or
+CR.  The reader skips blank and whitespace-only lines; any other
+line, stripped of whitespace, must be one finite number as ``_SAMPLE``
+spells it, else the error names its line number (the header is line 1).
+
+The text reader parses the body in blocks of ``_BLOCK`` bytes, each cut
+after its last newline, into one float64 array sized for the lines the
+writer makes (grown, if the lines are shorter, by copying).  Per block
+it refuses a byte >= 0x80, finds the newlines, and reads each line the
+writer makes for |x| < 1e8 from two 8-byte words with integer SWAR
+arithmetic: its digits, read without the '.', are the integer
+``q = |x| * 10**6``, below ``10**15 < 2**53`` and so exact in float64, and
+``q / 1e6`` is one correctly rounded division, the float64 nearest the
+decimal: the same bits ``float()`` and C ``strtod`` give.
+The other lines (more digits, exponents, a short decimal such as
+``1.5``, surrounding whitespace) are matched against ``_SAMPLE`` and
+converted by ``float``.
 
 Binary format: magic ``MTRC``, little-endian u32 version (1), f64 sample
 rate, u64 sample count, then float32 samples; the reader refuses a count
@@ -28,9 +42,11 @@ the file is too short to hold.
 
 from __future__ import annotations
 
+import itertools
+import math
 import os
+import re
 import struct
-import warnings
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -140,34 +156,188 @@ def write_trace_text(trace, path: str) -> None:
     _write_chunks(path, header, trace, _write_text_chunk)
 
 
+# Bytes read per block of the text parse.
+_BLOCK = 1 << 18
+# Filler before a block's first line: a line's two words start 16 bytes
+# before its newline.
+_PAD = 16
+_ONES = np.uint64(2**64 - 1)
+# XOR turning the ASCII digits of a line's words into digit values, and
+# the '.' 7 bytes before its newline (byte 1 of lo) into 0.
+_HI_XOR, _LO_XOR = 0x3030303030303030, 0x3030303030302E30
+# Added to those values, sets bit 7 of each byte above 9 (above 0 in the
+# '.' slot); no carry crosses a byte, as every byte is below 0x80.
+_HI_CHECK, _LO_CHECK = 0x7676767676767676, 0x7676767676767F76
+# A sample line stripped of whitespace, as C string-to-double conversion
+# takes it: a decimal with an optional exponent, or inf or nan (which are
+# then refused).
+_SAMPLE = re.compile(
+    r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|infinity|nan)",
+    re.IGNORECASE,
+)
+
+
+def _text_blocks(fh) -> Iterator[np.ndarray]:
+    """The rest of ``fh`` as uint8 arrays: ``_PAD`` filler bytes, then whole
+    lines, each ending in a newline (a last line without one gets one).
+
+    Line breaks are those of Python's text mode: CR LF and a lone CR become
+    LF.  Blocks share one buffer, so each is valid only until the next is
+    read.
+    """
+    raw = bytearray(b"0" * _PAD + bytes(2 * _BLOCK))
+    held = _PAD  # raw[_PAD:held] is a partial line carried over
+    while True:
+        if len(raw) - held <= _BLOCK:  # a line longer than the buffer
+            raw = raw[:held] + bytes(len(raw))
+        with memoryview(raw) as view:
+            got = fh.readinto(view[held : held + _BLOCK])
+        end = held + got
+        if not got:
+            if end == _PAD:
+                return
+            raw[end] = ord("\n")
+            end += 1
+        cut = raw.rfind(b"\n", held, end) + 1
+        if not cut:
+            held = end
+            continue
+        if raw.find(b"\r", _PAD, cut) < 0:
+            yield np.frombuffer(raw, np.uint8, cut)
+        else:
+            lines = bytes(raw[_PAD:cut]).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+            yield np.frombuffer(raw[:_PAD] + lines, np.uint8)
+        if not got:
+            return
+        held = _PAD + end - cut
+        raw[_PAD:held] = raw[cut:end]
+
+
+def _sample_value(line: bytes, number: int) -> float | None:
+    """The value of sample line ``number`` of the file, ``None`` if blank."""
+    text = line.decode("ascii").strip()
+    if not text:
+        return None
+    if not _SAMPLE.fullmatch(text):
+        raise TraceFormatError(f"bad sample value on line {number}: {text[:40]!r}")
+    value = float(text)
+    if not math.isfinite(value):
+        raise TraceFormatError(f"non-finite sample {text[:40]} on line {number}")
+    return value
+
+
+def _parse_block(buf: np.ndarray, begin: int, out: np.ndarray, line: int) -> tuple[int, int]:
+    """Parse the lines ``buf[begin:]`` (each ending in a newline, and
+    ``begin >= _PAD``) into the front of ``out``, which has room for one
+    sample per line; ``line`` is the file line number of the first.
+    Returns the samples written (blank lines are skipped) and the lines
+    read.
+
+    A line of 8 to 16 bytes with '.' 7 bytes before its newline is read
+    from two little-endian words: lo, its last 8 bytes with the units digit
+    moved into the '.' slot, and hi, the 8 bytes before them with any bytes
+    before the line (and a leading '-') cleared.  Each word is checked to
+    hold 8 digits and read as an integer by SWAR multiplies, and the value
+    is ``(hi * 10**7 + lo) / 1e6`` (exact: see the module docstring).
+    Every other line goes to ``_sample_value``.  Each step works in place,
+    because a fresh block-sized array costs a page fault per page.
+    """
+    if buf[begin:].max(initial=0) >= 0x80:
+        bad = begin + int(np.argmax(buf[begin:] >= 0x80))
+        number = line + int(np.count_nonzero(buf[begin:bad] == ord("\n")))
+        raise TraceFormatError(f"trace is not ASCII: byte {buf[bad]:#x} on line {number}")
+    ends = np.flatnonzero(buf[begin:] == ord("\n"))
+    if not ends.size:
+        return 0, 0
+    ends += begin
+    lengths = np.empty_like(ends)
+    lengths[0] = ends[0] - begin
+    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    lengths[1:] -= 1
+    words = np.ndarray((buf.size - 15,), "V16", buf, 0, (1,))[ends - 16]
+    words = words.view("<u8").reshape(-1, 2)
+    hi, lo = words[:, 0], words[:, 1]
+    hi ^= _HI_XOR
+    lo ^= _LO_XOR
+    # Bits of hi below the line's first byte: a shift by 64 or more (lines
+    # under 9 bytes) gives 0, and a line over 16 bytes is refused below.
+    below = lengths * -8
+    below += 128
+    below = below.view(np.uint64)
+    work = hi >> below
+    work &= 0xFF
+    negative = work == ord("-") ^ ord("0")
+    np.add(below, 8, out=below, where=negative)
+    hi &= np.left_shift(_ONES, below, out=work)
+    check = np.add(hi, _HI_CHECK, out=below)
+    check |= np.add(lo, _LO_CHECK, out=work)
+    check &= 0x8080808080808080
+    ok = check == 0
+    ok &= lengths <= 16
+    units = np.bitwise_and(lo, 0xFF, out=work)
+    units *= 0xFF
+    lo += units  # units digit from byte 0 into byte 1, the '.' slot
+    words *= 2561
+    words >>= 8
+    words &= 0x00FF00FF00FF00FF
+    words *= 6553601
+    words >>= 16
+    words &= 0x0000FFFF0000FFFF
+    words *= 42949672960001
+    words >>= 32
+    hi *= 10_000_000
+    hi += lo
+    held = out[: ends.size]
+    np.divide(hi.view(np.int64), 1e6, out=held)
+    np.negative(held, out=held, where=negative)
+    blank = lengths == 0
+    ok |= blank
+    for i in np.flatnonzero(~ok).tolist():
+        end = int(ends[i])
+        value = _sample_value(buf[end - lengths[i] : end].tobytes(), line + i)
+        if value is None:
+            blank[i] = True
+        else:
+            held[i] = value
+    if not blank.any():
+        return ends.size, ends.size
+    kept = held[~blank]
+    out[: kept.size] = kept
+    return kept.size, ends.size
+
+
 def read_trace_text(path: str) -> CurrentTrace:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().strip()
-            if not header.startswith("sample_rate_hz="):
-                raise TraceFormatError("missing sample_rate_hz header line")
-            try:
-                rate = int(header.split("=", 1)[1])
-            except ValueError as exc:
-                raise TraceFormatError(f"bad sample rate in header: {header!r}") from exc
-            if rate <= 0:
-                raise TraceFormatError("sample rate must be positive")
-            with warnings.catch_warnings():
-                # A header-only trace is a valid empty trace.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                try:
-                    table = np.loadtxt(fh, dtype=np.float64, ndmin=2, comments=None)
-                except UnicodeDecodeError:
-                    raise  # reported below, as one in the header line is
-                except ValueError as exc:
-                    raise TraceFormatError(f"bad sample value: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise TraceFormatError(f"trace is not ASCII: {exc}") from exc
-    if table.shape[1] != 1:
-        raise TraceFormatError(f"expected one value per line, found {table.shape[1]}")
-    samples = table.reshape(-1)
-    _refuse_non_finite(samples, 0)
-    return CurrentTrace(float(rate), samples)
+    """Read a text trace, parsing its body a block at a time."""
+    with open(path, "rb") as fh:
+        # Room for a written trace, whose lines take at least 9 bytes;
+        # pages never written are never resident.
+        out = np.empty(os.fstat(fh.fileno()).st_size // 8 + 1)
+        blocks = _text_blocks(fh)
+        buf = next(blocks, np.frombuffer(b"0" * _PAD + b"\n", np.uint8))
+        stop = _PAD + int(np.argmax(buf[_PAD:] == ord("\n")))
+        try:
+            header = buf[_PAD:stop].tobytes().decode("ascii").strip()
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"trace is not ASCII: {exc}") from exc
+        if not header.startswith("sample_rate_hz="):
+            raise TraceFormatError("missing sample_rate_hz header line")
+        try:
+            rate = int(header.split("=", 1)[1])
+        except ValueError as exc:
+            raise TraceFormatError(f"bad sample rate in header: {header!r}") from exc
+        if rate <= 0:
+            raise TraceFormatError("sample rate must be positive")
+        n, line, begin = 0, 2, stop + 1
+        for buf in itertools.chain([buf], blocks):
+            if out.size - n < buf.size - begin:  # at most a line per byte
+                grown = np.empty(max(2 * out.size, n + buf.size - begin))
+                grown[:n] = out[:n]
+                out = grown
+            samples, lines = _parse_block(buf, begin, out[n:], line)
+            n += samples
+            line += lines
+            begin = _PAD
+    return CurrentTrace(float(rate), out[:n])
 
 
 def _write_binary_chunk(fh, samples: np.ndarray, start: int) -> None:

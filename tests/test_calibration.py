@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from molstore.calibration import (
@@ -5,6 +7,7 @@ from molstore.calibration import (
     CalibrationTable,
     ChannelConfig,
     LevelStats,
+    ParamError,
     format_calibration,
     load_calibration,
     parse_calibration,
@@ -114,6 +117,14 @@ def test_channel_config_validation():
         ChannelConfig(sample_rate_hz=0)
     with pytest.raises(CalibrationError):
         ChannelConfig(bandwidth_khz=-1.0)
+    for bad in (
+        {"voltage_mv": math.nan},
+        {"kcl_molar": math.inf},
+        {"noise_sigma_pa": math.nan},
+        {"bandwidth_khz": math.nan},
+    ):
+        with pytest.raises(ParamError, match="must be finite"):
+            ChannelConfig(**bad)
 
 
 def test_incomplete_band_validation():

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -290,6 +291,51 @@ def test_pores_below_one_is_one_line_usage_error(tmp_path, capsys, command, pore
     bound = ">= 1" if int(pores) < 1 else "<= 65535"
     assert err == f"error: usage: --pores must be {bound}, got {pores}\n"
     assert not any(tmp_path.glob("*.txt")) and not any(tmp_path.glob("*.csv"))
+
+
+_SIMULATE = ("simulate", "--molecule", "A50C100", "--duration-s", "0.01")
+_READ = ("read", "--events-out", "e.csv", "--summary-out", "s.txt", "--payload-out", "p.txt")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", "--molecule", "A50C100", "--duration-s", "nan"),
+        ("simulate", "--molecule", "A50C100", "--duration-s", "inf"),
+        (*_SIMULATE, "--noise-sigma-pa", "nan"),
+        (*_SIMULATE, "--voltage-mv", "nan"),
+        (*_SIMULATE, "--kcl-molar", "inf"),
+        (*_SIMULATE, "--clog", "0:1:0"),
+        (*_SIMULATE, "--clog", "0:nan:1"),
+        (*_READ, "--open-current-pa", "nan"),
+        (*_READ, "--noise-sigma-pa", "nan"),
+        (*_READ, "--tolerance", "nan"),
+        (*_READ, "--min-duration-us", "nan"),
+        (*_READ, "--complete-floor-us", "inf"),
+        (*_READ, "--voltage-mv", "nan"),
+        ("stats", "--out", "stats.txt", "--open-current-pa", "nan"),
+        ("stats", "--out", "stats.txt", "--kcl-molar", "nan"),
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:]),
+)
+def test_non_finite_or_reversed_setting_is_one_line_param_error(
+    tmp_path, monkeypatch, capsys, argv
+):
+    monkeypatch.chdir(tmp_path)
+    traceio.write_trace_text(CurrentTrace(1e6, np.full(1000, 250.0)), "t.trace")
+    files = ["--trace", "t.trace"] if argv[0] != "simulate" else [
+        "--trace-out", "x.trace", "--log-out", "x.csv"
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv[0], *files, *argv[1:])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: param: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not caught
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.trace"]
 
 
 def test_stats_at_most_pores_prints_every_census_state(tmp_path):

@@ -272,6 +272,12 @@ def test_clog_validation():
             MOLECULE, config, 1.0, CALIB, seed=1,
             clogs={0: [(0.0, 0.5), (0.4, 0.8)]},
         )
+    for start, end in [(0.5, 0.2), (0.3, 0.3), (math.nan, 0.5), (0.0, math.inf)]:
+        with pytest.raises(SimulationError, match="must be finite with start < end"):
+            simulate(MOLECULE, config, 1.0, CALIB, seed=1, clogs={0: [(start, end)]})
+    for duration in (math.nan, math.inf):
+        with pytest.raises(SimulationError, match="duration_s must be finite"):
+            simulate(MOLECULE, config, duration, CALIB, seed=1)
 
 
 def test_gating_suppresses_events_and_toggles_current():

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from molstore import poresim, traceio
@@ -114,7 +114,7 @@ def test_text_rejects_non_ascii(tmp_path, content):
 
 def test_text_skips_blank_lines(tmp_path):
     path = tmp_path / "blank.txt"
-    path.write_text("sample_rate_hz=1000\n\n1.5\n\n-2.25\n\n")
+    path.write_text("sample_rate_hz=1000\n\n1.5\n \t\n-2.25\n\n")
     assert read_trace_text(str(path)).samples.tolist() == [1.5, -2.25]
 
 
@@ -210,6 +210,116 @@ def test_text_round_trip_is_exact(tmp_path, values, length):
     path = str(tmp_path / "t.txt")
     write_trace_text(CurrentTrace(1000.0, x), path)
     assert read_trace_text(path).samples.tolist() == [float(f"{v:.6f}") for v in x]
+
+
+def _loadtxt_reference(path):
+    """The text reader before the block parse, kept as the oracle: the body
+    through np.loadtxt in text mode (universal newlines)."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            fh.readline()
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(fh, dtype=np.float64, ndmin=2, comments=None)
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if table.shape[1] != 1 or not np.isfinite(table).all():
+        return None
+    return table.reshape(-1)
+
+
+_HAND_SHAPED = st.sampled_from(
+    [
+        "1.5", "+1", " 7 ", "\t-0.5", "1.", ".5", "1e3", "-.5e-2", "", " ", "\t \x0b\x0c",
+        "123456789.5", "-123456789.123456", "1234567890.123456", "-0.000000",
+        "9" * 300, "9" * 300 + ".5", "nan", "inf", "infinity", "-Infinity", "1e999",
+        "1e-999", "1 2", "#x", "1_0", "0x10", "1e", ".", "-", "+-1", "1.0.0", "\x1c3.25",
+        "1\x002", "-.123456", ".1234567", "0012.345678", "12345678.1234567",
+    ]
+)
+_WRITTEN = _AWKWARD.map(lambda v: f"{v:.6f}")
+_BREAKS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+@_FIXTURE_OK
+@example(
+    lines=[
+        (" ", "\n"), ("1.5", "\r\n"), ("\t \x0b\x0c", "\r"), ("-0.000000", "\n"),
+        ("-.5e-2", "\n"),
+    ],
+    last_break=False, block=7, edge=0,
+)
+@given(
+    lines=st.lists(st.tuples(st.one_of(_WRITTEN, _HAND_SHAPED), _BREAKS), max_size=12),
+    last_break=st.booleans(),
+    block=st.sampled_from([1, 7, 16, 64, None]),
+    edge=st.integers(0, 40),
+)
+def test_text_reader_accepts_what_loadtxt_accepts(
+    tmp_path, monkeypatch, lines, last_break, block, edge
+):
+    """Bodies of written and hand-shaped lines parse exactly when
+    np.loadtxt parses them, to the same float64 bits, with lines across
+    block edges (a short block, or the real one ``edge`` bytes into the
+    drawn lines) and a last line with or without a line break."""
+    header = "sample_rate_hz=1000\n"
+    body = "".join(text + brk for text, brk in lines)
+    if lines and not last_break:
+        body = body[: -len(lines[-1][1])]
+    if block is None:
+        filler = traceio._BLOCK - len(header) - edge
+        rows = filler // 11 - 2
+        body = "250.000000\n" * rows + "0" * (filler - 11 * rows - 1) + "\n" + body
+    else:
+        monkeypatch.setattr(traceio, "_BLOCK", block)
+    path = tmp_path / "t.txt"
+    path.write_bytes((header + body).encode("ascii"))
+    expected = _loadtxt_reference(path)
+    if expected is None:
+        with pytest.raises(TraceFormatError):
+            read_trace_text(str(path))
+        return
+    got = read_trace_text(str(path)).samples
+    assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+def test_written_lines_take_the_word_parse(tmp_path, monkeypatch):
+    """Every line the writer makes for |x| < 1e8 (and x < 1e9) is parsed
+    from its two words, never by the per-line fallback."""
+    x = np.array([
+        0.0, -0.0, 1e-7, -4e-7, 7.5, -7.5, 250.123456, -12345678.5,
+        99999999.999999, -99999999.999999, 123456789.25,
+    ])
+    path = str(tmp_path / "t.txt")
+    write_trace_text(CurrentTrace(1000.0, x), path)
+
+    def fallback(line, number):
+        raise AssertionError(f"line {number} {line!r} left the word parse")
+
+    monkeypatch.setattr(traceio, "_sample_value", fallback)
+    got = read_trace_text(path).samples
+    assert got.view(np.uint64).tolist() == np.array(
+        [float(f"{v:.6f}") for v in x]
+    ).view(np.uint64).tolist()
+
+
+def test_short_lines_grow_the_sample_array(tmp_path):
+    """Lines shorter than the writer's fill more samples than the file size
+    first allows for, over several blocks."""
+    n = 3 * traceio._BLOCK // 2
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"sample_rate_hz=1000\n" + b"7\n-1\n" * (n // 2))
+    assert read_trace_text(str(path)).samples.tolist() == [7.0, -1.0] * (n // 2)
+
+
+def test_bad_sample_error_names_its_line_in_the_third_block(tmp_path):
+    n_good = 2 * traceio._BLOCK // 11 + 100
+    header = b"sample_rate_hz=1000\n"
+    assert 2 * traceio._BLOCK < len(header) + 11 * n_good < 3 * traceio._BLOCK
+    path = tmp_path / "t.txt"
+    path.write_bytes(header + b"250.000000\n" * n_good + b"1.0 2.0\n4.0\n")
+    with pytest.raises(TraceFormatError, match=rf"^bad sample value on line {n_good + 2}: "):
+        read_trace_text(str(path))
 
 
 def test_binary_round_trip(tmp_path):
