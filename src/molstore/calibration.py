@@ -10,7 +10,7 @@ a flat key-value text file.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Mapping, NamedTuple
 
 
@@ -143,9 +143,9 @@ class CalibrationTable:
         ):
             raise CalibrationError("event_rate_points must be strictly increasing")
         for (base, end), stats in self.level_stats.items():
-            if not 0.0 < stats.mean < 1.0 or stats.sd <= 0.0:
+            if not (0.0 < stats.mean < 1.0 and 0.0 < stats.sd < math.inf):
                 raise CalibrationError(
-                    f"level stats for ({base}, {end}) must have mean in (0,1), sd > 0"
+                    f"level stats for ({base}, {end}) need mean in (0,1), finite sd > 0"
                 )
         blockages = [b for _, b in self.monolevel_blockage_points]
         if any(later >= earlier for earlier, later in zip(blockages, blockages[1:])):
@@ -156,12 +156,19 @@ class CalibrationTable:
             raise CalibrationError("monolevel blockages must be in (0, 1)")
         if not self.monolevel_sigma >= 0.0:
             raise CalibrationError("monolevel_sigma must be >= 0")
+        for name, default in field_defaults(CalibrationTable).items():
+            value = getattr(self, name)
+            rows = value if isinstance(default, tuple) else [[value]]
+            if not all(math.isfinite(x) for row in rows for x in row):
+                raise CalibrationError(f"{name} must be finite")
         if not 0.0 <= self.bilevel_fraction <= 1.0:
             raise CalibrationError("bilevel_fraction must be in [0, 1]")
         if not 0.0 <= self.three_prime_first_fraction <= 1.0:
             raise CalibrationError("three_prime_first_fraction must be in [0, 1]")
-        if self.base_dwell_us <= 0 or self.ref_voltage_mv <= 0:
-            raise CalibrationError("dwell and reference voltage must be > 0")
+        for name in ("base_dwell_us", "ref_voltage_mv", "gating_open_dwell_ms",
+                     "gating_closed_dwell_ms"):
+            if getattr(self, name) <= 0:
+                raise CalibrationError(f"{name} must be > 0")
         if not 0.0 <= self.incomplete_level_low < self.incomplete_level_high <= 1.0:
             raise CalibrationError("incomplete level band must satisfy 0 <= low < high <= 1")
         if self.incomplete_mean_duration_us <= self.incomplete_min_duration_us:
@@ -176,91 +183,88 @@ class CalibrationTable:
         return replace(self, **overrides)
 
 
-def _number(text: str, key: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise CalibrationError(f"{key}: not a number: {text!r}") from exc
+def _read_value(text: str, default: object) -> object:
+    """Read ``text`` in the shape of ``default``: a number, an ``a:b`` entry
+    or a whitespace-separated table of entries shaped like its first one."""
+    if isinstance(default, tuple) and isinstance(default[0], tuple):
+        if not text:
+            raise ValueError("empty table")
+        return tuple(_read_value(entry, default[0]) for entry in text.split())
+    if isinstance(default, tuple):
+        parts = text.split(":")
+        if len(parts) != len(default) or len(text.split()) != 1:
+            raise ValueError(f"want {len(default)} numbers joined by ':', got {text!r}")
+        return tuple(_read_value(part, x) for part, x in zip(parts, default))
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(f"not a finite number: {text!r}")
+    if isinstance(default, int) and not number.is_integer():
+        raise ValueError(f"not an integer: {text!r}")
+    return int(number) if isinstance(default, int) else number
 
 
-def _parse_pairs(text: str, arity: int, key: str) -> tuple[tuple[float, ...], ...]:
-    out = []
-    for chunk in text.split():
-        parts = chunk.split(":")
-        if len(parts) != arity:
-            raise CalibrationError(
-                f"{key}: expected {arity} colon-separated numbers per entry, got {chunk!r}"
-            )
-        out.append(tuple(_number(p, key) for p in parts))
-    if not out:
-        raise CalibrationError(f"{key}: empty table")
-    return tuple(out)
+def _fmt(value) -> str:
+    """Write a value for ``_read_value``: a number as ``%g`` when that reads
+    back as the same float, else as its exact ``repr``."""
+    if isinstance(value, tuple):
+        return (" " if isinstance(value[0], tuple) else ":").join(map(_fmt, value))
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
 
 
-_SCALARS = {
-    "clogged_current_pa",
-    "base_dwell_us",
-    "ref_voltage_mv",
-    "bilevel_min_voltage_mv",
-    "bilevel_fraction",
-    "three_prime_first_fraction",
-    "gating_threshold_molar",
-    "gating_open_dwell_ms",
-    "gating_closed_dwell_ms",
-    "monolevel_sigma",
-    "incomplete_level_low",
-    "incomplete_level_high",
-    "incomplete_min_duration_us",
-    "incomplete_mean_duration_us",
-    "duration_jitter_cv",
-}
+def parse_key_values(
+    text: str, defaults: Mapping[str, object], error: type[Exception]
+) -> dict[str, object]:
+    """Read flat ``key = value`` lines into values shaped like ``defaults``.
 
-_ENDS = {"3prime": THREE_PRIME, "5prime": FIVE_PRIME}
+    ``#`` starts a comment and blank lines are skipped.  Keys are
+    lowercased, must be in ``defaults`` and take the last value given.
+    Every number must be finite, and where the default is an int the value
+    must be integral.  Errors are raised as ``error`` and name the line.
+    """
+    values: dict[str, object] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        key = key.strip().lower()
+        if not eq:
+            raise error(f"line {lineno}: expected key = value, got {raw!r}")
+        if key not in defaults:
+            raise error(f"line {lineno}: unknown key {key!r}")
+        try:
+            values[key] = _read_value(value.strip(), defaults[key])
+        except ValueError as exc:
+            raise error(f"line {lineno}: {key}: {exc}") from None
+    return values
+
+
+def field_defaults(cls) -> dict[str, object]:
+    """The number and table defaults of a dataclass, keyed by field name."""
+    return {
+        f.name: f.default for f in fields(cls) if isinstance(f.default, (int, float, tuple))
+    }
+
+
+_LEVEL_KEYS = [f"level_{b}_{end}" for b in "acgt" for end in (THREE_PRIME, FIVE_PRIME)]
 
 
 def parse_calibration(text: str, base: CalibrationTable | None = None) -> CalibrationTable:
     """Build a table from flat ``key = value`` lines, overriding ``base``.
 
-    Unknown keys are rejected.  Repeated keys take the last value.  Level
-    statistics use keys of the form ``level_<base>_<3prime|5prime>`` with a
-    ``mean:sd`` value.
+    Keys are the table's field names plus ``level_<a|c|g|t>_<3prime|5prime>``
+    with a ``mean:sd`` value; see ``parse_key_values`` for the grammar.
     """
     table = base if base is not None else CalibrationTable()
-    overrides: dict[str, object] = {}
+    keys = dict.fromkeys(_LEVEL_KEYS, LevelStats(0.5, 0.1))
+    keys.update(field_defaults(CalibrationTable))
+    values = parse_key_values(text, keys, CalibrationError)
     levels = dict(table.level_stats)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CalibrationError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if key in _SCALARS:
-            overrides[key] = _number(value, key)
-        elif key == "iv_points":
-            overrides[key] = _parse_pairs(value, 2, key)
-        elif key == "monolevel_blockage_points":
-            overrides[key] = _parse_pairs(value, 2, key)
-        elif key == "event_rate_points":
-            overrides[key] = _parse_pairs(value, 3, key)
-        elif key.startswith("level_"):
-            parts = key.split("_")
-            if len(parts) != 3 or parts[2] not in _ENDS:
-                raise CalibrationError(
-                    f"line {lineno}: level keys look like level_c_3prime, got {key!r}"
-                )
-            mean_sd = value.split(":")
-            if len(mean_sd) != 2:
-                raise CalibrationError(f"line {lineno}: level value must be mean:sd")
-            levels[(parts[1].upper(), _ENDS[parts[2]])] = LevelStats(
-                _number(mean_sd[0], key), _number(mean_sd[1], key)
-            )
-        else:
-            raise CalibrationError(f"line {lineno}: unknown calibration key {key!r}")
-    overrides["level_stats"] = levels
-    return table.replace(**overrides)
+    for key in [key for key in values if key in _LEVEL_KEYS]:
+        _, nucleotide, end = key.split("_")
+        levels[nucleotide.upper(), end] = LevelStats(*values.pop(key))
+    return table.replace(level_stats=levels, **values)
 
 
 def load_calibration(path: str, base: CalibrationTable | None = None) -> CalibrationTable:
@@ -269,29 +273,16 @@ def load_calibration(path: str, base: CalibrationTable | None = None) -> Calibra
 
 
 def format_calibration(table: CalibrationTable) -> str:
-    """Serialize a table to the flat key-value format (round-trips)."""
-
-    def fmt_pairs(pairs):
-        return " ".join(":".join(_fmt(x) for x in entry) for entry in pairs)
-
-    def _fmt(x: float) -> str:
-        return f"{x:g}"
-
+    """Serialize a table to the flat key-value format (round-trips): the
+    tables in field order, then the scalars sorted, then the levels."""
+    defaults = field_defaults(CalibrationTable)
+    tables = [name for name, value in defaults.items() if isinstance(value, tuple)]
     lines = [
-        f"iv_points = {fmt_pairs(table.iv_points)}",
-        f"event_rate_points = {fmt_pairs(table.event_rate_points)}",
-        f"monolevel_blockage_points = {fmt_pairs(table.monolevel_blockage_points)}",
+        f"{name} = {_fmt(getattr(table, name))}"
+        for name in tables + sorted(set(defaults) - set(tables))
     ]
-    for name in sorted(_SCALARS):
-        lines.append(f"{name} = {_fmt(getattr(table, name))}")
-    rev_ends = {v: k for k, v in _ENDS.items()}
-    for (base, end), stats in sorted(table.level_stats.items()):
-        lines.append(
-            f"level_{base.lower()}_{rev_ends[end]} = {_fmt(stats.mean)}:{_fmt(stats.sd)}"
-        )
+    lines.extend(
+        f"level_{base.lower()}_{end} = {_fmt(stats)}"
+        for (base, end), stats in sorted(table.level_stats.items())
+    )
     return "\n".join(lines) + "\n"
-
-
-def save_calibration(table: CalibrationTable, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_calibration(table))

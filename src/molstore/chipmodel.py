@@ -8,7 +8,9 @@ stochastic element.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+
+from .calibration import field_defaults, parse_key_values
 
 
 class PlanError(ValueError):
@@ -66,7 +68,7 @@ def areal_capacity(layout: ChipLayout) -> float:
     total = area_budget(layout).total_cm2
     if total <= 0:
         raise PlanError("total area must be > 0 for areal capacity")
-    return layout.parking_spots * layout.block_bytes / total
+    return layout.parking_spots * float(layout.block_bytes) / total
 
 
 def volumetric_capacity(layout: ChipLayout) -> float:
@@ -79,7 +81,7 @@ def station_rate(bits_per_molecule: float, translocation_us: float) -> float:
     """Exact bits/s through one read station; no rounding is applied."""
     if translocation_us <= 0:
         raise PlanError("translocation_us must be > 0")
-    return bits_per_molecule / (translocation_us * 1e-6)
+    return bits_per_molecule * 1e6 / translocation_us
 
 
 def aggregate_rate(station_bits_per_s: float, n_stations: int) -> float:
@@ -92,7 +94,10 @@ def dvd_stack_height(
     """Meters of stacked platters needed to hold the same bytes."""
     if dvd_bytes <= 0:
         raise PlanError("dvd_bytes must be > 0")
-    return math.ceil(total_bytes / dvd_bytes) * platter_thickness_mm * 1e-3
+    platters = total_bytes / dvd_bytes
+    if not math.isfinite(platters * platter_thickness_mm):
+        raise PlanError(f"dvd_stack_m is not finite for {total_bytes:g} bytes")
+    return math.ceil(platters) * platter_thickness_mm * 1e-3
 
 
 def transit_time(
@@ -106,7 +111,7 @@ def transit_time(
     """
     if distance_cm <= 0 or voltage_v <= 0 or mobility_cm2_per_vs <= 0:
         raise PlanError("distance, voltage, and mobility must all be > 0")
-    return distance_cm**2 / (mobility_cm2_per_vs * voltage_v)
+    return distance_cm * distance_cm / (mobility_cm2_per_vs * voltage_v)
 
 
 @dataclass(frozen=True)
@@ -141,7 +146,11 @@ class PlanReport:
 
 
 def plan(scenario: PlanScenario) -> PlanReport:
-    """Evaluate the full architecture arithmetic for one scenario."""
+    """Evaluate the full architecture arithmetic for one scenario.
+
+    A report value that is not finite is a PlanError: finite inputs can
+    still overflow (a 1e-300 um layer holds inf bytes per cm3).
+    """
     layout = scenario.layout
     per_station = station_rate(scenario.bits_per_molecule, scenario.translocation_us)
     volumetric = volumetric_capacity(layout)
@@ -156,62 +165,26 @@ def plan(scenario: PlanScenario) -> PlanReport:
             scenario.mobility_cm2_per_vs,
         ),
     )
-    return PlanReport(
-        budget=area_budget(layout, scenario.die_cm2),
-        throughput=report,
-        dvd_stack_m=dvd_stack_height(
-            volumetric, scenario.dvd_bytes, scenario.dvd_thickness_mm
-        ),
-    )
-
-
-_LAYOUT_KEYS = {
-    "parking_spots": int,
-    "parking_area_cm2": float,
-    "stations": int,
-    "station_area_cm2": float,
-    "plumbing_area_cm2": float,
-    "layer_thickness_um": float,
-    "block_bytes": int,
-}
-_SCENARIO_KEYS = {
-    "bits_per_molecule": float,
-    "translocation_us": float,
-    "dvd_bytes": float,
-    "dvd_thickness_mm": float,
-    "transit_distance_cm": float,
-    "transit_voltage_v": float,
-    "mobility_cm2_per_vs": float,
-    "die_cm2": float,
-}
+    budget = area_budget(layout, scenario.die_cm2)
+    for name, value in [*asdict(budget).items(), *asdict(report).items()]:
+        if not math.isfinite(value):
+            raise PlanError(f"{name} is not finite: {value}")
+    stack_m = dvd_stack_height(volumetric, scenario.dvd_bytes, scenario.dvd_thickness_mm)
+    return PlanReport(budget=budget, throughput=report, dvd_stack_m=stack_m)
 
 
 def parse_scenario(text: str, base: PlanScenario | None = None) -> PlanScenario:
-    """Apply flat ``key = value`` overrides to a scenario."""
+    """Apply flat ``key = value`` overrides to a scenario.
+
+    Keys are the ``ChipLayout`` and ``PlanScenario`` field names; see
+    ``calibration.parse_key_values`` for the grammar.
+    """
     scenario = base if base is not None else PlanScenario()
-    layout_overrides: dict[str, object] = {}
-    scenario_overrides: dict[str, object] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise PlanError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        try:
-            if key in _LAYOUT_KEYS:
-                layout_overrides[key] = _LAYOUT_KEYS[key](float(value))
-            elif key in _SCENARIO_KEYS:
-                scenario_overrides[key] = _SCENARIO_KEYS[key](value)
-            else:
-                raise PlanError(f"line {lineno}: unknown scenario key {key!r}")
-        except ValueError as exc:
-            raise PlanError(f"line {lineno}: bad value for {key}: {value!r}") from exc
-    if layout_overrides:
-        scenario_overrides["layout"] = replace(scenario.layout, **layout_overrides)
-    return replace(scenario, **scenario_overrides)
+    layout_keys = field_defaults(ChipLayout)
+    keys = {**layout_keys, **field_defaults(PlanScenario)}
+    values = parse_key_values(text, keys, PlanError)
+    layout = {key: values.pop(key) for key in layout_keys if key in values}
+    return replace(scenario, layout=replace(scenario.layout, **layout), **values)
 
 
 def load_scenario(path: str, base: PlanScenario | None = None) -> PlanScenario:

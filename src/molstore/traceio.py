@@ -428,13 +428,8 @@ def write_trace(trace, path: str, fmt: str) -> None:
         raise TraceFormatError(f"unknown trace format {fmt!r}")
 
 
-def read_trace(path: str, fmt: str | None = None) -> CurrentTrace | BinaryTrace:
-    """Read a trace file; sniffs the format from the magic when not given."""
-    if fmt is None:
-        with open(path, "rb") as fh:
-            fmt = "binary" if fh.read(4) == MAGIC else "text"
-    if fmt == "binary":
-        return read_trace_binary(path)
-    if fmt == "text":
-        return read_trace_text(path)
-    raise TraceFormatError(f"unknown trace format {fmt!r}")
+def read_trace(path: str) -> CurrentTrace | BinaryTrace:
+    """Read a trace file, sniffing its format from the magic."""
+    with open(path, "rb") as fh:
+        binary = fh.read(4) == MAGIC
+    return read_trace_binary(path) if binary else read_trace_text(path)

@@ -1,4 +1,8 @@
+from dataclasses import fields
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molstore.chipmodel import (
     ChipLayout,
@@ -164,3 +168,65 @@ def test_report_items_order_and_values():
     assert items["total_area_cm2"] == "1"
     assert items["over_budget"] == "false"
     assert float(items["areal_bytes_per_cm2"]) == pytest.approx(1e12)
+
+
+@pytest.mark.parametrize(
+    "line, detail",
+    [
+        ("stations = 2.5", "stations: not an integer: '2.5'"),
+        ("translocation_us = nan", "translocation_us: not a finite number: 'nan'"),
+        ("parking_spots = 1e400", "parking_spots: not a finite number: '1e400'"),
+        ("layer_thickness_um = inf", "layer_thickness_um: not a finite number"),
+        ("layout = 1", "unknown key 'layout'"),
+        ("stations 3", "expected key = value"),
+    ],
+)
+def test_parse_scenario_refuses_and_names_the_line(line, detail):
+    with pytest.raises(PlanError, match=f"^line 1: {detail}"):
+        parse_scenario(line + "\n")
+
+
+def test_parse_scenario_counts_take_integral_floats():
+    scen = parse_scenario("parking_spots = 1e6\nstations = 3000.0\n")
+    assert scen.layout.parking_spots == 1_000_000
+    assert type(scen.layout.stations) is int and scen.layout.stations == 3000
+
+
+@pytest.mark.parametrize(
+    "scenario, name",
+    [
+        (PlanScenario(layout=ChipLayout(layer_thickness_um=1e-300)), "volumetric_bytes_per_cm3"),
+        (PlanScenario(layout=ChipLayout(parking_spots=int(1e308))), "areal_bytes_per_cm2"),
+        (PlanScenario(transit_distance_cm=1e308), "transit_time_s"),
+        (PlanScenario(translocation_us=1e-320), "per_station_bits_per_s"),
+        (PlanScenario(dvd_bytes=1e-300), "dvd_stack_m"),
+        (PlanScenario(dvd_thickness_mm=1e308), "dvd_stack_m"),
+    ],
+)
+def test_plan_refuses_a_report_value_that_is_not_finite(scenario, name):
+    with pytest.raises(PlanError, match=f"^{name} is not finite"):
+        plan(scenario)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_AREA = st.floats(0.0, allow_infinity=False)
+
+
+# Counts are read as float64, so they are exact up to 2**53.
+@settings(max_examples=200, deadline=None)
+@given(
+    st.fixed_dictionaries({
+        "parking_spots": st.integers(0, 2**53),
+        "parking_area_cm2": _AREA,
+        "stations": st.integers(0, 2**53),
+        "station_area_cm2": _AREA,
+        "plumbing_area_cm2": _AREA,
+        "layer_thickness_um": st.floats(0.0, exclude_min=True, allow_infinity=False),
+        "block_bytes": st.integers(1, 2**53),
+    }),
+    st.fixed_dictionaries({f.name: _FINITE for f in fields(PlanScenario)[1:]}),
+)
+def test_repr_lines_parse_back_to_the_scenario(layout_values, values):
+    scenario = PlanScenario(layout=ChipLayout(**layout_values), **values)
+    text = "".join(f"{k} = {v!r}\n" for k, v in {**layout_values, **values}.items())
+    assert parse_scenario(text) == scenario

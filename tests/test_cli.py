@@ -1,12 +1,20 @@
+import contextlib
+import io
+import re
 import struct
+import tempfile
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from molstore import cli, traceio
-from molstore.calibration import CalibrationTable, format_calibration
+from molstore.calibration import CalibrationTable, field_defaults, format_calibration
+from molstore.chipmodel import ChipLayout, PlanScenario
 from molstore.poresim import CurrentTrace
 
 
@@ -375,6 +383,90 @@ def test_simulate_rejects_unsimulatable_calibration(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: config: monolevel blockages must be in (0, 1)\n"
     assert not trace.exists()
+
+
+_KEY_VALUE_CASES = [
+    # (command, key = value lines, --kcl-molar, category, named in the error)
+    ("simulate", "base_dwell_us = nan", "1.0", "config", "base_dwell_us"),
+    ("simulate", "ref_voltage_mv = nan", "1.0", "config", "ref_voltage_mv"),
+    ("simulate", "duration_jitter_cv = nan", "1.0", "config", "duration_jitter_cv"),
+    ("simulate", "gating_threshold_molar = nan", "1.0", "config", "gating_threshold_molar"),
+    ("simulate", "gating_open_dwell_ms = 0\ngating_closed_dwell_ms = 0", "1.6", "config",
+     "gating_open_dwell_ms"),
+    ("simulate", "gating_open_dwell_ms = -1", "1.6", "config", "gating_open_dwell_ms"),
+    ("simulate", "level_a_3prime = 0.17:nan", "1.0", "config", "level_a_3prime"),
+    ("simulate", "level_x_3prime = 0.3:0.05", "1.0", "config", "level_x_3prime"),
+    ("simulate", "level_a_3prime = 0.3 : 0.05", "1.0", "config", "level_a_3prime"),
+    ("plan", "stations=2.5", None, "param", "stations"),
+    ("plan", "translocation_us=nan", None, "param", "translocation_us"),
+    ("plan", "parking_spots=1e400", None, "param", "parking_spots"),
+    ("plan", "layer_thickness_um=nan", None, "param", "layer_thickness_um"),
+    # Finite inputs whose report overflows name the report value.
+    ("plan", "layer_thickness_um=1e-300", None, "param", "volumetric_bytes_per_cm3"),
+    ("plan", "parking_spots=1e308", None, "param", "areal_bytes_per_cm2"),
+    ("plan", "transit_distance_cm=1e308", None, "param", "transit_time_s"),
+]
+
+
+def _key_value_run(directory, command, lines, kcl_molar):
+    """Run ``plan --set`` or ``simulate`` with ``lines`` in ``directory/cal.txt``."""
+    out = {name: str(directory / name) for name in ("plan.txt", "t.trace", "log.csv")}
+    if command == "plan":
+        return run("plan", "--set", lines, "--out", out["plan.txt"])
+    return run(
+        "simulate", "--molecule", "A50C100", "--duration-s", "0.01", "--seed", "1",
+        "--kcl-molar", kcl_molar, "--calibration", str(directory / "cal.txt"),
+        "--trace-out", out["t.trace"], "--log-out", out["log.csv"],
+    )
+
+
+@pytest.mark.parametrize(
+    "command, lines, kcl_molar, category, named",
+    _KEY_VALUE_CASES,
+    ids=[f"{case[0]} {case[1]}" for case in _KEY_VALUE_CASES],
+)
+def test_bad_key_value_is_one_line_error_naming_the_key(
+    tmp_path, capsys, command, lines, kcl_molar, category, named
+):
+    (tmp_path / "cal.txt").write_text(lines + "\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _key_value_run(tmp_path, command, lines, kcl_molar)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {category}: ")
+    assert err.count("\n") == 1 and named in err
+    assert not caught
+    assert [p.name for p in tmp_path.iterdir()] == ["cal.txt"]
+
+
+_FUZZ_KEYS = [
+    *field_defaults(CalibrationTable),
+    *(f"level_{b}_{e}" for b in "acgt" for e in ("3prime", "5prime")),
+    *field_defaults(ChipLayout),
+    *field_defaults(PlanScenario),
+    "level_x_3prime", "level_stats", "layout", "bogus", "",
+]
+# No tiny positive values: a near-zero gating dwell runs as long as the
+# run is large, which is an open decision and not a parse error.
+_FUZZ_VALUES = ["0", "-1", "2.5", "nan", "inf", "-inf", "1e400", "1e308", "", "x", "1:2", "1 2"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_FUZZ_KEYS), st.sampled_from(_FUZZ_VALUES))
+def test_fuzz_key_value_lines_exit_cleanly(key, value):
+    line = f"{key} = {value}"
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "cal.txt").write_text(line + "\n")
+        for command, kcl_molar in (("plan", None), ("simulate", "1.0"), ("simulate", "1.6")):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = _key_value_run(Path(tmp), command, line, kcl_molar)
+            assert code in (0, 1)
+            assert len(re.findall(r"^error: \w+: ", err.getvalue(), re.M)) == code
+            assert err.getvalue().count("\n") == code
+            assert not caught
 
 
 def _simulate_peak_bytes(tmp_path, fmt, duration):
