@@ -161,6 +161,10 @@ class CalibrationTable:
             rows = value if isinstance(default, tuple) else [[value]]
             if not all(math.isfinite(x) for row in rows for x in row):
                 raise CalibrationError(f"{name} must be finite")
+        if not self.clogged_current_pa < max(amps):
+            raise CalibrationError(
+                "clogged_current_pa must be below the largest open current in iv_points"
+            )
         if not 0.0 <= self.bilevel_fraction <= 1.0:
             raise CalibrationError("bilevel_fraction must be in [0, 1]")
         if not 0.0 <= self.three_prime_first_fraction <= 1.0:

@@ -27,10 +27,6 @@ class CliError(Exception):
         self.category = category
 
 
-def _fail(category: str, message: str) -> CliError:
-    return CliError(category, message)
-
-
 def _load_calibration(path: str | None) -> calibration.CalibrationTable:
     if path is None:
         path = os.environ.get(CALIBRATION_ENV)
@@ -92,11 +88,11 @@ def _parse_clogs(specs: Iterable[str]) -> dict[int, list[tuple[float, float]]]:
     for spec in specs:
         parts = spec.split(":")
         if len(parts) != 3:
-            raise _fail("usage", f"--clog wants pore:start_s:end_s, got {spec!r}")
+            raise CliError("usage", f"--clog wants pore:start_s:end_s, got {spec!r}")
         try:
             pore, start, end = int(parts[0]), float(parts[1]), float(parts[2])
         except ValueError:
-            raise _fail("usage", f"--clog wants numeric pore:start_s:end_s, got {spec!r}")
+            raise CliError("usage", f"--clog wants numeric pore:start_s:end_s, got {spec!r}")
         clogs.setdefault(pore, []).append((start, end))
     return clogs
 
@@ -210,9 +206,9 @@ def _resolve_open_current(args, calib) -> float:
 
 def _check_pores(args) -> None:
     if args.pores < 1:
-        raise _fail("usage", f"--pores must be >= 1, got {args.pores}")
+        raise CliError("usage", f"--pores must be >= 1, got {args.pores}")
     if args.pores > reader.MAX_PORES:
-        raise _fail("usage", f"--pores must be <= {reader.MAX_PORES}, got {args.pores}")
+        raise CliError("usage", f"--pores must be <= {reader.MAX_PORES}, got {args.pores}")
 
 
 def _cmd_read(args) -> int:
@@ -342,8 +338,15 @@ def _cmd_plan(args) -> int:
 # --- argument parsing -------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one-line ``usage`` failures."""
+
+    def error(self, message: str):
+        raise CliError("usage", message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="molstore",
         description="Nanopore macromolecular storage: codec, simulator, reader, planner.",
     )
@@ -435,8 +438,8 @@ _CATEGORIES = (
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc.category}: {exc}", file=sys.stderr)

@@ -84,10 +84,10 @@ class MoleculeSpec:
             m = _MOLECULE_TOKEN.match(text, pos)
             if not m:
                 raise SimulationError(f"bad molecule spec {text!r} at position {pos}")
-            if m.group(1) is not None:
-                bases.append(m.group(1) * int(m.group(2)))
-            else:
-                bases.append(m.group(3) * int(m.group(4) or "1"))
+            unit, count = m.group(1) or m.group(3), int(m.group(2) or m.group(4) or "1")
+            if count < 1:
+                raise SimulationError(f"bad molecule spec {text!r}: count 0 at position {pos}")
+            bases.append(unit * count)
             pos = m.end()
         return cls.from_sequence(BaseSequence("".join(bases)))
 
@@ -200,7 +200,10 @@ def open_current(voltage_mv: float, kcl_molar: float, calib: CalibrationTable) -
         raise SimulationError(f"voltage_mv must be finite, got {voltage_mv}")
     if not 0 < kcl_molar < math.inf:
         raise SimulationError(f"kcl_molar must be finite and > 0, got {kcl_molar}")
-    return _interp_strict(voltage_mv, calib.iv_points, "open_current voltage") * kcl_molar
+    current = _interp_strict(voltage_mv, calib.iv_points, "open_current voltage") * kcl_molar
+    if not math.isfinite(current):
+        raise SimulationError(f"open current at kcl_molar {kcl_molar:g} is not finite")
+    return current
 
 
 def gating_active(kcl_molar: float, calib: CalibrationTable) -> bool:
@@ -506,8 +509,14 @@ class SynthesizedTrace:
                 # The draws normal(0, sigma) makes, sigma * standard normal,
                 # without allocating a new array per chunk.
                 part = noise.standard_normal(out=draws[: c1 - c0])
-                part *= self.noise_sigma_pa
-                chunk += part
+                try:
+                    with np.errstate(over="raise", invalid="raise"):
+                        part *= self.noise_sigma_pa
+                        chunk += part
+                except FloatingPointError:
+                    raise SimulationError(
+                        f"noise_sigma_pa {self.noise_sigma_pa:g} overflows the current"
+                    ) from None
             if self.cutoff_hz is not None:
                 chunk, zi = lfilter([alpha], [1.0, alpha - 1.0], chunk, zi=zi)
             yield chunk

@@ -389,8 +389,11 @@ def _segment_layouts(
     calib: CalibrationTable,
     voltage_mv: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """recover_bases for events with equal substate counts, one per row:
-    the base letter and count (a float) of each segment, 5' to 3'."""
+    """The segments, 5' to 3', of events with equal substate counts, one
+    per row: each substate's base, the one whose calibrated level mean for
+    the entry direction lies nearest (assigned jointly so adjacent segments
+    stay distinct), and count (a float), its dwell over the voltage-scaled
+    per-base dwell."""
     if voltage_mv <= 0:
         raise ReaderError("voltage must be > 0")
     if not voltage_mv < math.inf:
@@ -413,32 +416,6 @@ def _segment_layouts(
 
 def _segments(bases: Sequence[str], counts: Sequence[float]) -> list[tuple[Nucleotide, int]]:
     return [(Nucleotide(base), int(count)) for base, count in zip(bases, counts)]
-
-
-def recover_bases(
-    event: TranslocationEvent,
-    orientation: Orientation,
-    calib: CalibrationTable,
-    voltage_mv: float,
-) -> list[tuple[Nucleotide, int]]:
-    """Map substates back to (base, count) segments, reported 5' to 3'.
-
-    Substates take the bases whose calibrated level means (for the given
-    entry direction) lie nearest, assigned jointly so adjacent segments
-    stay distinct; counts divide the dwell time by the voltage-scaled
-    per-base dwell.  The time order is reversed for 3'-first entry so the
-    output always reads 5' to 3'.
-    """
-    if orientation is Orientation.UNKNOWN:
-        raise OrientationUnknownError("cannot recover bases without an entry direction")
-    if not event.complete:
-        raise ReaderError("base recovery needs a complete event")
-    bases, counts = _segment_layouts(
-        np.array([[s.level for s in event.substates]]),
-        np.array([[s.duration_us for s in event.substates]]),
-        orientation, calib, voltage_mv,
-    )
-    return _segments(bases[0].tolist(), counts[0].tolist())
 
 
 def segments_to_sequence(segments: Sequence[tuple[Nucleotide, int]]) -> BaseSequence:
@@ -708,53 +685,40 @@ def census_series(
     return census
 
 
-def _census_counts(census: np.ndarray, n_pores: int) -> np.ndarray:
-    """Samples in each census state 0..n_pores, counted in chunks of
-    ``_CENSUS_CHUNK`` so no census-long int64 copy is made.
+def _census_tally(
+    census: np.ndarray, samples: np.ndarray, n_pores: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Samples in each census state 0..n_pores and their sum, in one pass
+    over chunks of ``_CENSUS_CHUNK``; states above ``n_pores`` are skipped.
 
-    A census is piecewise constant, so most chunks span a few states;
-    those are counted state by state, which costs less than bincount's
-    cast to intp for up to about eight states.
+    A census is piecewise constant, so most chunks span a few states; those
+    take one mask per state, which costs less than sorting for up to about
+    eight states, and a wider chunk is sorted by state.  Each state's
+    samples in a chunk are summed pairwise, as ``np.sum`` sums an array.
     """
     counts = np.zeros(n_pores + 1, dtype=np.int64)
-    for start in range(0, census.size, _CENSUS_CHUNK):
-        chunk = census[start : start + _CENSUS_CHUNK]
-        lo, hi = int(chunk.min()), min(int(chunk.max()), n_pores)
-        if hi - lo < 8:
-            for k in range(lo, hi + 1):
-                counts[k] += np.count_nonzero(chunk == k)
-        else:
-            in_chunk = np.bincount(chunk.astype(np.intp))
-            counts[: in_chunk.size] += in_chunk[: n_pores + 1]
-    return counts
-
-
-def _census_sums(census: np.ndarray, samples: np.ndarray, n_pores: int) -> np.ndarray:
-    """Sum of the samples in each census state 0..n_pores, in chunks of
-    ``_CENSUS_CHUNK``.
-
-    Each state's samples in a chunk are summed pairwise, as ``np.sum``
-    sums an array: a chunk of one state directly, one of a few states by a
-    mask per state, a wider one by sorting it by state.
-    """
     sums = np.zeros(n_pores + 1)
     for start in range(0, census.size, _CENSUS_CHUNK):
         chunk = census[start : start + _CENSUS_CHUNK]
         values = samples[start : start + _CENSUS_CHUNK]
-        lo, hi = int(chunk.min()), min(int(chunk.max()), n_pores)
-        if lo == hi:
+        lo, hi = int(chunk.min()), int(chunk.max())
+        if lo == hi <= n_pores:
+            counts[lo] += chunk.size
             sums[lo] += np.add.reduce(values)
         elif hi - lo < 8:
-            for k in range(lo, hi + 1):
-                sums[k] += np.add.reduce(values[chunk == k])
+            for k in range(lo, min(hi, n_pores) + 1):
+                in_state = chunk == k
+                counts[k] += np.count_nonzero(in_state)
+                sums[k] += np.add.reduce(values[in_state])
         else:
             order = np.argsort(chunk, kind="stable")
             states = chunk[order]
             firsts = np.flatnonzero(np.r_[True, states[1:] != states[:-1]])
             present = states[firsts]
             keep = present <= n_pores
+            counts[present[keep]] += np.diff(firsts, append=chunk.size)[keep]
             sums[present[keep]] += np.add.reduceat(values[order], firsts)[keep]
-    return sums
+    return counts, sums
 
 
 def _state_means(counts: np.ndarray, sums: np.ndarray) -> dict[int, float]:
@@ -844,10 +808,7 @@ def census_current_means(
 ) -> dict[int, float]:
     """Mean measured current of the samples assigned to each census state
     present; ``census`` is the samples' census_series."""
-    samples = np.asarray(samples)
-    return _state_means(
-        _census_counts(census, n_pores), _census_sums(census, samples, n_pores)
-    )
+    return _state_means(*_census_tally(census, np.asarray(samples), n_pores))
 
 
 @dataclass(frozen=True, eq=False)
@@ -890,8 +851,9 @@ def census_stats(
     for chunk in trace.chunks():
         part = census[start : start + chunk.size]
         part[:] = census_series(chunk, n_pores, open_current_pa, clogged_current_pa)
-        counts += _census_counts(part, n_pores)
-        sums += _census_sums(part, chunk, n_pores)
+        chunk_counts, chunk_sums = _census_tally(part, chunk, n_pores)
+        counts += chunk_counts
+        sums += chunk_sums
         start += chunk.size
     return CensusStats(
         duration_s=trace.duration_s,
@@ -934,9 +896,8 @@ def _summary(
             np.count_nonzero(samples >= threshold_fraction * open_current_pa)
             / samples.size
         )
-        counts = _census_counts(
-            census_series(samples, n_pores, open_current_pa, clogged_current_pa), n_pores
-        )
+        census = census_series(samples, n_pores, open_current_pa, clogged_current_pa)
+        counts, _ = _census_tally(census, samples, n_pores)
         histogram = {k: int(counts[k]) for k in np.flatnonzero(counts).tolist()}
     else:
         open_fraction = 1.0

@@ -3,9 +3,10 @@
 Both formats hold finite samples only: the writers refuse a non-finite
 sample (in the binary format, one whose float32 value is not finite) and
 the readers refuse a file holding one, as ``TraceFormatError``; a writer
-that refuses a sample removes the file it was writing.  Writers take any
-trace with ``sample_rate_hz``, ``len()`` and ``chunks()`` (float64 sample
-chunks), so a simulated trace is written as it is made.
+that refuses a sample or cannot get a chunk removes the file it was
+writing.  Writers take any trace with ``sample_rate_hz``, ``len()`` and
+``chunks()`` (float64 sample chunks), so a simulated trace is written as
+it is made.
 
 Readers return chunked traces with the same attributes, plus
 ``duration_s`` and ``samples`` (the whole float64 array).  The text reader
@@ -52,7 +53,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .poresim import CurrentTrace
+from .poresim import CurrentTrace, SimulationError
 
 MAGIC = b"MTRC"
 VERSION = 1
@@ -125,7 +126,7 @@ def _refuse_non_finite(values: np.ndarray, start: int) -> None:
 
 def _write_chunks(path: str, header: bytes, trace, write_chunk) -> None:
     """Write ``header``, then ``write_chunk(fh, chunk, start)`` for each chunk
-    of ``trace``; if a chunk is refused, the file is removed."""
+    of ``trace``; if a chunk is refused or cannot be made, the file is removed."""
     try:
         with open(path, "wb") as fh:
             fh.write(header)
@@ -133,7 +134,7 @@ def _write_chunks(path: str, header: bytes, trace, write_chunk) -> None:
             for chunk in trace.chunks():
                 write_chunk(fh, chunk, start)
                 start += chunk.size
-    except TraceFormatError:
+    except (TraceFormatError, SimulationError):
         os.remove(path)
         raise
 

@@ -235,6 +235,15 @@ def test_table_refuses_gating_dwell_not_positive(name, dwell):
         CalibrationTable(**{name: dwell})
 
 
+@pytest.mark.parametrize("clogged", [250.0, 400.0, 1e308])
+def test_table_refuses_clogged_current_at_or_above_open(clogged):
+    # The default table's largest open current is 250 pA.
+    with pytest.raises(
+        CalibrationError, match="^clogged_current_pa must be below the largest open current"
+    ):
+        CalibrationTable(clogged_current_pa=clogged)
+
+
 def _increasing(n, lo, hi):
     return st.lists(st.floats(lo, hi), min_size=n, max_size=n, unique=True).map(sorted)
 
@@ -272,7 +281,7 @@ def calibration_tables(draw):
             iv_points=iv,
             event_rate_points=rates,
             monolevel_blockage_points=mono,
-            clogged_current_pa=draw(st.floats(-1e3, 1e3)),
+            clogged_current_pa=draw(st.floats(-1e3, iv[-1][1], exclude_max=True)),
             base_dwell_us=draw(positive),
             ref_voltage_mv=draw(positive),
             bilevel_min_voltage_mv=draw(st.floats(-1e3, 1e3)),

@@ -315,6 +315,11 @@ _READ = ("read", "--events-out", "e.csv", "--summary-out", "s.txt", "--payload-o
         (*_SIMULATE, "--kcl-molar", "inf"),
         (*_SIMULATE, "--clog", "0:1:0"),
         (*_SIMULATE, "--clog", "0:nan:1"),
+        (*_SIMULATE, "--kcl-molar", "1e308"),
+        (*_SIMULATE, "--noise-sigma-pa", "1e308"),
+        (*_SIMULATE, "--noise-sigma-pa", "1e308", "--format", "binary"),
+        (*_SIMULATE, "--molecule", "A0C100"),
+        (*_READ, "--molecule", "A50C0"),
         (*_READ, "--open-current-pa", "nan"),
         (*_READ, "--noise-sigma-pa", "nan"),
         (*_READ, "--tolerance", "nan"),
@@ -344,6 +349,39 @@ def test_non_finite_or_reversed_setting_is_one_line_param_error(
     assert "Traceback" not in err
     assert not caught
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.trace"]
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (("stats", "--trace", "t.trace", "--out", "s.txt", "--pores", "nan"),
+         "argument --pores: invalid int value: 'nan'"),
+        (("read", "--trace", "t.trace", "--voltage-mv", "-inf"),
+         "argument --voltage-mv: expected one argument"),
+        (("stats", "--trace", "t.trace", "--out", "s.txt", "--bogus"),
+         "unrecognized arguments: --bogus"),
+        (("bogus",), "argument command: invalid choice: 'bogus'"),
+        ((), "the following arguments are required: command"),
+    ],
+    ids=["bad-int", "missing-value", "unknown-flag", "unknown-command", "no-command"],
+)
+def test_argument_error_is_one_line_usage_error(tmp_path, monkeypatch, capsys, argv, detail):
+    monkeypatch.chdir(tmp_path)
+    traceio.write_trace_text(CurrentTrace(1e6, np.full(10, 250.0)), "t.trace")
+    assert run(*argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: usage: {detail}")
+    assert err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.trace"]
+
+
+@pytest.mark.parametrize("argv", [("--version",), ("--help",), ("stats", "--help")])
+def test_help_and_version_exit_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run(*argv)
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_stats_at_most_pores_prints_every_census_state(tmp_path):
@@ -467,6 +505,71 @@ def test_fuzz_key_value_lines_exit_cleanly(key, value):
             assert len(re.findall(r"^error: \w+: ", err.getvalue(), re.M)) == code
             assert err.getvalue().count("\n") == code
             assert not caught
+
+
+# Options whose value is drawn, per command.  Output paths stay fixed, and
+# so does simulate's small --duration-s: whether a very large run fails
+# fast is an open decision, not an argument error.
+_ARG_OPTIONS = {
+    "simulate": [
+        "--molecule", "--voltage-mv", "--kcl-molar", "--seed", "--pores",
+        "--sample-rate-hz", "--noise-sigma-pa", "--bandwidth-khz", "--clog", "--format",
+    ],
+    "read": [
+        "--voltage-mv", "--kcl-molar", "--open-current-pa", "--noise-sigma-pa",
+        "--threshold-fraction", "--min-duration-us", "--min-substate-us", "--molecule",
+        "--complete-floor-us", "--scheme", "--tolerance", "--pores",
+    ],
+    "stats": ["--voltage-mv", "--kcl-molar", "--open-current-pa", "--pores"],
+}
+_ARG_VALUES = ["0", "-1", "2.5", "nan", "inf", "-inf", "1e308", "1e-300"]
+
+
+def _fuzz_trace():
+    """A small trace holding one A-then-C bi-level event."""
+    samples = np.full(2000, 250.0)
+    samples[500:600] = 0.37 * 250.0
+    samples[600:650] = 0.17 * 250.0
+    return CurrentTrace(1e6, samples)
+
+
+@st.composite
+def _argument_vectors(draw):
+    command = draw(st.sampled_from(sorted(_ARG_OPTIONS)))
+    options = st.sampled_from([*_ARG_OPTIONS[command], "--bogus"])
+    pairs = draw(st.lists(st.tuples(options, st.sampled_from(_ARG_VALUES)),
+                          min_size=1, max_size=3))
+    fmt = draw(st.sampled_from(["text", "binary"]))
+    return command, fmt, [f"{option}={value}" for option, value in pairs]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argument_vectors())
+def test_fuzz_argument_vectors_exit_cleanly(case):
+    command, fmt, drawn = case
+    with tempfile.TemporaryDirectory() as tmp:
+        trace = str(Path(tmp) / "t.trace")
+        if command == "simulate":
+            fixed = [
+                "--molecule", "A50C100", "--duration-s", "0.01", "--seed", "1",
+                "--format", fmt, "--trace-out", trace, "--log-out", str(Path(tmp) / "log.csv"),
+            ]
+        else:
+            traceio.write_trace(_fuzz_trace(), trace, fmt)
+            outs = ["--out"] if command == "stats" else [
+                "--events-out", "--summary-out", "--payload-out"
+            ]
+            fixed = ["--trace", trace]
+            for i, option in enumerate(outs):
+                fixed += [option, str(Path(tmp) / f"out{i}.txt")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(command, *fixed, *drawn)
+        assert code in (0, 1)
+        assert len(re.findall(r"^error: \w+: ", err.getvalue(), re.M)) == code
+        assert err.getvalue().count("\n") == code
+        assert not caught
 
 
 def _simulate_peak_bytes(tmp_path, fmt, duration):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from molstore.codec import (
     AlphabetError,
@@ -61,6 +63,26 @@ def test_direct_round_trip_random():
         seq = encode_direct(bits)
         assert len(seq) == len(bits) // 2
         assert decode_direct(seq) == bits
+
+
+_BIT = st.integers(0, 1)
+
+
+@given(st.lists(st.tuples(_BIT, _BIT)).map(lambda pairs: [b for p in pairs for b in p]))
+def test_direct_round_trip_property(bits):
+    assert decode_direct(encode_direct(bits)) == bits
+
+
+@st.composite
+def _schemes(draw):
+    zero, one = draw(st.lists(st.sampled_from(list(Nucleotide)), min_size=2, max_size=2,
+                              unique=True))
+    return RunLengthScheme(zero, draw(st.integers(1, 200)), one, draw(st.integers(1, 200)))
+
+
+@given(_schemes(), st.lists(_BIT, max_size=40), st.floats(0.0, 1.0, exclude_max=True))
+def test_runlength_round_trip_property(scheme, bits, tolerance):
+    assert decode_runlength(encode_runlength(bits, scheme), scheme, tolerance) == bits
 
 
 def test_encode_runlength_example():

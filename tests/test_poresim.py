@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from molstore import poresim
 from molstore.calibration import CalibrationTable, ChannelConfig, RangeError
+from molstore.codec import Nucleotide
 from molstore.poresim import (
     MoleculeSpec,
     Orientation,
@@ -112,6 +114,27 @@ def test_molecule_bad_spec():
         MoleculeSpec.from_string("A5X3")
     with pytest.raises(SimulationError):
         MoleculeSpec.from_string("")
+
+
+@pytest.mark.parametrize("spec", ["A0C100", "A50C0", "(AC)0A5", "A00C5"])
+def test_molecule_refuses_zero_count(spec):
+    # Dropping the segment would read another molecule than the one typed.
+    with pytest.raises(SimulationError, match="count 0"):
+        MoleculeSpec.from_string(spec)
+
+
+@st.composite
+def _molecules(draw):
+    bases = [b for b, _ in itertools.groupby(
+        draw(st.lists(st.sampled_from(list(Nucleotide)), min_size=1, max_size=8))
+    )]
+    counts = draw(st.lists(st.integers(1, 200), min_size=len(bases), max_size=len(bases)))
+    return MoleculeSpec(tuple(zip(bases, counts)))
+
+
+@given(_molecules())
+def test_molecule_string_round_trip(molecule):
+    assert MoleculeSpec.from_string(str(molecule)) == molecule
 
 
 # --- event sampling --------------------------------------------------------

@@ -32,7 +32,6 @@ from molstore.reader import (
     decode_event,
     detect_events,
     infer_orientation,
-    recover_bases,
     to_translocation_event,
     trace_stats,
 )
@@ -238,37 +237,47 @@ def _event(substates, orientation=Orientation.UNKNOWN, complete=True):
     )
 
 
+def _recover_bases(substates, orientation, voltage_mv):
+    """Base recovery of one event's (level, duration_us) substates, as
+    (base, count) segments 5' to 3'."""
+    bases, counts = reader._segment_layouts(
+        np.array([[level for level, _ in substates]]),
+        np.array([[duration for _, duration in substates]]),
+        orientation, CALIB, voltage_mv,
+    )
+    return reader._segments(bases[0].tolist(), counts[0].tolist())
+
+
 def test_recover_bases_three_prime_first():
-    event = _event([(0.37, 100.0), (0.17, 50.0)])
-    segments = recover_bases(event, Orientation.THREE_PRIME_FIRST, CALIB, 210.0)
+    segments = _recover_bases(
+        [(0.37, 100.0), (0.17, 50.0)], Orientation.THREE_PRIME_FIRST, 210.0
+    )
     assert segments == [("A", 50), ("C", 100)]
 
 
 def test_recover_bases_five_prime_first_same_molecule():
-    event = _event([(0.17, 50.0), (0.37, 100.0)])
-    # same molecule entering the other way: A-segment first in time
-    event5 = _event([(0.12, 50.0), (0.20, 100.0)])
-    segments = recover_bases(event5, Orientation.FIVE_PRIME_FIRST, CALIB, 210.0)
+    # the A50C100 molecule of the 3'-first case entering the other way:
+    # A-segment first in time
+    segments = _recover_bases(
+        [(0.12, 50.0), (0.20, 100.0)], Orientation.FIVE_PRIME_FIRST, 210.0
+    )
     assert segments == [("A", 50), ("C", 100)]
 
 
 def test_recover_bases_voltage_normalizes_counts():
     # at 420 mV dwell halves, so the same counts need half the duration
-    event = _event([(0.37, 50.0), (0.17, 25.0)])
-    segments = recover_bases(event, Orientation.THREE_PRIME_FIRST, CALIB, 420.0)
+    segments = _recover_bases(
+        [(0.37, 50.0), (0.17, 25.0)], Orientation.THREE_PRIME_FIRST, 420.0
+    )
     assert segments == [("A", 50), ("C", 100)]
-
-
-def test_recover_bases_refuses_unknown_orientation():
-    with pytest.raises(OrientationUnknownError):
-        recover_bases(_event([(0.3, 50.0)]), Orientation.UNKNOWN, CALIB, 210.0)
 
 
 def test_recover_bases_joint_assignment_keeps_adjacent_distinct():
     # a deep C draw sits nearer the A mean, but adjacent segments cannot
     # both be A; the joint assignment recovers (A, C) anyway
-    event = _event([(0.23, 100.0), (0.16, 50.0)])
-    segments = recover_bases(event, Orientation.THREE_PRIME_FIRST, CALIB, 210.0)
+    segments = _recover_bases(
+        [(0.23, 100.0), (0.16, 50.0)], Orientation.THREE_PRIME_FIRST, 210.0
+    )
     assert [b for b, _ in segments] == ["A", "C"]
 
 
@@ -376,11 +385,16 @@ def test_census_series_needs_a_pore():
 def test_census_counts_match_unique(case):
     x, n_pores, open_pa, clogged_pa = case
     census = census_series(x, n_pores, open_pa, clogged_pa)
-    counts = reader._census_counts(census, n_pores)
-    assert counts.shape == (n_pores + 1,)
+    counts, sums = reader._census_tally(census, x, n_pores)
+    assert counts.shape == sums.shape == (n_pores + 1,)
     states, expected = np.unique(census, return_counts=True)
     assert np.flatnonzero(counts).tolist() == states.tolist()
     assert counts[states].tolist() == expected.tolist()
+    for k in range(n_pores + 1):
+        # Summed in another order than x[census == k].sum(): each may round
+        # differently, relative to the sum of the magnitudes.
+        in_state = x[census == k]
+        assert abs(sums[k] - in_state.sum()) <= 1e-12 * np.abs(in_state).sum()
 
 
 def test_census_rates_counts_dips_per_baseline():
@@ -408,6 +422,8 @@ def test_census_current_means():
     means = census_current_means(samples, census_series(samples, 3, 130.0, 30.0), 3)
     assert means[3] == pytest.approx(390.0)
     assert means[2] == pytest.approx(290.0)
+    # A state above n_pores is left out of the sums as of the counts.
+    assert census_current_means([100.0, 100.0, 500.0], np.array([3, 3, 4]), 3) == {3: 100.0}
 
 
 def _census_rates_loop(
