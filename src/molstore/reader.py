@@ -109,31 +109,82 @@ def complete_duration_floor_us(
     return factor * mean_duration(voltage_mv, n_bases, calib)
 
 
-def _event_bounds(
-    samples: np.ndarray,
-    sample_rate_hz: float,
-    open_current_pa: float,
-    threshold_fraction: float,
-    min_duration_us: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end sample of each event detect_events reports."""
+def _detection_threshold(open_current_pa: float, threshold_fraction: float) -> float:
+    """The current below which a sample lies inside an event."""
     if not 0 < open_current_pa < math.inf:
         raise ReaderError(f"open_current_pa must be finite and > 0, got {open_current_pa}")
     if not 0.0 < threshold_fraction < 1.0:
         raise ReaderError("threshold_fraction must be in (0, 1)")
-    below = np.zeros(samples.size + 2, dtype=bool)
-    np.less(samples, threshold_fraction * open_current_pa, out=below[1:-1])
-    starts, ends = _run_bounds(below)
-    keep = ~(ends - starts < min_duration_us * 1e-6 * sample_rate_hz)
-    return starts[keep], ends[keep]
+    return threshold_fraction * open_current_pa
 
 
-def _run_bounds(padded: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end index, into ``padded[1:-1]``, of each maximal run of
-    True in it.  ``padded`` is a bool mask with False at both ends, so the
-    run edges pair up as (start, end) even for runs touching the ends."""
-    edges = np.flatnonzero(padded[1:] != padded[:-1])
-    return edges[0::2], edges[1::2]
+def _event_runs(
+    chunks: Iterable[np.ndarray], threshold: float, min_samples: float
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray, tuple[int, np.ndarray] | None]]:
+    """The events detect_events reports, cut from consecutive chunks of a
+    trace: maximal runs of samples below ``threshold``, kept unless shorter
+    than ``min_samples``.
+
+    Yields ``(offset, chunk, starts, ends, carried)`` per chunk: the
+    chunk's first sample index, the chunk, the bounds into it of the events
+    that lie wholly inside it, and ``(start, samples)`` of an event that
+    began in an earlier chunk and ends in this one (it precedes the
+    others), or None.  A run still open at a chunk's end is held, as
+    copies of its pieces, until it ends; one open at the trace's end comes
+    last, with an empty chunk.
+    """
+    held: list[np.ndarray] = []  # pieces of the run open at the last chunk's end
+    held_start = offset = 0
+    empty = np.empty(0, dtype=np.intp)
+    work = change = np.empty(0, dtype=bool)
+    for chunk in chunks:
+        if not chunk.size:
+            continue
+        work, change = _grown(work, chunk.size + 2), _grown(change, chunk.size + 1)
+        below = work[: chunk.size + 2]
+        below[0], below[-1] = bool(held), False
+        np.less(chunk, threshold, out=below[1:-1])
+        edges = _run_edges(below, change)
+        carried = None
+        if held:
+            if edges[0] == chunk.size:  # the held run goes on past this chunk
+                held.append(chunk.copy())
+                yield offset, chunk, empty, empty, None
+                offset += chunk.size
+                continue
+            held.append(chunk[: edges[0]])
+            samples = np.concatenate(held)
+            if not samples.size < min_samples:
+                carried = held_start, samples
+            held = []
+            edges = edges[1:]
+        starts, ends = edges[0::2], edges[1::2]
+        if below[-2]:  # a run still open at the chunk's end
+            held_start = offset + int(starts[-1])
+            held = [chunk[starts[-1] :].copy()]
+            starts, ends = starts[:-1], ends[:-1]
+        keep = ~(ends - starts < min_samples)
+        yield offset, chunk, starts[keep], ends[keep], carried
+        offset += chunk.size
+    if held:
+        samples = np.concatenate(held)
+        if not samples.size < min_samples:
+            yield offset, np.empty(0), empty, empty, (held_start, samples)
+
+
+def _run_edges(padded: np.ndarray, change: np.ndarray) -> np.ndarray:
+    """Indices, into ``padded[1:-1]``, at which ``padded[1:]`` changes: the
+    start and end of each maximal run of True in it, paired when
+    ``padded`` is False at both ends.  ``change`` is a bool work array of
+    at least ``padded.size - 1`` items."""
+    return np.flatnonzero(np.not_equal(padded[1:], padded[:-1], out=change[: padded.size - 1]))
+
+
+def _grown(work: np.ndarray, n: int) -> np.ndarray:
+    """``work``, or a new array of its dtype when it holds fewer than ``n``
+    items: work arrays are kept across the chunks of a pass, because a
+    fresh chunk-sized array costs a page fault per page."""
+    return work if work.size >= n else np.empty(max(n, 2 * work.size), work.dtype)
 
 
 def detect_events(
@@ -148,15 +199,20 @@ def detect_events(
     ``min_duration_us`` are rejected as noise spikes.  Events are disjoint
     and time ordered.  An empty trace yields an empty list.
     """
-    samples = np.asarray(trace.samples)
     rate = trace.sample_rate_hz
-    starts, ends = _event_bounds(
-        samples, rate, open_current_pa, threshold_fraction, min_duration_us
-    )
-    return [
-        DetectedEvent(i0 / rate, samples[i0:i1] / open_current_pa, rate)
-        for i0, i1 in zip(starts.tolist(), ends.tolist())
-    ]
+    threshold = _detection_threshold(open_current_pa, threshold_fraction)
+    events = []
+    for offset, chunk, starts, ends, carried in _event_runs(
+        [np.asarray(trace.samples)], threshold, min_duration_us * 1e-6 * rate
+    ):
+        if carried is not None:
+            start, samples = carried
+            events.append(DetectedEvent(start / rate, samples / open_current_pa, rate))
+        events.extend(
+            DetectedEvent((offset + i0) / rate, chunk[i0:i1] / open_current_pa, rate)
+            for i0, i1 in zip(starts.tolist(), ends.tolist())
+        )
+    return events
 
 
 # Class codes of the array kernels, in EVENT_KINDS order.
@@ -508,6 +564,35 @@ def decode_event(
 
 # --- the read station ------------------------------------------------------
 
+# Cells (events x samples) of event samples read_station holds before it
+# classifies them; past this, every length group held is classified.
+_HELD_CELLS = 1 << 20
+
+
+def _classify_groups(
+    groups: dict[int, list[tuple[np.ndarray, np.ndarray]]],
+    sample_rate_hz: float,
+    noise_sigma_norm: float,
+    min_substate_us: float,
+    complete_floor_us: float,
+) -> list[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
+    """_classify_rows for held normalized event samples, by length: each
+    length's rows (with their event indices) go in time order, in batches
+    of at most ``_BATCH_CELLS`` samples, and are overwritten.  Returns
+    (event indices, results) per batch."""
+    out = []
+    for n, held in groups.items():
+        index = np.concatenate([i for i, _ in held])
+        rows = np.concatenate([r for _, r in held]) if len(held) > 1 else held[0][1]
+        step = max(1, _BATCH_CELLS // n)
+        for b in range(0, index.size, step):
+            results = _classify_rows(
+                rows[b : b + step], sample_rate_hz, noise_sigma_norm, min_substate_us,
+                complete_floor_us,
+            )
+            out.append((index[b : b + step], results))
+    return out
+
 
 @dataclass(frozen=True, eq=False)
 class ReadResult:
@@ -572,9 +657,13 @@ def read_station(
 
     Gives per event what detect_events, classify_event, infer_orientation
     and decode_event give, bit for bit, and the summary trace_stats gives
-    for those events, computed on arrays: events of one length are
-    classified together in batches of at most ``_BATCH_CELLS`` samples,
-    and no float array as long as the trace is made.
+    for those events, computed on arrays in one pass over
+    ``trace.chunks()``: the summary counts are taken per chunk, and the
+    samples of each event are held, by length, until about
+    ``_HELD_CELLS`` of them are, then classified in batches of at most
+    ``_BATCH_CELLS`` samples.  So the pass holds a chunk, the events not
+    yet classified and the run still open, whatever its length: an event
+    longer than a chunk is held whole.
     """
     for name, value in (
         ("noise_sigma_pa", noise_sigma_pa),
@@ -588,33 +677,70 @@ def read_station(
         raise ReaderError(f"tolerance must be in [0, 1), got {tolerance}")
     if not math.isfinite(voltage_mv):
         raise ReaderError(f"voltage_mv must be finite, got {voltage_mv}")
-    samples = np.asarray(trace.samples, dtype=np.float64)
     rate = trace.sample_rate_hz
-    starts, ends = _event_bounds(
-        samples, rate, open_current_pa, threshold_fraction, min_duration_us
-    )
+    threshold = _detection_threshold(open_current_pa, threshold_fraction)
     noise_sigma_norm = noise_sigma_pa / open_current_pa
-    lengths = ends - starts
-    fields = (mean, kind, first, second, first_us, second_us) = (
-        np.empty(len(starts)), np.empty(len(starts), np.int8),
-        *np.empty((4, len(starts))),
-    )
-    order = np.argsort(lengths, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-        if not group.size:
-            continue
-        n = int(lengths[group[0]])
-        windows = np.lib.stride_tricks.sliding_window_view(samples, n)
-        step = max(1, _BATCH_CELLS // n)
-        for b in range(0, group.size, step):
-            batch = group[b : b + step]
-            levels = windows[starts[batch]]
-            levels /= open_current_pa
-            results = _classify_rows(
-                levels, rate, noise_sigma_norm, min_substate_us, complete_floor_us
+    n_samples = n_open = n_events = 0
+    census_counts = np.zeros(n_pores + 1, dtype=np.int64)
+    event_starts: list[np.ndarray] = []
+    event_lengths: list[np.ndarray] = []
+    # Event samples not yet classified, by length: (event indices, rows).
+    groups: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    held_cells = 0
+    classified: list[tuple[np.ndarray, tuple[np.ndarray, ...]]] = []
+    for offset, chunk, starts, ends, carried in _event_runs(
+        trace.chunks(), threshold, min_duration_us * 1e-6 * rate
+    ):
+        if chunk.size:
+            chunk_open, chunk_counts = _summary_counts(
+                chunk, threshold, n_pores, open_current_pa, calib.clogged_current_pa
             )
-            for out, result in zip(fields, results):
-                out[batch] = result
+            n_samples += chunk.size
+            n_open += chunk_open
+            census_counts += chunk_counts
+        found = []
+        if carried is not None:
+            start, samples = carried
+            event_starts.append(np.array([start]))
+            event_lengths.append(np.array([samples.size]))
+            found.append((np.array([n_events]), samples[None, :]))
+            n_events += 1
+        lengths = ends - starts
+        event_starts.append(starts + offset)
+        event_lengths.append(lengths)
+        order = np.argsort(lengths, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+            if group.size:
+                # Rows of n samples from each start; as_strided, because a
+                # chunk makes one such view per event length it holds, and
+                # sliding_window_view's checks cost more than the copy.
+                n = int(lengths[group[0]])
+                windows = np.lib.stride_tricks.as_strided(
+                    chunk, (chunk.size - n + 1, n), chunk.strides * 2, writeable=False
+                )
+                found.append((group + n_events, windows[starts[group]]))
+        n_events += starts.size
+        for index, rows in found:
+            rows /= open_current_pa
+            groups.setdefault(rows.shape[1], []).append((index, rows))
+            held_cells += rows.size
+        if held_cells >= _HELD_CELLS:
+            classified += _classify_groups(
+                groups, rate, noise_sigma_norm, min_substate_us, complete_floor_us
+            )
+            groups, held_cells = {}, 0
+    classified += _classify_groups(
+        groups, rate, noise_sigma_norm, min_substate_us, complete_floor_us
+    )
+    starts, lengths = (
+        np.concatenate([np.empty(0, np.intp), *parts]) for parts in (event_starts, event_lengths)
+    )
+    fields = (mean, kind, first, second, first_us, second_us) = (
+        np.empty(n_events), np.empty(n_events, np.int8), *np.empty((4, n_events)),
+    )
+    for index, results in classified:
+        for out, result in zip(fields, results):
+            out[index] = result
 
     orientation = np.zeros(len(starts), dtype=np.int8)
     decoded: list[Decoded] = [None] * len(starts)
@@ -629,8 +755,8 @@ def read_station(
 
     n_complete = int(np.count_nonzero(kind != INCOMPLETE))
     open_fraction, complete_rate, partial_rate, histogram = _summary(
-        samples, trace.duration_s, n_complete, len(starts) - n_complete,
-        open_current_pa, threshold_fraction, n_pores, calib.clogged_current_pa,
+        n_samples, n_open, census_counts, n_samples / rate, n_complete,
+        n_events - n_complete,
     )
     return ReadResult(
         rate, starts, lengths, mean, kind, first, second, first_us, second_us,
@@ -732,13 +858,167 @@ class CensusRate:
     rate_per_s: float
 
 
+# census_rates' defaults: the baseline's rolling-median window, the longest
+# dip that counts as an event and the gap under which two dips merge.
+_BASELINE_WINDOW_S, _MAX_EVENT_S, _MERGE_GAP_S = 0.021, 0.01, 50e-6
+
+
+class _DipCounter:
+    """census_rates over a census given in consecutive chunks.
+
+    The baseline of 1 ms block j is the median of the block-start values of
+    blocks j-h .. j+h (h = half the window; past the ends, the first or the
+    last block's), so block j is compared once block j+h is whole.  The
+    counter holds the census not yet compared (at most one chunk plus h + 1
+    blocks), the h block-start values before it, the dip open at its start
+    and the last merged run, which the next dip may still join.  A census
+    of fewer blocks than the window has one baseline, the median of them
+    all, so nothing is compared until the window's worth has begun.
+    """
+
+    def __init__(
+        self,
+        sample_rate_hz: float,
+        n_pores: int,
+        dtype,
+        baseline_window_s: float = _BASELINE_WINDOW_S,
+        max_event_s: float = _MAX_EVENT_S,
+        merge_gap_s: float = _MERGE_GAP_S,
+    ) -> None:
+        self.sample_rate_hz = sample_rate_hz
+        self.n_pores = n_pores
+        self.stride = max(1, int(sample_rate_hz * 1e-3))
+        window = max(1, int(round(baseline_window_s / (self.stride / sample_rate_hz))))
+        self.window = window + 1 - window % 2
+        self.max_samples = max_event_s * sample_rate_hz
+        self.merge_gap = merge_gap_s * sample_rate_hz
+        self.pending = np.empty(0, dtype)  # the census from sample `done` on
+        self.size = 0  # of pending, whose array is reused
+        self.dips = self.change = np.empty(0, dtype=bool)
+        self.done = 0
+        self.history: np.ndarray | None = None  # block starts before `done`
+        self.dip: tuple[int, int] | None = None  # (start, baseline) open at `done`
+        self.run: tuple[int, int, int] | None = None  # (start, end, baseline)
+        self.last_base = 0
+        self.events = np.zeros(n_pores + 1, dtype=np.int64)
+        self.held = np.zeros(n_pores + 1, dtype=np.int64)
+
+    def add(self, census: np.ndarray) -> None:
+        """Take the next chunk of the census."""
+        size = self.size + census.size
+        if self.pending.size < size:
+            grown = _grown(self.pending, size)
+            grown[: self.size] = self.pending[: self.size]
+            self.pending = grown
+        self.pending[self.size : size] = census
+        self.size = size
+        half = self.window // 2
+        if self.history is None:  # nothing compared yet
+            if -(-size // self.stride) < self.window:
+                return
+            self.history = np.full(half, self.pending[0])
+        whole = size // self.stride
+        if whole > half:
+            starts = self.pending[: whole * self.stride : self.stride]
+            self._compare((whole - half) * self.stride, self._baselines(starts))
+
+    def rates(self) -> dict[int, CensusRate]:
+        """The rates of the census taken so far."""
+        if not self.done + self.size:
+            return {}
+        starts = self.pending[: self.size : self.stride]
+        if self.history is None:
+            base = np.full_like(starts, int(np.median(starts)))
+            self._compare(self.size, base, final=True)
+        elif starts.size:
+            padded = np.concatenate([starts, np.full(self.window // 2, starts[-1])])
+            self._compare(self.size, self._baselines(padded), final=True)
+        elif self.dip is not None:  # the census ended on a block edge, in a dip
+            start, base = self.dip
+            self._merge(np.array([start]), np.array([self.done]), np.array([base]))
+        if self.run is not None:
+            self._count(*(np.array([x]) for x in self.run))
+        if self.last_base <= self.n_pores:
+            self.held[self.last_base] -= -self.done % self.stride
+        out: dict[int, CensusRate] = {}
+        for k, (n_events, n_samples) in enumerate(zip(self.events.tolist(), self.held.tolist())):
+            seconds = float(n_samples) / self.sample_rate_hz
+            out[k] = CensusRate(n_events, seconds, n_events / seconds if seconds > 0 else 0.0)
+        return out
+
+    def _baselines(self, starts: np.ndarray) -> np.ndarray:
+        """The baseline of each block whose window ``history + starts`` holds."""
+        padded = np.concatenate([self.history, starts])
+        view = np.lib.stride_tricks.sliding_window_view(padded, self.window)
+        self.history = padded[view.shape[0] : view.shape[0] + self.window // 2].copy()
+        return np.median(view, axis=1).astype(self.pending.dtype)
+
+    def _compare(self, size: int, base: np.ndarray, final: bool = False) -> None:
+        """Find the dips in the first ``size`` pending samples, whose blocks
+        have baselines ``base`` (the last block may be partial), and merge
+        them; a dip open at the end is held unless this is the census's end."""
+        census, stride = self.pending[:size], self.stride
+        self.held += np.bincount(base, minlength=self.n_pores + 1)[: self.n_pores + 1] * stride
+        self.last_base = int(base[-1])
+        self.dips, self.change = _grown(self.dips, size + 2), _grown(self.change, size + 1)
+        dips = self.dips[: size + 2]
+        dips[0], dips[-1] = self.dip is not None, False
+        whole = size - size % stride
+        np.less(
+            census[:whole].reshape(-1, stride),
+            base[: whole // stride, None],
+            out=dips[1 : whole + 1].reshape(-1, stride),
+        )
+        np.less(census[whole:], base[-1], out=dips[whole + 1 : -1])
+        edges = _run_edges(dips, self.change) + self.done
+        if self.dip is not None:
+            edges = np.concatenate([[self.dip[0]], edges])
+        starts, ends = edges[0::2], edges[1::2]
+        bases = base[np.maximum(starts - self.done, 0) // stride]
+        if self.dip is not None:
+            bases[0] = self.dip[1]
+        self.dip = None
+        if dips[-2] and not final:
+            self.dip = int(starts[-1]), int(bases[-1])
+            starts, ends, bases = starts[:-1], ends[:-1], bases[:-1]
+        self.done += size
+        self.size -= size
+        self.pending[: self.size] = self.pending[size : size + self.size]
+        self._merge(starts, ends, bases)
+
+    def _merge(self, starts: np.ndarray, ends: np.ndarray, bases: np.ndarray) -> None:
+        """Merge closed dips, in time order, with the last run: a dip joins
+        the one before it when the gap between them is shorter than the
+        merge gap, and each merged run keeps its first start and baseline
+        and its last end.  All runs but the last are counted."""
+        if self.run is not None:
+            run_start, run_end, run_base = self.run
+            starts = np.concatenate([[run_start], starts])
+            ends = np.concatenate([[run_end], ends])
+            bases = np.concatenate([[run_base], bases])
+        if not starts.size:
+            return
+        split = starts[1:] - ends[:-1] >= self.merge_gap
+        first = np.concatenate([[True], split])
+        last = np.concatenate([split, [True]])
+        starts, ends, bases = starts[first], ends[last], bases[first]
+        self.run = int(starts[-1]), int(ends[-1]), int(bases[-1])
+        self._count(starts[:-1], ends[:-1], bases[:-1])
+
+    def _count(self, starts: np.ndarray, ends: np.ndarray, bases: np.ndarray) -> None:
+        """Count the merged runs no longer than the longest event."""
+        is_event = ~(ends - starts > self.max_samples)
+        events = np.bincount(bases[is_event], minlength=self.n_pores + 1)
+        self.events += events[: self.n_pores + 1]
+
+
 def census_rates(
     census: np.ndarray,
     sample_rate_hz: float,
     n_pores: int,
-    baseline_window_s: float = 0.021,
-    max_event_s: float = 0.01,
-    merge_gap_s: float = 50e-6,
+    baseline_window_s: float = _BASELINE_WINDOW_S,
+    max_event_s: float = _MAX_EVENT_S,
+    merge_gap_s: float = _MERGE_GAP_S,
 ) -> dict[int, CensusRate]:
     """Blockade rates split by how many pores the baseline shows open.
 
@@ -752,55 +1032,14 @@ def census_rates(
     separated by less than ``merge_gap_s`` merge into one event, since a
     blockade sitting near a census midpoint can flicker across it within a
     single passage.  An empty trace has no baseline and gives an empty dict.
+    census_stats counts the same way, a chunk at a time.
     """
-    if census.size == 0:
-        return {}
-    stride = max(1, int(sample_rate_hz * 1e-3))
-    coarse = census[::stride]
-    window = max(1, int(round(baseline_window_s / (stride / sample_rate_hz))))
-    if window % 2 == 0:
-        window += 1
-    if len(coarse) >= window:
-        padded = np.pad(coarse, window // 2, mode="edge")
-        view = np.lib.stride_tricks.sliding_window_view(padded, window)
-        coarse_base = np.median(view, axis=1).astype(census.dtype)
-    else:
-        coarse_base = np.full_like(coarse, int(np.median(coarse)))
-
-    # Dips: census below its block's baseline, compared block by block; the
-    # last block may be partial.
-    dips = np.zeros(census.size + 2, dtype=bool)
-    whole = census.size - census.size % stride
-    np.less(
-        census[:whole].reshape(-1, stride),
-        coarse_base[: whole // stride, None],
-        out=dips[1 : whole + 1].reshape(-1, stride),
+    census = np.asarray(census)
+    counter = _DipCounter(
+        sample_rate_hz, n_pores, census.dtype, baseline_window_s, max_event_s, merge_gap_s
     )
-    np.less(census[whole:], coarse_base[-1], out=dips[whole + 1 : -1])
-    starts, ends = _run_bounds(dips)
-    # A dip joins the one before it when the gap between them is shorter
-    # than merge_gap; each merged run keeps its first start and last end.
-    split = starts[1:] - ends[:-1] >= merge_gap_s * sample_rate_hz
-    first = np.ones(starts.size, dtype=bool)
-    first[1:] = split
-    last = np.ones(starts.size, dtype=bool)
-    last[:-1] = split
-    run_starts, run_ends = starts[first], ends[last]
-    is_event = ~(run_ends - run_starts > max_event_s * sample_rate_hz)
-    events = np.bincount(
-        coarse_base[run_starts[is_event] // stride], minlength=n_pores + 1
-    )
-    # Samples under each baseline state: whole blocks, less the part of the
-    # last block past the end of the census.
-    held = np.bincount(coarse_base, minlength=n_pores + 1) * stride
-    held[coarse_base[-1]] -= coarse_base.size * stride - census.size
-    out: dict[int, CensusRate] = {}
-    for k, (n_events, n_samples) in enumerate(
-        zip(events[: n_pores + 1].tolist(), held[: n_pores + 1].tolist())
-    ):
-        seconds = float(n_samples) / sample_rate_hz
-        out[k] = CensusRate(n_events, seconds, n_events / seconds if seconds > 0 else 0.0)
-    return out
+    counter.add(census)
+    return counter.rates()
 
 
 def census_current_means(
@@ -813,21 +1052,17 @@ def census_current_means(
 
 @dataclass(frozen=True, eq=False)
 class CensusStats:
-    """The census statistics of one trace: its census_series, the samples
-    in each census state 0..n_pores, the mean current of the trace and of
-    each state present (as census_current_means gives it) and census_rates.
+    """The census statistics of one trace: its sample count, the samples in
+    each census state 0..n_pores, the mean current of the trace and of each
+    state present (as census_current_means gives it) and census_rates.
     """
 
     duration_s: float
     mean_pa: float
-    census: np.ndarray
+    n_samples: int
     state_counts: np.ndarray
     current_means: dict[int, float]
     rates: dict[int, CensusRate]
-
-    @property
-    def n_samples(self) -> int:
-        return self.census.size
 
 
 def census_stats(
@@ -838,30 +1073,32 @@ def census_stats(
 ) -> CensusStats:
     """Census statistics of a trace in one pass over ``trace.chunks()``.
 
-    Each chunk's census_series goes into one census array and its samples
-    into a count and a sum per census state; the means come from those,
-    and census_rates runs on the census.  No float array as long as the
-    trace is made.  ``mean_pa`` of an empty trace is 0.
+    Each chunk's census_series goes into a count and a sum of its samples
+    per census state, and on to the dip count of census_rates; the means
+    come from the sums.  Neither the float trace nor its census is held
+    whole: the pass holds a chunk and the census the baseline still needs.
+    ``mean_pa`` of an empty trace is 0.
     """
     _census_scale(n_pores, open_current_pa, clogged_current_pa)
-    census = np.empty(len(trace), dtype=np.min_scalar_type(n_pores))
+    rate = trace.sample_rate_hz
     counts = np.zeros(n_pores + 1, dtype=np.int64)
     sums = np.zeros(n_pores + 1)
-    start = 0
+    dips = _DipCounter(rate, n_pores, np.min_scalar_type(n_pores))
+    n = 0
     for chunk in trace.chunks():
-        part = census[start : start + chunk.size]
-        part[:] = census_series(chunk, n_pores, open_current_pa, clogged_current_pa)
-        chunk_counts, chunk_sums = _census_tally(part, chunk, n_pores)
+        census = census_series(chunk, n_pores, open_current_pa, clogged_current_pa)
+        chunk_counts, chunk_sums = _census_tally(census, chunk, n_pores)
         counts += chunk_counts
         sums += chunk_sums
-        start += chunk.size
+        dips.add(census)
+        n += chunk.size
     return CensusStats(
-        duration_s=trace.duration_s,
-        mean_pa=float(sums.sum() / census.size) if census.size else 0.0,
-        census=census,
+        duration_s=n / rate,
+        mean_pa=float(sums.sum() / n) if n else 0.0,
+        n_samples=n,
         state_counts=counts,
         current_means=_state_means(counts, sums),
-        rates=census_rates(census, trace.sample_rate_hz, n_pores),
+        rates=dips.rates(),
     )
 
 
@@ -880,28 +1117,28 @@ class StatsReport:
     pore_census_histogram: dict[int, int]
 
 
+def _summary_counts(
+    samples: np.ndarray, threshold: float, n_pores: int, open_current_pa: float,
+    clogged_current_pa: float,
+) -> tuple[int, np.ndarray]:
+    """The samples at or above ``threshold`` and the samples in each census
+    state 0..n_pores, of one non-empty chunk."""
+    census = census_series(samples, n_pores, open_current_pa, clogged_current_pa)
+    return np.count_nonzero(samples >= threshold), _census_tally(census, samples, n_pores)[0]
+
+
 def _summary(
-    samples: np.ndarray,
+    n_samples: int,
+    n_open: int,
+    census_counts: np.ndarray,
     duration_s: float,
     n_complete: int,
     n_partial: int,
-    open_current_pa: float,
-    threshold_fraction: float,
-    n_pores: int,
-    clogged_current_pa: float,
 ) -> tuple[float, float, float, dict[int, int]]:
-    """Open fraction, complete and partial event rates, census histogram."""
-    if samples.size:
-        open_fraction = float(
-            np.count_nonzero(samples >= threshold_fraction * open_current_pa)
-            / samples.size
-        )
-        census = census_series(samples, n_pores, open_current_pa, clogged_current_pa)
-        counts, _ = _census_tally(census, samples, n_pores)
-        histogram = {k: int(counts[k]) for k in np.flatnonzero(counts).tolist()}
-    else:
-        open_fraction = 1.0
-        histogram = {}
+    """Open fraction, complete and partial event rates, census histogram,
+    from the counts _summary_counts gives summed over a trace."""
+    open_fraction = float(n_open / n_samples) if n_samples else 1.0
+    histogram = {k: int(census_counts[k]) for k in np.flatnonzero(census_counts).tolist()}
     complete_rate = n_complete / duration_s if duration_s > 0 else 0.0
     partial_rate = n_partial / duration_s if duration_s > 0 else 0.0
     return open_fraction, complete_rate, partial_rate, histogram
@@ -917,10 +1154,16 @@ def trace_stats(
 ) -> StatsReport:
     """Aggregate detected events and census occupancy for one trace."""
     n_complete = sum(1 for e in events if e.complete)
+    samples = np.asarray(trace.samples)
+    n_open, census_counts = 0, np.zeros(n_pores + 1, dtype=np.int64)
+    if samples.size:
+        n_open, census_counts = _summary_counts(
+            samples, threshold_fraction * open_current_pa, n_pores, open_current_pa,
+            clogged_current_pa,
+        )
     open_fraction, complete_rate, partial_rate, histogram = _summary(
-        np.asarray(trace.samples), trace.duration_s, n_complete,
-        len(events) - n_complete, open_current_pa, threshold_fraction, n_pores,
-        clogged_current_pa,
+        samples.size, n_open, census_counts, trace.duration_s, n_complete,
+        len(events) - n_complete,
     )
     pairs = tuple(
         (e.duration_us, 100.0 * (1.0 - e.mean_level)) for e in events

@@ -8,12 +8,13 @@ writing.  Writers take any trace with ``sample_rate_hz``, ``len()`` and
 ``chunks()`` (float64 sample chunks), so a simulated trace is written as
 it is made.
 
-Readers return chunked traces with the same attributes, plus
-``duration_s`` and ``samples`` (the whole float64 array).  The text reader
-parses the whole file when it is opened.  The binary reader checks the
-header and the sample count when the file is opened and reads the samples
-on each ``chunks()`` pass, so a non-finite sample is reported when the
-chunk holding it is read.
+Readers return lazy traces with the same attributes, plus ``duration_s``
+and ``samples`` (the whole float64 array, for library callers).  Both
+check the header when the file is opened and read the samples on each
+``chunks()`` pass, so an error in the body (a malformed line, a
+non-finite sample) is reported by the first pass that reaches it.  A
+pass holds one chunk, not the trace; ``len()`` and ``duration_s`` of a
+text trace take one pass of their own, as its header holds no count.
 
 Text format: ASCII.  A header line ``sample_rate_hz=<integer>``, then one
 decimal pA value per line, written as ``"%.6f"`` formats it (the exact
@@ -24,8 +25,8 @@ line, stripped of whitespace, must be one finite number as ``_SAMPLE``
 spells it, else the error names its line number (the header is line 1).
 
 The text reader parses the body in blocks of ``_BLOCK`` bytes, each cut
-after its last newline, into one float64 array sized for the lines the
-writer makes (grown, if the lines are shorter, by copying).  Per block
+after its last newline, into one reused float64 buffer, and yields about
+``_READ_CHUNK`` samples at a time from it.  Per block
 it refuses a byte >= 0x80, finds the newlines, and reads each line the
 writer makes for |x| < 1e8 from two 8-byte words with integer SWAR
 arithmetic: its digits, read without the '.', are the integer
@@ -53,7 +54,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .poresim import CurrentTrace, SimulationError
+from .poresim import SimulationError
 
 MAGIC = b"MTRC"
 VERSION = 1
@@ -66,7 +67,7 @@ class TraceFormatError(ValueError):
 
 # Samples formatted per numpy pass; bounds the writer's working memory.
 _TEXT_CHUNK = 1 << 14
-# Samples per chunk the binary reader reads.
+# Samples per chunk the readers yield (the text reader: about as many).
 _READ_CHUNK = 1 << 18
 # A float64 this large has no fractional bits left to round; chunks with
 # |x * 1e6| at or past it go to Python's formatter.
@@ -227,12 +228,42 @@ def _sample_value(line: bytes, number: int) -> float | None:
     return value
 
 
-def _parse_block(buf: np.ndarray, begin: int, out: np.ndarray, line: int) -> tuple[int, int]:
-    """Parse the lines ``buf[begin:]`` (each ending in a newline, and
-    ``begin >= _PAD``) into the front of ``out``, which has room for one
-    sample per line; ``line`` is the file line number of the first.
-    Returns the samples written (blank lines are skipped) and the lines
-    read.
+class _Work:
+    """Work arrays reused across the blocks of one text pass, each grown to
+    the largest size asked for: a fresh block-sized array costs a page fault
+    per page, because the allocator hands freed memory back between
+    blocks."""
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, n: int, dtype) -> np.ndarray:
+        held = self._arrays.get(name)
+        if held is None or held.size < n:
+            held = self._arrays[name] = np.empty(n, dtype)
+        return held[:n]
+
+
+def _line_ends(buf: np.ndarray, begin: int, line: int, work: _Work) -> np.ndarray:
+    """The index of each newline in ``buf[begin:]``, whose first line is
+    file line ``line``; refuses a byte >= 0x80."""
+    body = buf[begin:]
+    if body.max(initial=0) >= 0x80:
+        bad = begin + int(np.argmax(body >= 0x80))
+        number = line + int(np.count_nonzero(buf[begin:bad] == ord("\n")))
+        raise TraceFormatError(f"trace is not ASCII: byte {buf[bad]:#x} on line {number}")
+    ends = np.flatnonzero(np.equal(body, ord("\n"), out=work("newline", body.size, bool)))
+    ends += begin
+    return ends
+
+
+def _parse_block(
+    buf: np.ndarray, begin: int, ends: np.ndarray, out: np.ndarray, line: int, work: _Work
+) -> int:
+    """Parse the lines ``buf[begin:]``, which end at the newlines ``ends``
+    (and ``begin >= _PAD``), into the front of ``out``, which has room for
+    one sample per line; ``line`` is the file line number of the first.
+    Returns the samples written (blank lines are skipped).
 
     A line of 8 to 16 bytes with '.' 7 bytes before its newline is read
     from two little-endian words: lo, its last 8 bytes with the units digit
@@ -240,42 +271,41 @@ def _parse_block(buf: np.ndarray, begin: int, out: np.ndarray, line: int) -> tup
     before the line (and a leading '-') cleared.  Each word is checked to
     hold 8 digits and read as an integer by SWAR multiplies, and the value
     is ``(hi * 10**7 + lo) / 1e6`` (exact: see the module docstring).
-    Every other line goes to ``_sample_value``.  Each step works in place,
-    because a fresh block-sized array costs a page fault per page.
+    Every other line goes to ``_sample_value``.  Each step works in place
+    or into the arrays of ``work``; only the gathered words are allocated
+    per block.
     """
-    if buf[begin:].max(initial=0) >= 0x80:
-        bad = begin + int(np.argmax(buf[begin:] >= 0x80))
-        number = line + int(np.count_nonzero(buf[begin:bad] == ord("\n")))
-        raise TraceFormatError(f"trace is not ASCII: byte {buf[bad]:#x} on line {number}")
-    ends = np.flatnonzero(buf[begin:] == ord("\n"))
-    if not ends.size:
-        return 0, 0
-    ends += begin
-    lengths = np.empty_like(ends)
+    n = ends.size
+    if not n:
+        return 0
+    lengths = work("lengths", n, np.int64)
     lengths[0] = ends[0] - begin
     np.subtract(ends[1:], ends[:-1], out=lengths[1:])
     lengths[1:] -= 1
-    words = np.ndarray((buf.size - 15,), "V16", buf, 0, (1,))[ends - 16]
+    ends -= 16
+    words = np.ndarray((buf.size - 15,), "V16", buf, 0, (1,))[ends]
+    ends += 16
     words = words.view("<u8").reshape(-1, 2)
     hi, lo = words[:, 0], words[:, 1]
     hi ^= _HI_XOR
     lo ^= _LO_XOR
     # Bits of hi below the line's first byte: a shift by 64 or more (lines
     # under 9 bytes) gives 0, and a line over 16 bytes is refused below.
-    below = lengths * -8
+    below = np.multiply(lengths, -8, out=work("below", n, np.int64))
     below += 128
     below = below.view(np.uint64)
-    work = hi >> below
-    work &= 0xFF
-    negative = work == ord("-") ^ ord("0")
+    spare = np.right_shift(hi, below, out=work("spare", n, np.uint64))
+    spare &= 0xFF
+    negative = np.equal(spare, ord("-") ^ ord("0"), out=work("negative", n, bool))
     np.add(below, 8, out=below, where=negative)
-    hi &= np.left_shift(_ONES, below, out=work)
+    hi &= np.left_shift(_ONES, below, out=spare)
     check = np.add(hi, _HI_CHECK, out=below)
-    check |= np.add(lo, _LO_CHECK, out=work)
+    check |= np.add(lo, _LO_CHECK, out=spare)
     check &= 0x8080808080808080
-    ok = check == 0
-    ok &= lengths <= 16
-    units = np.bitwise_and(lo, 0xFF, out=work)
+    ok = np.equal(check, 0, out=work("ok", n, bool))
+    flag = work("flag", n, bool)
+    ok &= np.less_equal(lengths, 16, out=flag)
+    units = np.bitwise_and(lo, 0xFF, out=spare)
     units *= 0xFF
     lo += units  # units digit from byte 0 into byte 1, the '.' slot
     words *= 2561
@@ -288,12 +318,12 @@ def _parse_block(buf: np.ndarray, begin: int, out: np.ndarray, line: int) -> tup
     words >>= 32
     hi *= 10_000_000
     hi += lo
-    held = out[: ends.size]
+    held = out[:n]
     np.divide(hi.view(np.int64), 1e6, out=held)
     np.negative(held, out=held, where=negative)
-    blank = lengths == 0
+    blank = np.equal(lengths, 0, out=work("blank", n, bool))
     ok |= blank
-    for i in np.flatnonzero(~ok).tolist():
+    for i in np.flatnonzero(np.logical_not(ok, out=flag)).tolist():
         end = int(ends[i])
         value = _sample_value(buf[end - lengths[i] : end].tobytes(), line + i)
         if value is None:
@@ -301,44 +331,88 @@ def _parse_block(buf: np.ndarray, begin: int, out: np.ndarray, line: int) -> tup
         else:
             held[i] = value
     if not blank.any():
-        return ends.size, ends.size
+        return n
     kept = held[~blank]
     out[: kept.size] = kept
-    return kept.size, ends.size
+    return kept.size
 
 
-def read_trace_text(path: str) -> CurrentTrace:
-    """Read a text trace, parsing its body a block at a time."""
+def _header_end(buf: np.ndarray) -> int:
+    """Index in the first block of ``_text_blocks`` of the newline that ends
+    the header line."""
+    return _PAD + int(np.argmax(buf[_PAD:] == ord("\n")))
+
+
+@dataclass(frozen=True)
+class TextTrace:
+    """A text trace file whose header has been checked; its body is parsed
+    on each ``chunks()`` pass, so a malformed line is reported by the first
+    pass that reaches it."""
+
+    path: str
+    sample_rate_hz: float
+
+    def __len__(self) -> int:
+        """The sample count, from one parse of the body."""
+        return sum(chunk.size for chunk in self.chunks())
+
+    @property
+    def duration_s(self) -> float:
+        return len(self) / self.sample_rate_hz
+
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The samples as float64, parsed a block at a time into one reused
+        buffer and yielded up to ``_READ_CHUNK`` at a time (a block of more
+        lines is one chunk), so each chunk is valid only until the next is
+        read; raises ``TraceFormatError`` at the first malformed line."""
+        work = _Work()
+        out = np.empty(0)
+        n = 0
+        with open(self.path, "rb") as fh:
+            blocks = _text_blocks(fh)
+            first = next(blocks, None)
+            if first is None:
+                return
+            line, begin = 2, _header_end(first) + 1
+            for buf in itertools.chain([first], blocks):
+                ends = _line_ends(buf, begin, line, work)
+                if n + ends.size > out.size:
+                    if n:
+                        yield out[:n]
+                        n = 0
+                    if ends.size > out.size:
+                        out = np.empty(max(_READ_CHUNK, ends.size))
+                n += _parse_block(buf, begin, ends, out[n:], line, work)
+                line += ends.size
+                begin = _PAD
+        if n:
+            yield out[:n]
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The whole trace as one float64 array, parsed from the file on
+        each access."""
+        return np.concatenate([np.empty(0), *(chunk.copy() for chunk in self.chunks())])
+
+
+def read_trace_text(path: str) -> TextTrace:
+    """Open a text trace: check its header line, and leave the body to be
+    parsed on each ``chunks()`` pass."""
     with open(path, "rb") as fh:
-        # Room for a written trace, whose lines take at least 9 bytes;
-        # pages never written are never resident.
-        out = np.empty(os.fstat(fh.fileno()).st_size // 8 + 1)
-        blocks = _text_blocks(fh)
-        buf = next(blocks, np.frombuffer(b"0" * _PAD + b"\n", np.uint8))
-        stop = _PAD + int(np.argmax(buf[_PAD:] == ord("\n")))
-        try:
-            header = buf[_PAD:stop].tobytes().decode("ascii").strip()
-        except UnicodeDecodeError as exc:
-            raise TraceFormatError(f"trace is not ASCII: {exc}") from exc
-        if not header.startswith("sample_rate_hz="):
-            raise TraceFormatError("missing sample_rate_hz header line")
-        try:
-            rate = int(header.split("=", 1)[1])
-        except ValueError as exc:
-            raise TraceFormatError(f"bad sample rate in header: {header!r}") from exc
-        if rate <= 0:
-            raise TraceFormatError("sample rate must be positive")
-        n, line, begin = 0, 2, stop + 1
-        for buf in itertools.chain([buf], blocks):
-            if out.size - n < buf.size - begin:  # at most a line per byte
-                grown = np.empty(max(2 * out.size, n + buf.size - begin))
-                grown[:n] = out[:n]
-                out = grown
-            samples, lines = _parse_block(buf, begin, out[n:], line)
-            n += samples
-            line += lines
-            begin = _PAD
-    return CurrentTrace(float(rate), out[:n])
+        buf = next(_text_blocks(fh), np.frombuffer(b"0" * _PAD + b"\n", np.uint8))
+    try:
+        header = buf[_PAD : _header_end(buf)].tobytes().decode("ascii").strip()
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"trace is not ASCII: {exc}") from exc
+    if not header.startswith("sample_rate_hz="):
+        raise TraceFormatError("missing sample_rate_hz header line")
+    try:
+        rate = int(header.split("=", 1)[1])
+    except ValueError as exc:
+        raise TraceFormatError(f"bad sample rate in header: {header!r}") from exc
+    if rate <= 0:
+        raise TraceFormatError("sample rate must be positive")
+    return TextTrace(path, float(rate))
 
 
 def _write_binary_chunk(fh, samples: np.ndarray, start: int) -> None:
@@ -429,7 +503,7 @@ def write_trace(trace, path: str, fmt: str) -> None:
         raise TraceFormatError(f"unknown trace format {fmt!r}")
 
 
-def read_trace(path: str) -> CurrentTrace | BinaryTrace:
+def read_trace(path: str) -> TextTrace | BinaryTrace:
     """Read a trace file, sniffing its format from the magic."""
     with open(path, "rb") as fh:
         binary = fh.read(4) == MAGIC

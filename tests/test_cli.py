@@ -572,22 +572,32 @@ def test_fuzz_argument_vectors_exit_cleanly(case):
         assert not caught
 
 
-def _simulate_peak_bytes(tmp_path, fmt, duration):
-    """Peak traced allocation of one in-process 3-pore ``simulate``."""
+def _traced_peak(*argv):
+    """Peak traced allocation of one in-process CLI run, which must succeed."""
     tracemalloc.start()
     try:
-        code = run(
-            "simulate", "--molecule", "(AC)60", "--voltage-mv", "150",
-            "--pores", "3", "--clog", "0:0.5:4", "--clog", "1:0.8:4",
-            "--duration-s", duration, "--seed", "5", "--format", fmt,
-            "--trace-out", str(tmp_path / f"{fmt}{duration}.trace"),
-            "--log-out", str(tmp_path / f"{fmt}{duration}.log"),
-        )
+        code = run(*argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
     return peak
+
+
+def _census_run(tmp_path, fmt, duration):
+    """The arguments of a 3-pore ``simulate`` with two clogs."""
+    return (
+        "simulate", "--molecule", "(AC)60", "--voltage-mv", "150",
+        "--pores", "3", "--clog", "0:0.5:4", "--clog", "1:0.8:4",
+        "--duration-s", duration, "--seed", "5", "--format", fmt,
+        "--trace-out", str(tmp_path / f"{fmt}{duration}.trace"),
+        "--log-out", str(tmp_path / f"{fmt}{duration}.log"),
+    )
+
+
+def _simulate_peak_bytes(tmp_path, fmt, duration):
+    """Peak traced allocation of one in-process 3-pore ``simulate``."""
+    return _traced_peak(*_census_run(tmp_path, fmt, duration))
 
 
 @pytest.mark.parametrize("fmt", ["binary", "text"])
@@ -613,6 +623,46 @@ def test_stats_never_holds_the_float64_trace(tmp_path):
     assert code == 0
     # 8 bytes per sample is the float64 trace alone.
     assert peak < 8 * n_samples, (peak, n_samples)
+
+
+def _analysis_peak_bytes(tmp_path, command, fmt, duration):
+    """Peak traced allocation of ``read`` with W1 settings, or of ``stats``
+    on the 3-pore run, over a trace of ``duration`` seconds, and the
+    trace's sample count."""
+    if command == "read":
+        trace = str(tmp_path / f"w1{fmt}{duration}.trace")
+        assert run(
+            "simulate", "--molecule", "A50C100", "--voltage-mv", "210",
+            "--duration-s", duration, "--seed", "1", "--format", fmt,
+            "--trace-out", trace, "--log-out", str(tmp_path / "w1.log"),
+        ) == 0
+        argv = (
+            "read", "--trace", trace, "--molecule", "A50C100", "--scheme", "A50C100",
+            "--threshold-fraction", "0.75", "--events-out", str(tmp_path / "events.csv"),
+            "--summary-out", str(tmp_path / "summary.txt"),
+            "--payload-out", str(tmp_path / "payload.txt"),
+        )
+    else:
+        assert run(*_census_run(tmp_path, fmt, duration)) == 0
+        trace = str(tmp_path / f"{fmt}{duration}.trace")
+        argv = (
+            "stats", "--trace", trace, "--voltage-mv", "150", "--pores", "3",
+            "--out", str(tmp_path / "stats.txt"),
+        )
+    return _traced_peak(*argv), len(traceio.read_trace(trace))
+
+
+@pytest.mark.parametrize(
+    "command,fmt", [("read", "binary"), ("read", "text"), ("stats", "text")]
+)
+def test_analysis_memory_flat_in_duration(tmp_path, command, fmt):
+    """``read`` and text ``stats`` hold a chunk, never the float64 trace,
+    so their peak does not grow with the trace."""
+    one_s, one_n = _analysis_peak_bytes(tmp_path, command, fmt, "1")
+    four_s, four_n = _analysis_peak_bytes(tmp_path, command, fmt, "4")
+    # 8 bytes per sample is the float64 trace alone.
+    assert one_s < 8 * one_n and four_s < 8 * four_n, (one_s, four_s)
+    assert four_s <= 1.25 * one_s, (one_s, four_s)
 
 
 def test_plan_defaults(tmp_path):

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from molstore import reader
+from molstore import poresim, reader
 from molstore.calibration import CalibrationTable
 from molstore.codec import CodecError, RunLengthScheme, decode_runlength
 from molstore.poresim import CurrentTrace, Orientation, Substate, TranslocationEvent
@@ -492,6 +492,32 @@ def test_read_station_matches_reference_loop(case, params, budget):
     _check_read(trace, open_pa, params, budget)
 
 
+# Sizes of the chunks CurrentTrace.chunks() yields (poresim._CHUNK): events
+# straddle the edges of the small ones, and of 4096 in the longer traces.
+_CHUNKS = (1, 7, 4096, 10**6)
+
+
+def _check_chunked_read(trace, open_pa, params, budget, chunk, held=None):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poresim, "_CHUNK", chunk)
+        patch.setattr(reader, "_HELD_CELLS", held or reader._HELD_CELLS)
+        _check_read(trace, open_pa, params, budget)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    case=_traces(),
+    params=_PARAMS,
+    chunk=st.sampled_from(_CHUNKS),
+    held=st.sampled_from([1, 100, None]),
+)
+def test_read_station_matches_reference_across_chunk_edges(case, params, chunk, held):
+    """Events cut at chunk edges, and held event samples classified early
+    (``_HELD_CELLS``), give the same result field for field."""
+    trace, open_pa = case
+    _check_chunked_read(trace, open_pa, params, reader._BATCH_CELLS, chunk, held)
+
+
 _DEFAULT_PARAMS = {
     "noise_sigma_pa": 5.0, "voltage_mv": 210.0, "threshold_fraction": 0.75,
     "min_duration_us": 10.0, "min_substate_us": 20.0, "floor_us": 60.0,
@@ -551,12 +577,16 @@ def test_read_station_matches_reference_on_molecules():
     trace = _station_trace(rng, events)
     for budget in (1, 150, 151, 1000, reader._BATCH_CELLS):
         _check_read(trace, 250.0, _DEFAULT_PARAMS, budget)
+    for chunk in _CHUNKS:
+        _check_chunked_read(trace, 250.0, _DEFAULT_PARAMS, reader._BATCH_CELLS, chunk, 5000)
 
 
 def test_read_station_one_event_spans_the_trace():
     trace = CurrentTrace(1e6, np.full(20_000, 0.3 * 250.0))
     for budget in (1, 999, reader._BATCH_CELLS):
         _check_read(trace, 250.0, _DEFAULT_PARAMS, budget)
+    for chunk in _CHUNKS:
+        _check_chunked_read(trace, 250.0, _DEFAULT_PARAMS, reader._BATCH_CELLS, chunk)
     result = reader.read_station(trace, 250.0, 5.0, CALIB,
                                  RunLengthScheme.from_string("A50C100"), 210.0)
     assert result.start.tolist() == [0] and result.length.tolist() == [20_000]

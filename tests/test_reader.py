@@ -572,8 +572,9 @@ def test_census_stats_matches_whole_array_reference(case):
         patch.setattr(poresim, "_CHUNK", chunk)
         stats = census_stats(CurrentTrace(1000.0, x), n_pores, open_pa, clogged_pa)
     census = _census_reference(x, n_pores, open_pa, clogged_pa)
-    assert stats.census.dtype == np.min_scalar_type(n_pores)
-    assert np.array_equal(stats.census, census)
+    series = census_series(x, n_pores, open_pa, clogged_pa)
+    assert series.dtype == np.min_scalar_type(n_pores)
+    assert np.array_equal(series, census)
     states, counts = np.unique(census.astype(np.int64), return_counts=True)
     assert stats.state_counts.shape == (n_pores + 1,)
     assert np.flatnonzero(stats.state_counts).tolist() == states.tolist()
@@ -583,14 +584,50 @@ def test_census_stats_matches_whole_array_reference(case):
     assert sorted(stats.current_means) == states.tolist()
     for k, mean in stats.current_means.items():
         assert mean == pytest.approx(np.mean(x[census == k]), rel=1e-12)
-    assert stats.rates == census_rates(stats.census, 1000.0, n_pores)
+    assert stats.rates == census_rates(series, 1000.0, n_pores)
+
+
+@st.composite
+def _chunked_rates_cases(draw):
+    """A trace whose census is drawn as _rates_cases draws it, with the
+    size of its chunks at and around one stride, ten strides (half the
+    baseline window) and census_series' own chunk."""
+    census, rate, n_pores, _, _, _ = draw(_rates_cases())
+    stride = max(1, int(rate * 1e-3))
+    if draw(st.booleans()):
+        # Long enough for the rolling baseline, with the drawn census
+        # placed anywhere in it.
+        pad = draw(st.integers(0, 40 * stride))
+        level = census[0]
+        census = np.concatenate([np.full(pad, level), census, np.full(30 * stride, level)])
+    chunk = draw(
+        st.sampled_from([1, 7, _CENSUS_CHUNK - 1, _CENSUS_CHUNK + 1])
+        | st.integers(-1, 1).map(lambda d: stride + d)
+        | st.integers(-1, 1).map(lambda d: 10 * stride + d)
+    )
+    return max(1, chunk), census.astype(np.min_scalar_type(n_pores)), rate, n_pores
+
+
+@settings(deadline=None, max_examples=200)
+@given(case=_chunked_rates_cases())
+def test_census_stats_rates_match_merge_loop_across_chunk_edges(case):
+    chunk, census, rate, n_pores = case
+    # Currents that sit exactly on census levels: 30 pA clogged, 130 pA open.
+    x = n_pores * 30.0 + census.astype(np.float64) * 100.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poresim, "_CHUNK", chunk)
+        stats = census_stats(CurrentTrace(rate, x), n_pores, 130.0, 30.0)
+    assert np.array_equal(census_series(x, n_pores, 130.0, 30.0), census)
+    assert stats.rates == _census_rates_loop(census, rate, n_pores, 0.021, 0.01, 50e-6)
 
 
 def test_census_stats_refuses_pore_counts_past_uint16():
     trace = _flat(250.0, 10)
     with pytest.raises(ReaderError, match="n_pores"):
         census_stats(trace, reader.MAX_PORES + 1, 130.0, 30.0)
-    assert census_stats(trace, reader.MAX_PORES, 130.0, 30.0).census.dtype == np.uint16
+    assert census_series(trace.samples, reader.MAX_PORES, 130.0, 30.0).dtype == np.uint16
+    stats = census_stats(trace, reader.MAX_PORES, 130.0, 30.0)
+    assert stats.state_counts.shape == (reader.MAX_PORES + 1,)
 
 
 # --- stats -------------------------------------------------------------------

@@ -57,14 +57,14 @@ def test_text_bad_header(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("rate=1000\n1.0\n")
     with pytest.raises(TraceFormatError):
-        read_trace_text(str(path))
+        read_trace_text(str(path)).samples
 
 
 def test_text_bad_sample(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("sample_rate_hz=1000\nnot-a-number\n")
     with pytest.raises(TraceFormatError):
-        read_trace_text(str(path))
+        read_trace_text(str(path)).samples
 
 
 def test_text_empty_trace(tmp_path):
@@ -93,7 +93,7 @@ def test_text_rejects_malformed_body(tmp_path, body):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"sample_rate_hz=1000\n" + body)
     with pytest.raises(TraceFormatError):
-        read_trace_text(str(path))
+        read_trace_text(str(path)).samples
 
 
 @pytest.mark.parametrize(
@@ -109,7 +109,7 @@ def test_text_rejects_non_ascii(tmp_path, content):
     path = tmp_path / "bad.txt"
     path.write_bytes(content)
     with pytest.raises(TraceFormatError, match="not ASCII"):
-        read_trace_text(str(path))
+        read_trace_text(str(path)).samples
 
 
 def test_text_skips_blank_lines(tmp_path):
@@ -247,21 +247,24 @@ _BREAKS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
         (" ", "\n"), ("1.5", "\r\n"), ("\t \x0b\x0c", "\r"), ("-0.000000", "\n"),
         ("-.5e-2", "\n"),
     ],
-    last_break=False, block=7, edge=0,
+    last_break=False, block=7, edge=0, read_chunk=2,
 )
 @given(
     lines=st.lists(st.tuples(st.one_of(_WRITTEN, _HAND_SHAPED), _BREAKS), max_size=12),
     last_break=st.booleans(),
     block=st.sampled_from([1, 7, 16, 64, None]),
     edge=st.integers(0, 40),
+    read_chunk=st.sampled_from([1, 2, 5, None]),
 )
 def test_text_reader_accepts_what_loadtxt_accepts(
-    tmp_path, monkeypatch, lines, last_break, block, edge
+    tmp_path, monkeypatch, lines, last_break, block, edge, read_chunk
 ):
     """Bodies of written and hand-shaped lines parse exactly when
     np.loadtxt parses them, to the same float64 bits, with lines across
     block edges (a short block, or the real one ``edge`` bytes into the
-    drawn lines) and a last line with or without a line break."""
+    drawn lines) and a last line with or without a line break; the
+    chunks of a pass (``read_chunk`` samples or the real size) join into
+    those values."""
     header = "sample_rate_hz=1000\n"
     body = "".join(text + brk for text, brk in lines)
     if lines and not last_break:
@@ -272,15 +275,21 @@ def test_text_reader_accepts_what_loadtxt_accepts(
         body = "250.000000\n" * rows + "0" * (filler - 11 * rows - 1) + "\n" + body
     else:
         monkeypatch.setattr(traceio, "_BLOCK", block)
+    if read_chunk is not None:
+        monkeypatch.setattr(traceio, "_READ_CHUNK", read_chunk)
     path = tmp_path / "t.txt"
     path.write_bytes((header + body).encode("ascii"))
     expected = _loadtxt_reference(path)
     if expected is None:
         with pytest.raises(TraceFormatError):
-            read_trace_text(str(path))
+            read_trace_text(str(path)).samples
         return
-    got = read_trace_text(str(path)).samples
+    trace = read_trace_text(str(path))
+    chunks = [chunk.copy() for chunk in trace.chunks()]
+    assert all(chunk.size for chunk in chunks)
+    got = np.concatenate([np.empty(0), *chunks])
     assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+    assert trace.samples.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 def test_written_lines_take_the_word_parse(tmp_path, monkeypatch):
@@ -304,8 +313,8 @@ def test_written_lines_take_the_word_parse(tmp_path, monkeypatch):
 
 
 def test_short_lines_grow_the_sample_array(tmp_path):
-    """Lines shorter than the writer's fill more samples than the file size
-    first allows for, over several blocks."""
+    """Lines shorter than the writer's, more samples than a block of the
+    writer's lines holds, parse over several blocks."""
     n = 3 * traceio._BLOCK // 2
     path = tmp_path / "t.txt"
     path.write_bytes(b"sample_rate_hz=1000\n" + b"7\n-1\n" * (n // 2))
@@ -319,7 +328,7 @@ def test_bad_sample_error_names_its_line_in_the_third_block(tmp_path):
     path = tmp_path / "t.txt"
     path.write_bytes(header + b"250.000000\n" * n_good + b"1.0 2.0\n4.0\n")
     with pytest.raises(TraceFormatError, match=rf"^bad sample value on line {n_good + 2}: "):
-        read_trace_text(str(path))
+        read_trace_text(str(path)).samples
 
 
 def test_binary_round_trip(tmp_path):
