@@ -131,7 +131,7 @@ def _cmd_simulate(args) -> int:
     result = poresim.simulate(
         molecule, config, args.duration_s, calib, seed, clogs=_parse_clogs(args.clog)
     )
-    traceio.write_trace(result.synthesized, args.trace_out, args.format)
+    traceio.write_trace(result.trace, args.trace_out, args.format)
 
     lines = _header_lines(
         "simulate", _config_items(config, molecule, args.duration_s, seed, args.clog)

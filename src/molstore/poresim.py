@@ -10,7 +10,6 @@ explicit seed so runs are reproducible bit for bit.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -141,9 +140,30 @@ class TranslocationEvent:
 _CHUNK = 1 << 18
 
 
+class ChunkedTrace:
+    """A trace made or read a chunk at a time: a subclass gives
+    ``sample_rate_hz``, ``len()`` and ``chunks()``, each pass of which yields
+    the samples as consecutive float64 chunks, each valid until the next."""
+
+    @property
+    def duration_s(self) -> float:
+        return len(self) / self.sample_rate_hz
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The whole trace as one float64 array, made from a pass over
+        ``chunks()`` on each access."""
+        samples = np.empty(len(self))
+        start = 0
+        for chunk in self.chunks():
+            samples[start : start + chunk.size] = chunk
+            start += chunk.size
+        return samples
+
+
 @dataclass(eq=False)
 class CurrentTrace:
-    """Uniformly sampled ionic current in pA."""
+    """Uniformly sampled ionic current in pA, held in memory."""
 
     sample_rate_hz: float
     samples: np.ndarray
@@ -462,7 +482,7 @@ def _sample_slice(t_start: float, t_end: float, rate: float, n: int) -> tuple[in
 
 
 @dataclass(eq=False)
-class SynthesizedTrace:
+class SynthesizedTrace(ChunkedTrace):
     """A simulated trace, produced in chunks of ``_CHUNK`` samples.
 
     Each chunk starts at the all-pores-open current and has every segment
@@ -526,20 +546,10 @@ class SynthesizedTrace:
 class SimulationResult:
     """Synthesized trace plus the ground truth that produced it."""
 
-    synthesized: SynthesizedTrace
+    trace: SynthesizedTrace
     events: tuple[PoreEvent, ...]
     clogs: dict[int, tuple[tuple[float, float], ...]] = field(default_factory=dict)
     gating: bool = False
-
-    @functools.cached_property
-    def trace(self) -> CurrentTrace:
-        """The whole trace in memory; writers stream ``synthesized`` instead."""
-        samples = np.empty(len(self.synthesized), dtype=np.float64)
-        start = 0
-        for chunk in self.synthesized.chunks():
-            samples[start : start + chunk.size] = chunk
-            start += chunk.size
-        return CurrentTrace(self.synthesized.sample_rate_hz, samples)
 
 
 def simulate(
@@ -556,8 +566,8 @@ def simulate(
     so results do not depend on the order pores are evaluated in.  Pores
     held clogged (via ``clogs`` intervals, or spontaneously while gating at
     high salt) sit at the clogged residual current and capture nothing.
-    The events are drawn here; the samples are made chunk by chunk when
-    ``result.synthesized`` is iterated or ``result.trace`` is first read.
+    The events are drawn here; the samples are made chunk by chunk on each
+    pass over ``result.trace.chunks()``.
     """
     if not 0 < duration_s < math.inf:
         raise SimulationError(f"duration_s must be finite and > 0, got {duration_s}")
@@ -596,13 +606,13 @@ def simulate(
                 (*_sample_slice(start, end, rate, n), open_pa - calib.clogged_current_pa)
             )
     cutoff_hz = None if config.bandwidth_khz is None else config.bandwidth_khz * 1e3
-    synthesized = SynthesizedTrace(
+    trace = SynthesizedTrace(
         rate, n, open_pa * config.n_pores, segments, config.noise_sigma_pa, seed, cutoff_hz
     )
 
     all_events.sort(key=lambda pe: (pe.event.t_start_s, pe.pore))
     return SimulationResult(
-        synthesized=synthesized,
+        trace=trace,
         events=tuple(all_events),
         clogs=clog_map,
         gating=gating,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .codec import (
     decode_runlength,
 )
 from .poresim import (
+    ChunkedTrace,
     CurrentTrace,
     Orientation,
     Substate,
@@ -86,27 +87,10 @@ class Incomplete:
 EventClass = Union[BiLevel, MonoLevel, Incomplete]
 
 
-@dataclass(frozen=True)
-class OrientationCall:
-    """Orientation decision plus a depth-consistency annotation.
-
-    ``depth_consistent`` reports whether the absolute levels sit nearer the
-    calibrated pair for the decided orientation than the alternative; the
-    ordering rule alone decides the orientation.
-    """
-
-    orientation: Orientation
-    depth_consistent: bool | None = None
-
-
-def complete_duration_floor_us(
-    voltage_mv: float,
-    n_bases: int,
-    calib: CalibrationTable,
-    factor: float = 0.4,
-) -> float:
-    """Duration below which an event counts as an incomplete translocation."""
-    return factor * mean_duration(voltage_mv, n_bases, calib)
+def complete_duration_floor_us(voltage_mv: float, n_bases: int, calib: CalibrationTable) -> float:
+    """Duration below which an event counts as an incomplete translocation:
+    0.4 of the mean translocation duration."""
+    return 0.4 * mean_duration(voltage_mv, n_bases, calib)
 
 
 def _detection_threshold(open_current_pa: float, threshold_fraction: float) -> float:
@@ -188,7 +172,7 @@ def _grown(work: np.ndarray, n: int) -> np.ndarray:
 
 
 def detect_events(
-    trace: CurrentTrace,
+    trace: CurrentTrace | ChunkedTrace,
     open_current_pa: float,
     threshold_fraction: float = 0.5,
     min_duration_us: float = 10.0,
@@ -197,13 +181,14 @@ def detect_events(
 
     Event boundaries sit at the threshold crossings; runs shorter than
     ``min_duration_us`` are rejected as noise spikes.  Events are disjoint
-    and time ordered.  An empty trace yields an empty list.
+    and time ordered.  An empty trace yields an empty list.  One pass over
+    ``trace.chunks()``, as read_station makes.
     """
     rate = trace.sample_rate_hz
     threshold = _detection_threshold(open_current_pa, threshold_fraction)
     events = []
     for offset, chunk, starts, ends, carried in _event_runs(
-        [np.asarray(trace.samples)], threshold, min_duration_us * 1e-6 * rate
+        trace.chunks(), threshold, min_duration_us * 1e-6 * rate
     ):
         if carried is not None:
             start, samples = carried
@@ -357,43 +342,22 @@ def to_translocation_event(
     )
 
 
-def _orientation_codes(first, second, tie_tolerance: float) -> np.ndarray:
+def _orientation_codes(first, second) -> np.ndarray:
     """ORIENTATIONS index of each bi-level (first, second) level pair."""
     return np.where(
-        np.abs(first - second) <= tie_tolerance, 0, np.where(first > second, 1, 2)
+        np.abs(first - second) <= TIE_TOLERANCE, 0, np.where(first > second, 1, 2)
     ).astype(np.int8)
 
 
-def infer_orientation(
-    cls: BiLevel,
-    calib: CalibrationTable,
-    tie_tolerance: float = TIE_TOLERANCE,
-) -> OrientationCall:
+def infer_orientation(cls: BiLevel) -> Orientation:
     """Decide entry direction for the A-then-C two-segment molecule family.
 
     The shallower-blocking (C) segment leading in time marks 3'-first
     entry, so first_level > second_level decides ThreePrimeFirst and the
-    reverse decides FivePrimeFirst; levels equal within ``tie_tolerance``
-    are Unknown.  The absolute depths are also compared against the two
-    calibrated level pairs by nearest-pair distance as a consistency
-    annotation; the ordering rule alone decides.
+    reverse decides FivePrimeFirst; levels equal within ``TIE_TOLERANCE``
+    are Unknown.
     """
-    first, second = cls.first_level, cls.second_level
-    orientation = ORIENTATIONS[_orientation_codes(first, second, tie_tolerance)]
-    if orientation is Orientation.UNKNOWN:
-        return OrientationCall(Orientation.UNKNOWN, None)
-
-    consistent: bool | None = None
-    three = (calib.level_for("C", "3prime"), calib.level_for("A", "3prime"))
-    five = (calib.level_for("A", "5prime"), calib.level_for("C", "5prime"))
-    if all(three) and all(five):
-        d_three = math.hypot(first - three[0].mean, second - three[1].mean)
-        d_five = math.hypot(first - five[0].mean, second - five[1].mean)
-        nearest = (
-            Orientation.THREE_PRIME_FIRST if d_three <= d_five else Orientation.FIVE_PRIME_FIRST
-        )
-        consistent = nearest is orientation
-    return OrientationCall(orientation, consistent)
+    return ORIENTATIONS[_orientation_codes(cls.first_level, cls.second_level)]
 
 
 def _first_min(cost: np.ndarray, candidates: Sequence[int]) -> np.ndarray:
@@ -470,14 +434,6 @@ def _segment_layouts(
     return bases, counts
 
 
-def _segments(bases: Sequence[str], counts: Sequence[float]) -> list[tuple[Nucleotide, int]]:
-    return [(Nucleotide(base), int(count)) for base, count in zip(bases, counts)]
-
-
-def segments_to_sequence(segments: Sequence[tuple[Nucleotide, int]]) -> BaseSequence:
-    return BaseSequence("".join(base.value * count for base, count in segments))
-
-
 Decoded = Union[tuple, CodecError, ReaderError, None]
 
 
@@ -520,10 +476,11 @@ def _decode_bilevels(
         for i, layout in zip(picked.tolist(), zip(*bases.T.tolist(), *counts.T.tolist())):
             if layout not in memo:
                 half = len(layout) // 2
-                segments = _segments(layout[:half], layout[half:])
+                pairs = zip(layout[:half], layout[half:])
+                sequence = "".join(Nucleotide(base).value * int(n) for base, n in pairs)
                 try:
                     memo[layout] = tuple(
-                        decode_runlength(segments_to_sequence(segments), scheme, tolerance)
+                        decode_runlength(BaseSequence(sequence), scheme, tolerance)
                     )
                 except CodecError as exc:
                     memo[layout] = exc
@@ -537,7 +494,6 @@ def decode_event(
     calib: CalibrationTable,
     voltage_mv: float,
     tolerance: float = 0.45,
-    tie_tolerance: float = TIE_TOLERANCE,
 ) -> list[int]:
     """Full per-event pipeline: orient, recover bases, run-length decode.
 
@@ -554,7 +510,7 @@ def decode_event(
     )
     (outcome,) = _decode_bilevels(
         first, second, first_us, second_us,
-        _orientation_codes(first, second, tie_tolerance),
+        _orientation_codes(first, second),
         scheme, calib, voltage_mv, tolerance,
     )
     if isinstance(outcome, Exception):
@@ -639,7 +595,7 @@ class ReadResult:
 
 
 def read_station(
-    trace: CurrentTrace,
+    trace: CurrentTrace | ChunkedTrace,
     open_current_pa: float,
     noise_sigma_pa: float,
     calib: CalibrationTable,
@@ -679,6 +635,7 @@ def read_station(
         raise ReaderError(f"voltage_mv must be finite, got {voltage_mv}")
     rate = trace.sample_rate_hz
     threshold = _detection_threshold(open_current_pa, threshold_fraction)
+    _census_scale(n_pores, open_current_pa, calib.clogged_current_pa)
     noise_sigma_norm = noise_sigma_pa / open_current_pa
     n_samples = n_open = n_events = 0
     census_counts = np.zeros(n_pores + 1, dtype=np.int64)
@@ -745,7 +702,7 @@ def read_station(
     orientation = np.zeros(len(starts), dtype=np.int8)
     decoded: list[Decoded] = [None] * len(starts)
     bi = np.flatnonzero(kind == BILEVEL)
-    orientation[bi] = _orientation_codes(first[bi], second[bi], TIE_TOLERANCE)
+    orientation[bi] = _orientation_codes(first[bi], second[bi])
     bi_decoded = _decode_bilevels(
         first[bi], second[bi], first_us[bi], second_us[bi], orientation[bi],
         scheme, calib, voltage_mv, tolerance,
@@ -1145,29 +1102,32 @@ def _summary(
 
 
 def trace_stats(
-    trace: CurrentTrace,
+    trace: CurrentTrace | ChunkedTrace,
     events: Sequence[TranslocationEvent],
     open_current_pa: float,
     threshold_fraction: float = 0.5,
     n_pores: int = 1,
     clogged_current_pa: float = 30.0,
 ) -> StatsReport:
-    """Aggregate detected events and census occupancy for one trace."""
-    n_complete = sum(1 for e in events if e.complete)
-    samples = np.asarray(trace.samples)
-    n_open, census_counts = 0, np.zeros(n_pores + 1, dtype=np.int64)
-    if samples.size:
-        n_open, census_counts = _summary_counts(
-            samples, threshold_fraction * open_current_pa, n_pores, open_current_pa,
+    """Aggregate detected events and census occupancy for one trace, whose
+    summary counts are taken in one pass over ``trace.chunks()``."""
+    _census_scale(n_pores, open_current_pa, clogged_current_pa)
+    n_samples = n_open = 0
+    census_counts = np.zeros(n_pores + 1, dtype=np.int64)
+    for chunk in trace.chunks():
+        chunk_open, chunk_counts = _summary_counts(
+            chunk, threshold_fraction * open_current_pa, n_pores, open_current_pa,
             clogged_current_pa,
         )
+        n_samples += chunk.size
+        n_open += chunk_open
+        census_counts += chunk_counts
+    n_complete = sum(1 for e in events if e.complete)
     open_fraction, complete_rate, partial_rate, histogram = _summary(
-        samples.size, n_open, census_counts, trace.duration_s, n_complete,
+        n_samples, n_open, census_counts, n_samples / trace.sample_rate_hz, n_complete,
         len(events) - n_complete,
     )
-    pairs = tuple(
-        (e.duration_us, 100.0 * (1.0 - e.mean_level)) for e in events
-    )
+    pairs = tuple((e.duration_us, 100.0 * (1.0 - e.mean_level)) for e in events)
     return StatsReport(
         open_fraction=open_fraction,
         complete_rate=complete_rate,

@@ -8,13 +8,13 @@ writing.  Writers take any trace with ``sample_rate_hz``, ``len()`` and
 ``chunks()`` (float64 sample chunks), so a simulated trace is written as
 it is made.
 
-Readers return lazy traces with the same attributes, plus ``duration_s``
-and ``samples`` (the whole float64 array, for library callers).  Both
-check the header when the file is opened and read the samples on each
-``chunks()`` pass, so an error in the body (a malformed line, a
+Readers return a lazy ``poresim.ChunkedTrace``, as ``simulate`` does.
+Both check the header when the file is opened and read the samples on
+each ``chunks()`` pass, so an error in the body (a malformed line, a
 non-finite sample) is reported by the first pass that reaches it.  A
-pass holds one chunk, not the trace; ``len()`` and ``duration_s`` of a
-text trace take one pass of their own, as its header holds no count.
+pass holds one chunk, not the trace; ``len()`` of a text trace, and so
+its ``duration_s`` and ``samples``, takes a pass of its own, as its
+header holds no count.
 
 Text format: ASCII.  A header line ``sample_rate_hz=<integer>``, then one
 decimal pA value per line, written as ``"%.6f"`` formats it (the exact
@@ -54,7 +54,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .poresim import SimulationError
+from .poresim import ChunkedTrace, SimulationError
 
 MAGIC = b"MTRC"
 VERSION = 1
@@ -344,7 +344,7 @@ def _header_end(buf: np.ndarray) -> int:
 
 
 @dataclass(frozen=True)
-class TextTrace:
+class TextTrace(ChunkedTrace):
     """A text trace file whose header has been checked; its body is parsed
     on each ``chunks()`` pass, so a malformed line is reported by the first
     pass that reaches it."""
@@ -355,10 +355,6 @@ class TextTrace:
     def __len__(self) -> int:
         """The sample count, from one parse of the body."""
         return sum(chunk.size for chunk in self.chunks())
-
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate_hz
 
     def chunks(self) -> Iterator[np.ndarray]:
         """The samples as float64, parsed a block at a time into one reused
@@ -387,12 +383,6 @@ class TextTrace:
                 begin = _PAD
         if n:
             yield out[:n]
-
-    @property
-    def samples(self) -> np.ndarray:
-        """The whole trace as one float64 array, parsed from the file on
-        each access."""
-        return np.concatenate([np.empty(0), *(chunk.copy() for chunk in self.chunks())])
 
 
 def read_trace_text(path: str) -> TextTrace:
@@ -428,7 +418,7 @@ def write_trace_binary(trace, path: str) -> None:
 
 
 @dataclass(frozen=True)
-class BinaryTrace:
+class BinaryTrace(ChunkedTrace):
     """A binary trace file whose header has been checked; its samples are
     read on each ``chunks()`` pass."""
 
@@ -439,13 +429,10 @@ class BinaryTrace:
     def __len__(self) -> int:
         return self.n_samples
 
-    @property
-    def duration_s(self) -> float:
-        return self.n_samples / self.sample_rate_hz
-
-    def _stored_chunks(self) -> Iterator[np.ndarray]:
-        """The samples as stored (float32), ``_READ_CHUNK`` at a time in one
-        reused buffer; raises ``TraceFormatError`` on a non-finite sample."""
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The samples as float64, ``_READ_CHUNK`` at a time, read from the
+        file through one reused float32 buffer; raises ``TraceFormatError``
+        on a non-finite sample."""
         buffer = np.empty(min(self.n_samples, _READ_CHUNK), dtype="<f4")
         with open(self.path, "rb") as fh:
             fh.seek(_HEADER.size)
@@ -454,24 +441,7 @@ class BinaryTrace:
                 if fh.readinto(part) != part.nbytes:
                     raise TraceFormatError(f"truncated samples at index {start}")
                 _refuse_non_finite(part, start)
-                yield part
-
-    def chunks(self) -> Iterator[np.ndarray]:
-        """The samples as float64, ``_READ_CHUNK`` at a time, read from the
-        file; raises ``TraceFormatError`` on a non-finite sample."""
-        for part in self._stored_chunks():
-            yield part.astype(np.float64)
-
-    @property
-    def samples(self) -> np.ndarray:
-        """The whole trace as one float64 array, read from the file on
-        each access."""
-        samples = np.empty(self.n_samples, dtype=np.float64)
-        start = 0
-        for part in self._stored_chunks():
-            samples[start : start + part.size] = part
-            start += part.size
-        return samples
+                yield part.astype(np.float64)
 
 
 def read_trace_binary(path: str) -> BinaryTrace:

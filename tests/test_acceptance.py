@@ -266,7 +266,7 @@ def test_criterion_8_end_to_end_round_trip(station_run):
         cls = classify_event(det, noise_norm, 20.0, floor)
         if not isinstance(cls, BiLevel):
             continue
-        if infer_orientation(cls, CALIB).orientation is Orientation.UNKNOWN:
+        if infer_orientation(cls) is Orientation.UNKNOWN:
             continue
         decodable += 1
         try:

@@ -418,7 +418,7 @@ def test_simulate_independent_of_chunk_size(seed, noise, bandwidth, chunk):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(poresim, "_CHUNK", chunk)
         chunked = simulate(MOLECULE, config, 0.03, _BUSY, seed, clogs)
-        pieces = [c.size for c in chunked.synthesized.chunks()]
+        pieces = [c.size for c in chunked.trace.chunks()]
         samples = chunked.trace.samples
     assert pieces == [min(chunk, 3000 - i) for i in range(0, 3000, chunk)]
     assert samples.tobytes() == reference.trace.samples.tobytes()
@@ -434,7 +434,7 @@ def test_chunk_invariance_covers_overlapping_pores():
 
 def test_synthesized_trace_is_reiterable():
     config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=100_000, n_pores=2)
-    synthesized = simulate(MOLECULE, config, 0.2, _BUSY, seed=8).synthesized
+    synthesized = simulate(MOLECULE, config, 0.2, _BUSY, seed=8).trace
     first = np.concatenate(list(synthesized.chunks()))
     second = np.concatenate(list(synthesized.chunks()))
     assert len(synthesized) == first.size == 20_000

@@ -10,6 +10,7 @@ or refusals, and the summary counts.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Sequence
 from unittest import mock
 
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 from molstore import poresim, reader
 from molstore.calibration import CalibrationTable
-from molstore.codec import CodecError, RunLengthScheme, decode_runlength
+from molstore.codec import BaseSequence, CodecError, RunLengthScheme, decode_runlength
 from molstore.poresim import CurrentTrace, Orientation, Substate, TranslocationEvent
 from molstore.reader import (
     BiLevel,
@@ -28,12 +29,10 @@ from molstore.reader import (
     EventClass,
     Incomplete,
     MonoLevel,
-    OrientationCall,
     OrientationUnknownError,
     ReaderError,
     StatsReport,
     census_series,
-    segments_to_sequence,
 )
 from molstore.codec import Nucleotide
 
@@ -41,6 +40,23 @@ CALIB = CalibrationTable()
 
 
 # --- reference: the per-event path, unchanged -------------------------------
+
+
+@dataclass(frozen=True)
+class OrientationCall:
+    """Orientation decision plus a depth-consistency annotation.
+
+    ``depth_consistent`` reports whether the absolute levels sit nearer the
+    calibrated pair for the decided orientation than the alternative; the
+    ordering rule alone decides the orientation.
+    """
+
+    orientation: Orientation
+    depth_consistent: bool | None = None
+
+
+def segments_to_sequence(segments: Sequence[tuple[Nucleotide, int]]) -> BaseSequence:
+    return BaseSequence("".join(base.value * count for base, count in segments))
 
 
 def _ref_detect_events(

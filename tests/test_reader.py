@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from molstore import poresim, reader
+from molstore import poresim, reader, traceio
 from molstore.calibration import CalibrationTable, ChannelConfig
 from molstore.codec import RunLengthScheme
 from molstore.poresim import (
@@ -190,28 +192,26 @@ def test_complete_duration_floor():
 
 
 def test_orientation_three_prime_first():
-    call = infer_orientation(BiLevel(0.37, 0.17, 100.0, 50.0), CALIB)
-    assert call.orientation is Orientation.THREE_PRIME_FIRST
-    assert call.depth_consistent is True
+    orientation = infer_orientation(BiLevel(0.37, 0.17, 100.0, 50.0))
+    assert orientation is Orientation.THREE_PRIME_FIRST
 
 
 def test_orientation_five_prime_first():
-    call = infer_orientation(BiLevel(0.12, 0.20, 50.0, 100.0), CALIB)
-    assert call.orientation is Orientation.FIVE_PRIME_FIRST
-    assert call.depth_consistent is True
+    orientation = infer_orientation(BiLevel(0.12, 0.20, 50.0, 100.0))
+    assert orientation is Orientation.FIVE_PRIME_FIRST
 
 
 def test_orientation_tie_unknown():
-    call = infer_orientation(BiLevel(0.25, 0.25, 70.0, 70.0), CALIB)
-    assert call.orientation is Orientation.UNKNOWN
+    orientation = infer_orientation(BiLevel(0.25, 0.25, 70.0, 70.0))
+    assert orientation is Orientation.UNKNOWN
 
 
 def test_orientation_antisymmetric():
     rng = np.random.default_rng(8)
     for _ in range(200):
         a, b = rng.uniform(0.05, 0.6, size=2)
-        fwd = infer_orientation(BiLevel(a, b, 50.0, 50.0), CALIB).orientation
-        rev = infer_orientation(BiLevel(b, a, 50.0, 50.0), CALIB).orientation
+        fwd = infer_orientation(BiLevel(a, b, 50.0, 50.0))
+        rev = infer_orientation(BiLevel(b, a, 50.0, 50.0))
         if fwd is Orientation.UNKNOWN:
             assert rev is Orientation.UNKNOWN
         else:
@@ -221,11 +221,10 @@ def test_orientation_antisymmetric():
             }
 
 
-def test_orientation_depth_inconsistency_annotated():
-    # ordering says 3'-first, but depths sit nearer the 5'-first pair
-    call = infer_orientation(BiLevel(0.21, 0.115, 100.0, 50.0), CALIB)
-    assert call.orientation is Orientation.THREE_PRIME_FIRST
-    assert call.depth_consistent is False
+def test_orientation_ordering_decides_against_depths():
+    # ordering says 3'-first, though the depths sit nearer the 5'-first pair
+    orientation = infer_orientation(BiLevel(0.21, 0.115, 100.0, 50.0))
+    assert orientation is Orientation.THREE_PRIME_FIRST
 
 
 # --- base recovery -----------------------------------------------------------
@@ -245,7 +244,7 @@ def _recover_bases(substates, orientation, voltage_mv):
         np.array([[duration for _, duration in substates]]),
         orientation, CALIB, voltage_mv,
     )
-    return reader._segments(bases[0].tolist(), counts[0].tolist())
+    return [(base, int(count)) for base, count in zip(bases[0].tolist(), counts[0].tolist())]
 
 
 def test_recover_bases_three_prime_first():
@@ -644,6 +643,91 @@ def test_trace_stats_zero_events():
 def test_trace_stats_empty_trace():
     stats = trace_stats(CurrentTrace(RATE, np.empty(0)), [], 250.0)
     assert stats.open_fraction == 1.0
+
+
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("n_pores", [0, -3, reader.MAX_PORES + 1])
+def test_summary_refuses_impossible_pore_counts_before_reading(n, n_pores):
+    """An impossible census is refused whether or not the trace holds a
+    sample, before any per-state counter is made."""
+    trace = _flat(250.0, n)
+    scheme = RunLengthScheme.from_string("A50C100")
+    with pytest.raises(ReaderError, match="n_pores"):
+        trace_stats(trace, [], 250.0, n_pores=n_pores)
+    with pytest.raises(ReaderError, match="n_pores"):
+        reader.read_station(trace, 250.0, 5.0, CALIB, scheme, 210.0, n_pores=n_pores)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_summary_refuses_open_current_below_clogged(n):
+    trace = _flat(250.0, n)
+    scheme = RunLengthScheme.from_string("A50C100")
+    with pytest.raises(ReaderError, match="exceed clogged"):
+        trace_stats(trace, [], 20.0, clogged_current_pa=30.0)
+    with pytest.raises(ReaderError, match="exceed clogged"):
+        reader.read_station(trace, CALIB.clogged_current_pa / 2, 5.0, CALIB, scheme, 210.0)
+
+
+def _stepped_trace(n=6000):
+    """A single-pore trace of rectangular two-level dips with noise, in
+    steps of 1/64 pA: every sample is exact in float32 and in 6 decimals."""
+    rng = np.random.default_rng(41)
+    x = np.full(n, 250.0)
+    start = 37
+    while start < n - 400:
+        first, second = rng.integers(20, 200, size=2)
+        x[start : start + first] = 0.37 * 250.0
+        x[start + first : start + first + second] = 0.17 * 250.0
+        start += first + second + int(rng.integers(5, 300))
+    x += rng.normal(0.0, 5.0, n)
+    return CurrentTrace(RATE, np.round(x * 64.0) / 64.0)
+
+
+def _summaries(trace):
+    detected = detect_events(trace, 250.0, threshold_fraction=0.75)
+    events = [to_translocation_event(d, classify_event(d, 0.02)) for d in detected]
+    found = [(d.t_start_s, d.levels.tobytes(), d.sample_rate_hz) for d in detected]
+    return found, trace_stats(trace, events, 250.0, 0.75, n_pores=2)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_detect_and_stats_equal_on_every_trace_kind(tmp_path, monkeypatch, chunk):
+    """A text and a binary trace, read in chunks that events straddle, give
+    the events and summary of the samples held in memory."""
+    held = _stepped_trace()
+    text, binary = str(tmp_path / "t.txt"), str(tmp_path / "t.bin")
+    traceio.write_trace_text(held, text)
+    traceio.write_trace_binary(held, binary)
+    monkeypatch.setattr(traceio, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(traceio, "_BLOCK", 64)
+    text_trace, binary_trace = traceio.read_trace(text), traceio.read_trace(binary)
+    # A 64-byte block holds under 8 lines of 10 bytes or more.
+    assert max(c.size for c in text_trace.chunks()) < max(chunk + 1, 8)
+    assert max(c.size for c in binary_trace.chunks()) == chunk
+    want = _summaries(CurrentTrace(RATE, binary_trace.samples))
+    assert len(want[0]) > 10
+    assert np.array_equal(text_trace.samples, held.samples)
+    assert _summaries(text_trace) == want
+    assert _summaries(binary_trace) == want
+    assert _summaries(held) == want
+
+
+def test_trace_stats_never_holds_the_float64_trace(tmp_path):
+    config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=1_000_000)
+    result = simulate(MoleculeSpec.from_string("A50C100"), config, 2.0, CALIB, seed=3)
+    path = str(tmp_path / "t.bin")
+    traceio.write_trace_binary(result.trace, path)
+    trace = traceio.read_trace(path)
+    open_pa = open_current(210.0, 1.0, CALIB)
+    tracemalloc.start()
+    try:
+        stats = trace_stats(trace, [], open_pa, 0.75)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(stats.pore_census_histogram.values()) == len(trace) == 2_000_000
+    # 8 bytes per sample is the float64 trace alone.
+    assert peak < 8 * len(trace), peak
 
 
 def test_trace_stats_rate_identity_and_pairs():

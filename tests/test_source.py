@@ -1,0 +1,86 @@
+"""Guards on the molstore source itself: annotations that resolve, and no
+analysis path that reads a whole trace as one array."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+import typing
+from pathlib import Path
+
+import molstore
+
+SOURCE = Path(molstore.__file__).resolve().parent
+# The classes that hold or make a whole-trace array: the in-memory trace,
+# and the base that builds ``samples`` from a chunked trace's chunks.
+WHOLE_ARRAY_CLASSES = {"ChunkedTrace", "CurrentTrace"}
+
+
+def _modules():
+    return [
+        importlib.import_module(f"molstore.{info.name}")
+        for info in pkgutil.iter_modules([str(SOURCE)])
+    ]
+
+
+def _annotated(module):
+    """(name, object) of every function, class and method ``module``
+    defines, with a property's getter standing for the property."""
+    for name, value in vars(module).items():
+        if not (inspect.isfunction(value) or inspect.isclass(value)):
+            continue
+        if value.__module__ != module.__name__:
+            continue
+        yield name, value
+        if inspect.isclass(value):
+            for attr, member in vars(value).items():
+                if isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+
+
+def test_every_annotation_resolves():
+    unresolved = []
+    for module in _modules():
+        for name, value in _annotated(module):
+            try:
+                typing.get_type_hints(value)
+            except Exception as exc:  # a NameError, or a bad annotation
+                unresolved.append(f"{module.__name__}.{name}: {exc!r}")
+    assert not unresolved
+
+
+class _SamplesReads(ast.NodeVisitor):
+    """Reads of an attribute named ``samples`` outside WHOLE_ARRAY_CLASSES."""
+
+    def __init__(self) -> None:
+        self.classes: list[str] = []
+        self.found: list[int] = []
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self.classes.append(node.name)
+        self.generic_visit(node)
+        self.classes.pop()
+
+    def visit_Attribute(self, node: ast.Attribute) -> None:
+        if (
+            node.attr == "samples"
+            and isinstance(node.ctx, ast.Load)
+            and not WHOLE_ARRAY_CLASSES.intersection(self.classes)
+        ):
+            self.found.append(node.lineno)
+        self.generic_visit(node)
+
+
+def test_no_code_reads_a_whole_trace_array():
+    """Analysis reads ``trace.chunks()``; only the whole-array classes read
+    ``.samples``, so no path holds the float64 trace again."""
+    files = sorted(SOURCE.glob("*.py"))
+    assert files
+    reads = []
+    for path in files:
+        visitor = _SamplesReads()
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        reads += [f"{path.name}:{line}" for line in visitor.found]
+    assert not reads

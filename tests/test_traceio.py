@@ -430,7 +430,7 @@ def test_streamed_trace_writes_held_trace_bytes(tmp_path, monkeypatch, fmt):
     config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=100_000, n_pores=2)
     result = simulate(MoleculeSpec.from_string("A50C100"), config, 0.1, CalibrationTable(), 6)
     streamed, held = tmp_path / "streamed", tmp_path / "held"
-    write_trace(result.synthesized, str(streamed), fmt)
+    write_trace(result.trace, str(streamed), fmt)
     write_trace(CurrentTrace(100_000.0, result.trace.samples.copy()), str(held), fmt)
     assert streamed.read_bytes() == held.read_bytes()
     assert len(read_trace(str(streamed))) == 10_000
