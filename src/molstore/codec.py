@@ -8,6 +8,7 @@ homopolymer stretch of a fixed base and nominal length.
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -167,12 +168,13 @@ def encode_runlength(bits: Sequence[int], scheme: RunLengthScheme) -> BaseSequen
     return BaseSequence("".join(parts))
 
 
-def decode_runlength(
-    seq: BaseSequence, scheme: RunLengthScheme, tolerance: float
+def decode_runs(
+    runs: Iterable[tuple[str, int]], scheme: RunLengthScheme, tolerance: float
 ) -> list[int]:
-    """Recover bits from homopolymer runs by nearest-nominal matching.
+    """Recover bits from homopolymer runs, given in order as (base, length),
+    by nearest-nominal matching; adjacent runs of one base merge first.
 
-    Each maximal run of a scheme base is matched to the nearest integer
+    Each run of a scheme base is matched to the nearest integer
     multiple k of its nominal run length (adjacent equal bits merge into a
     single physical run, so a run may carry several symbols).  The run is
     accepted when its length is within ``tolerance`` (relative) of
@@ -186,7 +188,8 @@ def decode_runlength(
         raise CodecError(f"tolerance must be in [0, 1), got {tolerance}")
     nominal = {scheme.zero_base: (0, scheme.zero_run), scheme.one_base: (1, scheme.one_run)}
     out: list[int] = []
-    for index, (base, length) in enumerate(seq.runs()):
+    for index, (base, group) in enumerate(itertools.groupby(runs, key=lambda run: run[0])):
+        length = sum(n for _, n in group)
         if base not in nominal:
             raise AlphabetError(
                 f"run {index}: base {base} is not part of the scheme", run_index=index
@@ -201,6 +204,11 @@ def decode_runlength(
             )
         out.extend([bit] * k)
     return out
+
+
+def decode_runlength(seq: BaseSequence, scheme: RunLengthScheme, tolerance: float) -> list[int]:
+    """:func:`decode_runs` of the maximal runs of ``seq``."""
+    return decode_runs(seq.runs(), scheme, tolerance)
 
 
 def read_payload(text: str) -> list[int]:

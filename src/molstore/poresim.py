@@ -51,6 +51,9 @@ class Orientation(str, enum.Enum):
 
 
 _MOLECULE_TOKEN = re.compile(r"\(([ACGT]+)\)(\d+)|([ACGT])(\d*)")
+# The most bases a molecule spec may expand to: a 10^6-base molecule takes
+# ~1 s to pass the pore at the default calibration's reference bias.
+MAX_MOLECULE_BASES = 10**6
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,7 @@ class MoleculeSpec:
         text = text.strip().upper()
         pos = 0
         bases: list[str] = []
+        n_bases = 0
         while pos < len(text):
             m = _MOLECULE_TOKEN.match(text, pos)
             if not m:
@@ -86,6 +90,11 @@ class MoleculeSpec:
             unit, count = m.group(1) or m.group(3), int(m.group(2) or m.group(4) or "1")
             if count < 1:
                 raise SimulationError(f"bad molecule spec {text!r}: count 0 at position {pos}")
+            n_bases += len(unit) * count
+            if n_bases > MAX_MOLECULE_BASES:
+                raise SimulationError(
+                    f"molecule spec {text!r} has more than {MAX_MOLECULE_BASES} bases"
+                )
             bases.append(unit * count)
             pos = m.end()
         return cls.from_sequence(BaseSequence("".join(bases)))

@@ -18,13 +18,7 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .calibration import CalibrationTable
-from .codec import (
-    BaseSequence,
-    CodecError,
-    Nucleotide,
-    RunLengthScheme,
-    decode_runlength,
-)
+from .codec import CodecError, RunLengthScheme, decode_runs
 from .poresim import (
     ChunkedTrace,
     CurrentTrace,
@@ -100,6 +94,17 @@ def _detection_threshold(open_current_pa: float, threshold_fraction: float) -> f
     if not 0.0 < threshold_fraction < 1.0:
         raise ReaderError("threshold_fraction must be in (0, 1)")
     return threshold_fraction * open_current_pa
+
+
+def _check_voltage(voltage_mv: float, calib: CalibrationTable) -> None:
+    """Refuse a bias outside the calibration's IV table: nothing is
+    calibrated there, and a huge bias shrinks the per-base dwell until base
+    counts overflow."""
+    low, high = calib.iv_points[0][0], calib.iv_points[-1][0]
+    if not low <= voltage_mv <= high:
+        raise ReaderError(
+            f"voltage_mv: {voltage_mv:g} outside tabulated range [{low:g}, {high:g}]"
+        )
 
 
 def _event_runs(
@@ -360,46 +365,25 @@ def infer_orientation(cls: BiLevel) -> Orientation:
     return ORIENTATIONS[_orientation_codes(cls.first_level, cls.second_level)]
 
 
-def _first_min(cost: np.ndarray, candidates: Sequence[int]) -> np.ndarray:
-    """Per row, the candidate column ``min(candidates, key=row.__getitem__)``
-    picks: the first least cost, and the first candidate if its cost is NaN."""
-    rows = np.arange(len(cost))
-    best = np.full(len(cost), candidates[0])
-    for p in candidates[1:]:
-        best = np.where(cost[:, p] < cost[rows, best], p, best)
-    return best
-
-
 def _assign_bases(levels: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Minimum total |level - mean| assignment with adjacent bases distinct.
+    """Minimum total |level - mean| assignment of two substates' bases,
+    with the two distinct.
 
-    ``levels`` holds one event's substate levels per row; the result holds
-    the index into ``means`` of each substate's base.  A recovered molecule
-    is a segment layout, and adjacent segments always carry distinct bases,
-    so the assignment is solved jointly under that constraint (dynamic
-    program over substates).  Independent per-substate nearest-mean would
-    merge adjacent segments whenever one level strays toward the other
-    base's mean; the joint assignment fails only when the levels misrank
-    the segments.
+    ``levels`` holds one event's first and second substate levels per row;
+    the result holds the index into ``means`` of each substate's base.  A
+    recovered molecule is a segment layout, and adjacent segments always
+    carry distinct bases, so the pair is assigned jointly: each second base
+    takes the least-cost first base among the others (the only base, when
+    there is one), and the pair of least total cost wins, the first on a
+    tie.  Independent per-substate nearest-mean would merge the segments
+    whenever one level strays toward the other base's mean; the joint
+    assignment fails only when the levels misrank the segments.
     """
-    rows = np.arange(len(levels))
-    n_bases = len(means)
-    cost = np.abs(levels[:, :1] - means)
-    back = []
-    for column in range(1, levels.shape[1]):
-        prev = np.stack(
-            [
-                _first_min(cost, [p for p in range(n_bases) if p != b] or range(n_bases))
-                for b in range(n_bases)
-            ],
-            axis=1,
-        )
-        cost = cost[rows[:, None], prev] + np.abs(levels[:, column : column + 1] - means)
-        back.append(prev)
-    path = [_first_min(cost, range(n_bases))]
-    for prev in reversed(back):
-        path.append(prev[rows, path[-1]])
-    return np.stack(path[::-1], axis=1)
+    first, second = np.abs(levels[:, :, None] - means).transpose(1, 0, 2)
+    # prev[row, b]: the first base paired with second base b.
+    prev = np.argmin(np.where(np.eye(len(means), dtype=bool), np.inf, first[:, None, :]), axis=2)
+    last = np.argmin(np.take_along_axis(first, prev, axis=1) + second, axis=1)
+    return np.stack([prev[np.arange(len(levels)), last], last], axis=1)
 
 
 def _segment_layouts(
@@ -409,15 +393,12 @@ def _segment_layouts(
     calib: CalibrationTable,
     voltage_mv: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The segments, 5' to 3', of events with equal substate counts, one
-    per row: each substate's base, the one whose calibrated level mean for
-    the entry direction lies nearest (assigned jointly so adjacent segments
-    stay distinct), and count (a float), its dwell over the voltage-scaled
-    per-base dwell."""
+    """The two segments, 5' to 3', of bi-level events, one per row: each
+    substate's base, the one whose calibrated level mean for the entry
+    direction lies nearest (assigned jointly so the two stay distinct), and
+    count (a float), its dwell over the voltage-scaled per-base dwell."""
     if voltage_mv <= 0:
         raise ReaderError("voltage must be > 0")
-    if not voltage_mv < math.inf:
-        raise ReaderError("voltage must be finite")
     means = {
         base: stats.mean
         for (base, end), stats in calib.level_stats.items()
@@ -452,7 +433,8 @@ def _decode_bilevels(
     ORIENTATIONS codes: the bits of each, or the error that refused it.
 
     Base recovery runs on the arrays, and decoding once per distinct
-    (base, count) layout; events with one layout share its result.
+    (base, count) layout, from its two runs; events with one layout share
+    its result.
     """
     out: list[Decoded] = [None] * len(first)
     tie = OrientationUnknownError("level ordering is a tie; orientation unknown")
@@ -475,12 +457,10 @@ def _decode_bilevels(
             continue
         for i, layout in zip(picked.tolist(), zip(*bases.T.tolist(), *counts.T.tolist())):
             if layout not in memo:
-                half = len(layout) // 2
-                pairs = zip(layout[:half], layout[half:])
-                sequence = "".join(Nucleotide(base).value * int(n) for base, n in pairs)
+                b0, b1, n0, n1 = layout
                 try:
                     memo[layout] = tuple(
-                        decode_runlength(BaseSequence(sequence), scheme, tolerance)
+                        decode_runs([(b0, int(n0)), (b1, int(n1))], scheme, tolerance)
                     )
                 except CodecError as exc:
                     memo[layout] = exc
@@ -503,6 +483,7 @@ def decode_event(
     """
     if not isinstance(cls, BiLevel):
         raise ReaderError("only bi-level events can be decoded against a scheme")
+    _check_voltage(voltage_mv, calib)
     first, second, first_us, second_us = (
         np.array([x], dtype=np.float64)
         for x in (cls.first_level, cls.second_level, cls.first_duration_us,
@@ -631,8 +612,7 @@ def read_station(
             raise ReaderError(f"{name} must be finite and >= 0, got {value}")
     if not 0 <= tolerance < 1:
         raise ReaderError(f"tolerance must be in [0, 1), got {tolerance}")
-    if not math.isfinite(voltage_mv):
-        raise ReaderError(f"voltage_mv must be finite, got {voltage_mv}")
+    _check_voltage(voltage_mv, calib)
     rate = trace.sample_rate_hz
     threshold = _detection_threshold(open_current_pa, threshold_fraction)
     _census_scale(n_pores, open_current_pa, calib.clogged_current_pa)
@@ -1111,13 +1091,13 @@ def trace_stats(
 ) -> StatsReport:
     """Aggregate detected events and census occupancy for one trace, whose
     summary counts are taken in one pass over ``trace.chunks()``."""
+    threshold = _detection_threshold(open_current_pa, threshold_fraction)
     _census_scale(n_pores, open_current_pa, clogged_current_pa)
     n_samples = n_open = 0
     census_counts = np.zeros(n_pores + 1, dtype=np.int64)
     for chunk in trace.chunks():
         chunk_open, chunk_counts = _summary_counts(
-            chunk, threshold_fraction * open_current_pa, n_pores, open_current_pa,
-            clogged_current_pa,
+            chunk, threshold, n_pores, open_current_pa, clogged_current_pa
         )
         n_samples += chunk.size
         n_open += chunk_open

@@ -710,6 +710,35 @@ def test_out_of_range_voltage_is_range_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: range:")
 
 
+@pytest.mark.parametrize(
+    "voltage_mv, open_current_pa", [("1e12", "250"), ("1e308", "1e308")]
+)
+def test_read_refuses_voltage_outside_calibration(tmp_path, capsys, voltage_mv, open_current_pa):
+    # --open-current-pa skips open_current, the voltage's other range check.
+    trace = tmp_path / "t.trace"
+    traceio.write_trace(_fuzz_trace(), str(trace), "binary")
+    code = run(
+        "read", "--trace", str(trace), "--voltage-mv", voltage_mv,
+        "--open-current-pa", open_current_pa, "--events-out", str(tmp_path / "e.csv"),
+        "--summary-out", str(tmp_path / "s.txt"), "--payload-out", str(tmp_path / "p.txt"),
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: param: voltage_mv: {float(voltage_mv):g} outside tabulated range [-210, 210]\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["t.trace"]
+
+
+@pytest.mark.parametrize("molecule", ["A10000000000000", "(AC)10000000000000"])
+def test_simulate_refuses_molecule_over_the_base_limit(tmp_path, capsys, molecule):
+    code, trace, log = _simulate(tmp_path, "--molecule", molecule, duration="0.01")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: param: molecule spec ") and err.count("\n") == 1
+    assert "more than 1000000 bases" in err
+    assert not trace.exists() and not log.exists()
+
+
 def test_bad_sequence_is_decode_error(tmp_path, capsys):
     seq = tmp_path / "seq.txt"
     seq.write_text("AXC\n")

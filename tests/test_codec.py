@@ -12,6 +12,7 @@ from molstore.codec import (
     RunLengthScheme,
     decode_direct,
     decode_runlength,
+    decode_runs,
     encode_direct,
     encode_runlength,
     format_payload,
@@ -128,6 +129,22 @@ def test_decode_runlength_merged_runs_decode_to_repeats():
     scheme = RunLengthScheme()
     assert decode_runlength(BaseSequence("C" * 60), scheme, 0.0) == [1, 1]
     assert decode_runlength(BaseSequence("A" * 40), scheme, 0.0) == [0, 0]
+
+
+def test_decode_runs_merges_adjacent_runs_of_one_base():
+    scheme = RunLengthScheme()
+    # Apart, each A run would be half a symbol, outside any tolerance.
+    assert decode_runs([("A", 10), ("A", 10), ("C", 60)], scheme, 0.0) == [0, 1, 1]
+    # The short C run is the second run once the A runs merge.
+    with pytest.raises(LengthError) as info:
+        decode_runs([("A", 10), ("A", 10), ("C", 10)], scheme, 0.1)
+    assert info.value.run_index == 1
+
+
+def test_decode_runs_names_the_base_outside_the_scheme():
+    with pytest.raises(AlphabetError, match="run 1: base G is not part") as info:
+        decode_runs([("A", 20), (Nucleotide.G, 20)], RunLengthScheme(), 0.1)
+    assert info.value.run_index == 1
 
 
 def test_decode_runlength_tolerance_bounds():

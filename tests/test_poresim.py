@@ -10,6 +10,7 @@ from molstore import poresim
 from molstore.calibration import CalibrationTable, ChannelConfig, RangeError
 from molstore.codec import Nucleotide
 from molstore.poresim import (
+    MAX_MOLECULE_BASES,
     MoleculeSpec,
     Orientation,
     SimulationError,
@@ -121,6 +122,13 @@ def test_molecule_refuses_zero_count(spec):
     # Dropping the segment would read another molecule than the one typed.
     with pytest.raises(SimulationError, match="count 0"):
         MoleculeSpec.from_string(spec)
+
+
+def test_molecule_refuses_more_bases_than_the_limit():
+    assert MoleculeSpec.from_string(f"A{MAX_MOLECULE_BASES}").total_bases == MAX_MOLECULE_BASES
+    for spec in (f"A{MAX_MOLECULE_BASES}C1", f"(AC){MAX_MOLECULE_BASES // 2}G1"):
+        with pytest.raises(SimulationError, match=f"more than {MAX_MOLECULE_BASES} bases"):
+            MoleculeSpec.from_string(spec)
 
 
 @st.composite

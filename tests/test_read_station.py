@@ -617,3 +617,23 @@ def test_read_station_parameter_errors():
         except ReaderError:
             continue
         raise AssertionError("expected ReaderError")
+
+
+# Levels and means with exact cost ties among them.
+_ASSIGN_VALUES = st.one_of(st.sampled_from([0.0, 0.1, 0.12, 0.17, 0.2, 0.25, 0.37]),
+                           st.floats(0.0, 1.0))
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    levels=st.lists(st.tuples(_ASSIGN_VALUES, _ASSIGN_VALUES), min_size=1, max_size=6),
+    means=st.lists(_ASSIGN_VALUES, min_size=1, max_size=4),
+)
+def test_assign_bases_matches_reference(levels, means):
+    """The two-substate assignment picks what the dynamic program over
+    substates picks, ties included, for one to four bases."""
+    names = "ACGT"[: len(means)]
+    assigned = reader._assign_bases(np.array(levels), np.array(means))
+    assert [[names[i] for i in row] for row in assigned.tolist()] == [
+        _ref_assign_bases(list(row), dict(zip(names, means))) for row in levels
+    ]

@@ -307,6 +307,30 @@ def test_decode_event_requires_bilevel():
         decode_event(MonoLevel(0.4), scheme, CALIB, 210.0)
 
 
+def test_decode_event_never_expands_the_bases():
+    # A 3'-first C10^7 A5x10^6 layout: 10^4 symbols of each bit.  Spelling
+    # the layout out as bases would take 15 MB.
+    scheme = RunLengthScheme.from_string("A500C1000")
+    tracemalloc.start()
+    try:
+        bits = decode_event(BiLevel(0.37, 0.17, 1e7, 5e6), scheme, CALIB, 210.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bits == [0] * 10**4 + [1] * 10**4
+    assert peak < 2 * 2**20, peak
+
+
+@pytest.mark.parametrize("voltage_mv", [-211.0, 210.5, 1e12, 1e308, np.inf, np.nan])
+def test_decode_refuses_voltage_outside_calibration(voltage_mv):
+    scheme = RunLengthScheme.from_string("A50C100")
+    trace = CurrentTrace(RATE, np.full(10, 250.0))
+    with pytest.raises(ReaderError, match="voltage_mv: .* outside tabulated range"):
+        decode_event(BiLevel(0.37, 0.17, 100.0, 50.0), scheme, CALIB, voltage_mv)
+    with pytest.raises(ReaderError, match="voltage_mv: .* outside tabulated range"):
+        reader.read_station(trace, 250.0, 5.0, CALIB, scheme, voltage_mv)
+
+
 # --- census ------------------------------------------------------------------
 
 
@@ -643,6 +667,12 @@ def test_trace_stats_zero_events():
 def test_trace_stats_empty_trace():
     stats = trace_stats(CurrentTrace(RATE, np.empty(0)), [], 250.0)
     assert stats.open_fraction == 1.0
+
+
+@pytest.mark.parametrize("fraction", [np.nan, 1.5, 0.0, 1.0])
+def test_trace_stats_refuses_threshold_fraction_outside_unit_interval(fraction):
+    with pytest.raises(ReaderError, match="threshold_fraction"):
+        trace_stats(CurrentTrace(RATE, np.full(10, 250.0)), [], 250.0, threshold_fraction=fraction)
 
 
 @pytest.mark.parametrize("n", [0, 1])
