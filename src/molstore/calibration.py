@@ -48,6 +48,13 @@ def _default_level_stats() -> dict[tuple[str, str], LevelStats]:
     }
 
 
+# The highest sample rate of a channel or a trace file, whose lowest is
+# 1 Hz: far past any amplifier, and a 1 ms census block of it still fits
+# an int64 index (as, at 1 Hz or more, the microseconds of a trace fit a
+# float64).
+MAX_SAMPLE_RATE_HZ = 10**12
+
+
 @dataclass(frozen=True)
 class ChannelConfig:
     """Buffer, bias, and acquisition settings for one measurement."""
@@ -64,8 +71,8 @@ class ChannelConfig:
             raise ParamError(f"voltage_mv must be finite, got {self.voltage_mv}")
         if not 0 < self.kcl_molar < math.inf:
             raise ParamError(f"kcl_molar must be finite and > 0, got {self.kcl_molar}")
-        if self.sample_rate_hz <= 0:
-            raise ParamError("sample_rate_hz must be > 0")
+        if not 1 <= self.sample_rate_hz <= MAX_SAMPLE_RATE_HZ:
+            raise ParamError(f"sample_rate_hz must be in [1, {MAX_SAMPLE_RATE_HZ:g}]")
         if not 0 <= self.noise_sigma_pa < math.inf:
             raise ParamError(
                 f"noise_sigma_pa must be finite and >= 0, got {self.noise_sigma_pa}"
@@ -142,6 +149,8 @@ class CalibrationTable:
             b <= a for a, b in zip(rates, rates[1:])
         ):
             raise CalibrationError("event_rate_points must be strictly increasing")
+        if not all(rate > 0 for rate in rates):
+            raise CalibrationError("event_rate_points rates must be > 0")
         for (base, end), stats in self.level_stats.items():
             if not (0.0 < stats.mean < 1.0 and 0.0 < stats.sd < math.inf):
                 raise CalibrationError(
@@ -254,13 +263,13 @@ def field_defaults(cls) -> dict[str, object]:
 _LEVEL_KEYS = [f"level_{b}_{end}" for b in "acgt" for end in (THREE_PRIME, FIVE_PRIME)]
 
 
-def parse_calibration(text: str, base: CalibrationTable | None = None) -> CalibrationTable:
-    """Build a table from flat ``key = value`` lines, overriding ``base``.
+def parse_calibration(text: str) -> CalibrationTable:
+    """Build a table from flat ``key = value`` lines, overriding the defaults.
 
     Keys are the table's field names plus ``level_<a|c|g|t>_<3prime|5prime>``
     with a ``mean:sd`` value; see ``parse_key_values`` for the grammar.
     """
-    table = base if base is not None else CalibrationTable()
+    table = CalibrationTable()
     keys = dict.fromkeys(_LEVEL_KEYS, LevelStats(0.5, 0.1))
     keys.update(field_defaults(CalibrationTable))
     values = parse_key_values(text, keys, CalibrationError)
@@ -271,9 +280,16 @@ def parse_calibration(text: str, base: CalibrationTable | None = None) -> Calibr
     return table.replace(level_stats=levels, **values)
 
 
-def load_calibration(path: str, base: CalibrationTable | None = None) -> CalibrationTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_calibration(fh.read(), base=base)
+def load_calibration(path: str) -> CalibrationTable:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CalibrationError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return parse_calibration(text)
 
 
 def format_calibration(table: CalibrationTable) -> str:

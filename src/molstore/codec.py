@@ -168,17 +168,18 @@ def encode_runlength(bits: Sequence[int], scheme: RunLengthScheme) -> BaseSequen
     return BaseSequence("".join(parts))
 
 
-def decode_runs(
+def bit_runs(
     runs: Iterable[tuple[str, int]], scheme: RunLengthScheme, tolerance: float
-) -> list[int]:
-    """Recover bits from homopolymer runs, given in order as (base, length),
-    by nearest-nominal matching; adjacent runs of one base merge first.
+) -> list[tuple[int, int]]:
+    """The bits homopolymer runs, given in order as (base, length), carry,
+    as (bit, count) pairs, by nearest-nominal matching; adjacent runs of
+    one base merge first.
 
     Each run of a scheme base is matched to the nearest integer
     multiple k of its nominal run length (adjacent equal bits merge into a
     single physical run, so a run may carry several symbols).  The run is
     accepted when its length is within ``tolerance`` (relative) of
-    k * nominal, and decodes to k copies of the bit.
+    k * nominal, and carries k copies of the bit.
 
     Raises AlphabetError for a run of a base outside the scheme and
     LengthError for a run outside tolerance; both carry the index of the
@@ -187,7 +188,7 @@ def decode_runs(
     if not 0.0 <= tolerance < 1.0:
         raise CodecError(f"tolerance must be in [0, 1), got {tolerance}")
     nominal = {scheme.zero_base: (0, scheme.zero_run), scheme.one_base: (1, scheme.one_run)}
-    out: list[int] = []
+    out: list[tuple[int, int]] = []
     for index, (base, group) in enumerate(itertools.groupby(runs, key=lambda run: run[0])):
         length = sum(n for _, n in group)
         if base not in nominal:
@@ -202,6 +203,16 @@ def decode_runs(
                 f"of {k} x {run}",
                 run_index=index,
             )
+        out.append((bit, k))
+    return out
+
+
+def decode_runs(
+    runs: Iterable[tuple[str, int]], scheme: RunLengthScheme, tolerance: float
+) -> list[int]:
+    """The bits of :func:`bit_runs`, each spelled out."""
+    out: list[int] = []
+    for bit, k in bit_runs(runs, scheme, tolerance):
         out.extend([bit] * k)
     return out
 

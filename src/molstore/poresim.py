@@ -54,6 +54,15 @@ _MOLECULE_TOKEN = re.compile(r"\(([ACGT]+)\)(\d+)|([ACGT])(\d*)")
 # The most bases a molecule spec may expand to: a 10^6-base molecule takes
 # ~1 s to pass the pore at the default calibration's reference bias.
 MAX_MOLECULE_BASES = 10**6
+# The largest run simulate starts, checked before it draws anything: its
+# samples (duration_s * sample_rate_hz; 10^10 is ~3 h at 1 MHz), the events
+# it expects (capture_rate * duration_s * n_pores; each is drawn in Python
+# and held until the run's log is written) and, while gating, the gating
+# dwells it expects at most (duration_s * n_pores over the shorter mean
+# dwell).  Past these a run would not end in practice.
+MAX_SAMPLES = 10**10
+MAX_EVENTS = 10**6
+MAX_GATING_DWELLS = 10**6
 
 
 @dataclass(frozen=True)
@@ -144,8 +153,9 @@ class TranslocationEvent:
         return sum(s.level * s.duration_us for s in self.substates) / total
 
 
-# Samples per chunk of a synthesized trace, and per chunk a held trace
-# hands to the trace writers; bounds their working memory.
+# Samples per chunk of a synthesized, held or binary trace (a text trace
+# yields about as many); bounds the working memory of every pass.  Read at
+# call time, so a test may patch it.
 _CHUNK = 1 << 18
 
 
@@ -168,6 +178,26 @@ class ChunkedTrace:
             samples[start : start + chunk.size] = chunk
             start += chunk.size
         return samples
+
+
+class _Work:
+    """Work arrays reused across the chunks of one pass: a fresh chunk-sized
+    array costs a page fault per page, because the allocator hands freed
+    memory back between chunks.  An array asked for more items than it
+    holds grows to at least twice its size, so one appended to a chunk at a
+    time is copied a few times, not once per chunk, and keeps its items."""
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, n: int, dtype) -> np.ndarray:
+        """The first ``n`` items of work array ``name``."""
+        held = self._arrays.get(name, np.empty(0, dtype))
+        if held.size < n:
+            grown = np.empty(max(n, 2 * held.size), dtype)
+            grown[: held.size] = held
+            held = self._arrays[name] = grown
+        return held[:n]
 
 
 @dataclass(eq=False)
@@ -495,26 +525,24 @@ class SynthesizedTrace(ChunkedTrace):
     """A simulated trace, produced in chunks of ``_CHUNK`` samples.
 
     Each chunk starts at the all-pores-open current and has every segment
-    ``(first sample, end sample, pA)`` overlapping it subtracted, in the
-    order given, so samples where segments overlap round the same whatever
-    the chunking.  Then it gets its share of the one noise stream and runs
-    through the low-pass filter, whose state is carried across chunks.
-    Chunked noise draws and chunked filtering equal whole-array ones bit
-    for bit.  Every ``chunks()`` pass restarts the noise from the seed.
+    overlapping it subtracted, in the order given: segment j lowers samples
+    ``starts[j]`` to ``stops[j] - 1`` by ``drops[j]`` pA, so samples where
+    segments overlap round the same whatever the chunking.  Then it gets
+    its share of the one noise stream and runs through the low-pass
+    filter, whose state is carried across chunks.  Chunked noise draws and
+    chunked filtering equal whole-array ones bit for bit.  Every
+    ``chunks()`` pass restarts the noise from the seed.
     """
 
     sample_rate_hz: float
     n_samples: int
     open_total_pa: float
-    segments: list[tuple[int, int, float]]
+    starts: np.ndarray
+    stops: np.ndarray
+    drops: np.ndarray
     noise_sigma_pa: float
     seed: int
     cutoff_hz: float | None
-
-    def __post_init__(self):
-        self.segments = [seg for seg in self.segments if seg[0] < seg[1]]
-        self._starts = np.array([seg[0] for seg in self.segments], dtype=np.int64)
-        self._stops = np.array([seg[1] for seg in self.segments], dtype=np.int64)
 
     def __len__(self) -> int:
         return self.n_samples
@@ -530,9 +558,10 @@ class SynthesizedTrace(ChunkedTrace):
         for c0 in range(0, self.n_samples, _CHUNK):
             c1 = min(c0 + _CHUNK, self.n_samples)
             chunk = np.full(c1 - c0, self.open_total_pa, dtype=np.float64)
-            overlapping = (self._starts < c1) & (self._stops > c0)
-            for j in np.flatnonzero(overlapping).tolist():
-                i0, i1, drop_pa = self.segments[j]
+            overlapping = np.flatnonzero((self.starts < c1) & (self.stops > c0))
+            for i0, i1, drop_pa in zip(
+                *(a[overlapping].tolist() for a in (self.starts, self.stops, self.drops))
+            ):
                 chunk[max(i0, c0) - c0 : min(i1, c1) - c0] -= drop_pa
             if noise is not None:
                 # The draws normal(0, sigma) makes, sigma * standard normal,
@@ -583,19 +612,36 @@ def simulate(
     if seed < 0:
         raise SimulationError("seed must be a non-negative integer")
     rate = float(config.sample_rate_hz)
+    if duration_s * rate > MAX_SAMPLES:
+        raise SimulationError(
+            f"duration_s {duration_s:g} at {rate:g} Hz is more than {MAX_SAMPLES:g} samples"
+        )
     n = int(duration_s * rate)
     open_pa = open_current(config.voltage_mv, config.kcl_molar, calib)
     clog_map = _normalize_clogs(clogs, config.n_pores, duration_s)
     gating = gating_active(config.kcl_molar, calib)
 
     all_events: list[PoreEvent] = []
+    pore_s = duration_s * config.n_pores
     if gating:
+        shortest_ms = min(calib.gating_open_dwell_ms, calib.gating_closed_dwell_ms)
+        if pore_s * 1e3 / shortest_ms > MAX_GATING_DWELLS:
+            raise SimulationError(
+                f"gating dwells of {shortest_ms:g} ms over {pore_s:g} pore-seconds "
+                f"would number more than {MAX_GATING_DWELLS:g}"
+            )
         for pore in range(config.n_pores):
             closed = _gating_closed_intervals(calib, _pore_rng(seed, pore), duration_s)
             merged = _union_intervals(list(clog_map.get(pore, ())) + closed)
             if merged:
                 clog_map[pore] = tuple(merged)
     elif config.voltage_mv > 0:
+        expected = capture_rate(config.voltage_mv, calib) * pore_s
+        if expected > MAX_EVENTS:
+            raise SimulationError(
+                f"{expected:.3g} expected events over {pore_s:g} pore-seconds "
+                f"are more than {MAX_EVENTS:g}"
+            )
         for pore in range(config.n_pores):
             for event in pore_events(
                 molecule, config, calib, seed, pore, duration_s, clog_map.get(pore, ())
@@ -614,9 +660,11 @@ def simulate(
             segments.append(
                 (*_sample_slice(start, end, rate, n), open_pa - calib.clogged_current_pa)
             )
+    starts, stops, drops = (np.array([seg[i] for seg in segments]) for i in range(3))
     cutoff_hz = None if config.bandwidth_khz is None else config.bandwidth_khz * 1e3
     trace = SynthesizedTrace(
-        rate, n, open_pa * config.n_pores, segments, config.noise_sigma_pa, seed, cutoff_hz
+        rate, n, open_pa * config.n_pores, starts, stops, drops, config.noise_sigma_pa, seed,
+        cutoff_hz,
     )
 
     all_events.sort(key=lambda pe: (pe.event.t_start_s, pe.pore))

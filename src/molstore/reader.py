@@ -18,13 +18,15 @@ from typing import Iterable, Iterator, Sequence, Union
 import numpy as np
 
 from .calibration import CalibrationTable
-from .codec import CodecError, RunLengthScheme, decode_runs
+from .codec import CodecError, RunLengthScheme, bit_runs, decode_runs
 from .poresim import (
+    MAX_MOLECULE_BASES,
     ChunkedTrace,
     CurrentTrace,
     Orientation,
     Substate,
     TranslocationEvent,
+    _Work,
     mean_duration,
 )
 
@@ -125,15 +127,14 @@ def _event_runs(
     held: list[np.ndarray] = []  # pieces of the run open at the last chunk's end
     held_start = offset = 0
     empty = np.empty(0, dtype=np.intp)
-    work = change = np.empty(0, dtype=bool)
+    work = _Work()
     for chunk in chunks:
         if not chunk.size:
             continue
-        work, change = _grown(work, chunk.size + 2), _grown(change, chunk.size + 1)
-        below = work[: chunk.size + 2]
+        below = work("below", chunk.size + 2, bool)
         below[0], below[-1] = bool(held), False
         np.less(chunk, threshold, out=below[1:-1])
-        edges = _run_edges(below, change)
+        edges = _run_edges(below, work("change", chunk.size + 1, bool))
         carried = None
         if held:
             if edges[0] == chunk.size:  # the held run goes on past this chunk
@@ -165,15 +166,8 @@ def _run_edges(padded: np.ndarray, change: np.ndarray) -> np.ndarray:
     """Indices, into ``padded[1:-1]``, at which ``padded[1:]`` changes: the
     start and end of each maximal run of True in it, paired when
     ``padded`` is False at both ends.  ``change`` is a bool work array of
-    at least ``padded.size - 1`` items."""
-    return np.flatnonzero(np.not_equal(padded[1:], padded[:-1], out=change[: padded.size - 1]))
-
-
-def _grown(work: np.ndarray, n: int) -> np.ndarray:
-    """``work``, or a new array of its dtype when it holds fewer than ``n``
-    items: work arrays are kept across the chunks of a pass, because a
-    fresh chunk-sized array costs a page fault per page."""
-    return work if work.size >= n else np.empty(max(n, 2 * work.size), work.dtype)
+    ``padded.size - 1`` items."""
+    return np.flatnonzero(np.not_equal(padded[1:], padded[:-1], out=change))
 
 
 def detect_events(
@@ -254,6 +248,7 @@ def _best_splits(prefix: np.ndarray) -> np.ndarray:
     return np.stack(block_k, axis=1)[rows, best]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _classify_rows(
     levels: np.ndarray,
     sample_rate_hz: float,
@@ -266,6 +261,9 @@ def _classify_rows(
 
     Returns the mean level, the class code, and the first and second
     substate levels and durations, which are NaN unless the row is BiLevel.
+    Levels whose sums or squares pass the float64 range give infinite or
+    NaN fits, without a warning; the split search then picks as its
+    argmax does.
     """
     m, n = levels.shape
     mean = np.add.reduce(levels, axis=1) / n
@@ -409,7 +407,10 @@ def _segment_layouts(
     dwell_us = calib.base_dwell_us * calib.ref_voltage_mv / voltage_mv
     assigned = _assign_bases(levels, np.array(list(means.values())))
     bases = np.array(list(means))[assigned]
-    counts = np.maximum(np.trunc(durations_us / dwell_us + 0.5), 1.0)
+    # A per-base dwell that is tiny, or 0 by underflow, gives an infinite
+    # count, which _decode_bilevels refuses per event.
+    with np.errstate(over="ignore", divide="ignore"):
+        counts = np.maximum(np.trunc(durations_us / dwell_us + 0.5), 1.0)
     if orientation is Orientation.THREE_PRIME_FIRST:
         bases, counts = bases[:, ::-1], counts[:, ::-1]
     return bases, counts
@@ -434,7 +435,9 @@ def _decode_bilevels(
 
     Base recovery runs on the arrays, and decoding once per distinct
     (base, count) layout, from its two runs; events with one layout share
-    its result.
+    its result.  A layout is refused when a count is not finite, or when it
+    carries more bits than a molecule may hold bases (each bit takes at
+    least one), before any bit is spelled out.
     """
     out: list[Decoded] = [None] * len(first)
     tie = OrientationUnknownError("level ordering is a tie; orientation unknown")
@@ -459,10 +462,16 @@ def _decode_bilevels(
             if layout not in memo:
                 b0, b1, n0, n1 = layout
                 try:
-                    memo[layout] = tuple(
-                        decode_runs([(b0, int(n0)), (b1, int(n1))], scheme, tolerance)
-                    )
-                except CodecError as exc:
+                    if not math.isfinite(n0 + n1):
+                        raise ReaderError("recovered base count is not finite")
+                    runs = [(b0, int(n0)), (b1, int(n1))]
+                    if sum(k for _, k in bit_runs(runs, scheme, tolerance)) > MAX_MOLECULE_BASES:
+                        raise ReaderError(
+                            f"event carries more bits than the {MAX_MOLECULE_BASES} "
+                            "bases a molecule may hold"
+                        )
+                    memo[layout] = tuple(decode_runs(runs, scheme, tolerance))
+                except (CodecError, ReaderError) as exc:
                     memo[layout] = exc
             out[i] = memo[layout]
     return out
@@ -741,13 +750,15 @@ def census_series(
     samples = np.asarray(samples)
     census = np.empty(samples.shape, dtype=np.min_scalar_type(n_pores))
     for start in range(0, samples.size, _CENSUS_CHUNK):
-        raw = (samples[start : start + _CENSUS_CHUNK] - offset) / step
+        with np.errstate(over="ignore"):  # past float64 is past the end states
+            raw = (samples[start : start + _CENSUS_CHUNK] - offset) / step
         np.rint(raw, out=raw)
         np.clip(raw, 0, n_pores, out=raw)
         census[start : start + _CENSUS_CHUNK] = raw
     return census
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _census_tally(
     census: np.ndarray, samples: np.ndarray, n_pores: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -758,6 +769,7 @@ def _census_tally(
     take one mask per state, which costs less than sorting for up to about
     eight states, and a wider chunk is sorted by state.  Each state's
     samples in a chunk are summed pairwise, as ``np.sum`` sums an array.
+    A sum past the float64 range is infinite or NaN, without a warning.
     """
     counts = np.zeros(n_pores + 1, dtype=np.int64)
     sums = np.zeros(n_pores + 1)
@@ -795,8 +807,9 @@ class CensusRate:
     rate_per_s: float
 
 
-# census_rates' defaults: the baseline's rolling-median window, the longest
-# dip that counts as an event and the gap under which two dips merge.
+# census_rates' baseline rolling-median window, the longest dip that
+# counts as an event and the gap under which two dips merge.  Read at call
+# time, so a test may patch them.
 _BASELINE_WINDOW_S, _MAX_EVENT_S, _MERGE_GAP_S = 0.021, 0.01, 50e-6
 
 
@@ -813,25 +826,17 @@ class _DipCounter:
     all, so nothing is compared until the window's worth has begun.
     """
 
-    def __init__(
-        self,
-        sample_rate_hz: float,
-        n_pores: int,
-        dtype,
-        baseline_window_s: float = _BASELINE_WINDOW_S,
-        max_event_s: float = _MAX_EVENT_S,
-        merge_gap_s: float = _MERGE_GAP_S,
-    ) -> None:
+    def __init__(self, sample_rate_hz: float, n_pores: int, dtype) -> None:
         self.sample_rate_hz = sample_rate_hz
         self.n_pores = n_pores
         self.stride = max(1, int(sample_rate_hz * 1e-3))
-        window = max(1, int(round(baseline_window_s / (self.stride / sample_rate_hz))))
+        window = max(1, int(round(_BASELINE_WINDOW_S / (self.stride / sample_rate_hz))))
         self.window = window + 1 - window % 2
-        self.max_samples = max_event_s * sample_rate_hz
-        self.merge_gap = merge_gap_s * sample_rate_hz
+        self.max_samples = _MAX_EVENT_S * sample_rate_hz
+        self.merge_gap = _MERGE_GAP_S * sample_rate_hz
+        self.work = _Work()
         self.pending = np.empty(0, dtype)  # the census from sample `done` on
-        self.size = 0  # of pending, whose array is reused
-        self.dips = self.change = np.empty(0, dtype=bool)
+        self.size = 0  # of pending, held in a work array
         self.done = 0
         self.history: np.ndarray | None = None  # block starts before `done`
         self.dip: tuple[int, int] | None = None  # (start, baseline) open at `done`
@@ -843,10 +848,7 @@ class _DipCounter:
     def add(self, census: np.ndarray) -> None:
         """Take the next chunk of the census."""
         size = self.size + census.size
-        if self.pending.size < size:
-            grown = _grown(self.pending, size)
-            grown[: self.size] = self.pending[: self.size]
-            self.pending = grown
+        self.pending = self.work("pending", size, self.pending.dtype)
         self.pending[self.size : size] = census
         self.size = size
         half = self.window // 2
@@ -897,8 +899,7 @@ class _DipCounter:
         census, stride = self.pending[:size], self.stride
         self.held += np.bincount(base, minlength=self.n_pores + 1)[: self.n_pores + 1] * stride
         self.last_base = int(base[-1])
-        self.dips, self.change = _grown(self.dips, size + 2), _grown(self.change, size + 1)
-        dips = self.dips[: size + 2]
+        dips = self.work("dips", size + 2, bool)
         dips[0], dips[-1] = self.dip is not None, False
         whole = size - size % stride
         np.less(
@@ -907,7 +908,7 @@ class _DipCounter:
             out=dips[1 : whole + 1].reshape(-1, stride),
         )
         np.less(census[whole:], base[-1], out=dips[whole + 1 : -1])
-        edges = _run_edges(dips, self.change) + self.done
+        edges = _run_edges(dips, self.work("change", size + 1, bool)) + self.done
         if self.dip is not None:
             edges = np.concatenate([[self.dip[0]], edges])
         starts, ends = edges[0::2], edges[1::2]
@@ -950,31 +951,25 @@ class _DipCounter:
 
 
 def census_rates(
-    census: np.ndarray,
-    sample_rate_hz: float,
-    n_pores: int,
-    baseline_window_s: float = _BASELINE_WINDOW_S,
-    max_event_s: float = _MAX_EVENT_S,
-    merge_gap_s: float = _MERGE_GAP_S,
+    census: np.ndarray, sample_rate_hz: float, n_pores: int
 ) -> dict[int, CensusRate]:
     """Blockade rates split by how many pores the baseline shows open.
 
     ``census`` is the trace's census_series.  The baseline census is a
-    rolling median over ``baseline_window_s`` of a 1 ms decimated census
-    (blockades occupy well under a percent of any window, persistent clogs
-    shift the median), held for the 1 ms block each decimated sample
-    starts.  Each maximal run of below-baseline census lasting at most
-    ``max_event_s`` counts as one event attributed to the baseline at its
-    start; longer excursions are baseline shifts, not events.  Dips
-    separated by less than ``merge_gap_s`` merge into one event, since a
-    blockade sitting near a census midpoint can flicker across it within a
-    single passage.  An empty trace has no baseline and gives an empty dict.
-    census_stats counts the same way, a chunk at a time.
+    rolling median over ``_BASELINE_WINDOW_S`` (21 ms) of a 1 ms decimated
+    census (blockades occupy well under a percent of any window,
+    persistent clogs shift the median), held for the 1 ms block each
+    decimated sample starts.  Each maximal run of below-baseline census
+    lasting at most ``_MAX_EVENT_S`` (10 ms) counts as one event
+    attributed to the baseline at its start; longer excursions are
+    baseline shifts, not events.  Dips separated by less than
+    ``_MERGE_GAP_S`` (50 us) merge into one event, since a blockade sitting
+    near a census midpoint can flicker across it within a single passage.
+    An empty trace has no baseline and gives an empty dict.  census_stats
+    counts the same way, a chunk at a time.
     """
     census = np.asarray(census)
-    counter = _DipCounter(
-        sample_rate_hz, n_pores, census.dtype, baseline_window_s, max_event_s, merge_gap_s
-    )
+    counter = _DipCounter(sample_rate_hz, n_pores, census.dtype)
     counter.add(census)
     return counter.rates()
 
@@ -1029,9 +1024,13 @@ def census_stats(
         sums += chunk_sums
         dips.add(census)
         n += chunk.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sums.sum()
+    if not math.isfinite(total):  # a state's sum, or theirs, is past float64
+        raise ReaderError("the trace's currents sum past the float64 range")
     return CensusStats(
         duration_s=n / rate,
-        mean_pa=float(sums.sum() / n) if n else 0.0,
+        mean_pa=float(total / n) if n else 0.0,
         n_samples=n,
         state_counts=counts,
         current_means=_state_means(counts, sums),

@@ -26,7 +26,7 @@ spells it, else the error names its line number (the header is line 1).
 
 The text reader parses the body in blocks of ``_BLOCK`` bytes, each cut
 after its last newline, into one reused float64 buffer, and yields about
-``_READ_CHUNK`` samples at a time from it.  Per block
+``poresim._CHUNK`` samples at a time from it.  Per block
 it refuses a byte >= 0x80, finds the newlines, and reads each line the
 writer makes for |x| < 1e8 from two 8-byte words with integer SWAR
 arithmetic: its digits, read without the '.', are the integer
@@ -54,7 +54,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .poresim import ChunkedTrace, SimulationError
+from . import poresim
+from .calibration import MAX_SAMPLE_RATE_HZ
+from .poresim import ChunkedTrace, SimulationError, _Work
 
 MAGIC = b"MTRC"
 VERSION = 1
@@ -67,8 +69,6 @@ class TraceFormatError(ValueError):
 
 # Samples formatted per numpy pass; bounds the writer's working memory.
 _TEXT_CHUNK = 1 << 14
-# Samples per chunk the readers yield (the text reader: about as many).
-_READ_CHUNK = 1 << 18
 # A float64 this large has no fractional bits left to round; chunks with
 # |x * 1e6| at or past it go to Python's formatter.
 _EXACT_LIMIT = 2.0**52
@@ -228,22 +228,6 @@ def _sample_value(line: bytes, number: int) -> float | None:
     return value
 
 
-class _Work:
-    """Work arrays reused across the blocks of one text pass, each grown to
-    the largest size asked for: a fresh block-sized array costs a page fault
-    per page, because the allocator hands freed memory back between
-    blocks."""
-
-    def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def __call__(self, name: str, n: int, dtype) -> np.ndarray:
-        held = self._arrays.get(name)
-        if held is None or held.size < n:
-            held = self._arrays[name] = np.empty(n, dtype)
-        return held[:n]
-
-
 def _line_ends(buf: np.ndarray, begin: int, line: int, work: _Work) -> np.ndarray:
     """The index of each newline in ``buf[begin:]``, whose first line is
     file line ``line``; refuses a byte >= 0x80."""
@@ -358,7 +342,7 @@ class TextTrace(ChunkedTrace):
 
     def chunks(self) -> Iterator[np.ndarray]:
         """The samples as float64, parsed a block at a time into one reused
-        buffer and yielded up to ``_READ_CHUNK`` at a time (a block of more
+        buffer and yielded up to ``poresim._CHUNK`` at a time (a block of more
         lines is one chunk), so each chunk is valid only until the next is
         read; raises ``TraceFormatError`` at the first malformed line."""
         work = _Work()
@@ -377,7 +361,7 @@ class TextTrace(ChunkedTrace):
                         yield out[:n]
                         n = 0
                     if ends.size > out.size:
-                        out = np.empty(max(_READ_CHUNK, ends.size))
+                        out = np.empty(max(poresim._CHUNK, ends.size))
                 n += _parse_block(buf, begin, ends, out[n:], line, work)
                 line += ends.size
                 begin = _PAD
@@ -400,8 +384,8 @@ def read_trace_text(path: str) -> TextTrace:
         rate = int(header.split("=", 1)[1])
     except ValueError as exc:
         raise TraceFormatError(f"bad sample rate in header: {header!r}") from exc
-    if rate <= 0:
-        raise TraceFormatError("sample rate must be positive")
+    if not 1 <= rate <= MAX_SAMPLE_RATE_HZ:
+        raise TraceFormatError(f"sample rate must be in [1, {MAX_SAMPLE_RATE_HZ:g}] Hz")
     return TextTrace(path, float(rate))
 
 
@@ -430,14 +414,15 @@ class BinaryTrace(ChunkedTrace):
         return self.n_samples
 
     def chunks(self) -> Iterator[np.ndarray]:
-        """The samples as float64, ``_READ_CHUNK`` at a time, read from the
-        file through one reused float32 buffer; raises ``TraceFormatError``
-        on a non-finite sample."""
-        buffer = np.empty(min(self.n_samples, _READ_CHUNK), dtype="<f4")
+        """The samples as float64, ``poresim._CHUNK`` at a time, read from
+        the file through one reused float32 buffer; raises
+        ``TraceFormatError`` on a non-finite sample."""
+        step = poresim._CHUNK
+        buffer = np.empty(min(self.n_samples, step), dtype="<f4")
         with open(self.path, "rb") as fh:
             fh.seek(_HEADER.size)
-            for start in range(0, self.n_samples, _READ_CHUNK):
-                part = buffer[: min(_READ_CHUNK, self.n_samples - start)]
+            for start in range(0, self.n_samples, step):
+                part = buffer[: min(step, self.n_samples - start)]
                 if fh.readinto(part) != part.nbytes:
                     raise TraceFormatError(f"truncated samples at index {start}")
                 _refuse_non_finite(part, start)
@@ -454,8 +439,8 @@ def read_trace_binary(path: str) -> BinaryTrace:
             raise TraceFormatError(f"bad magic {magic!r}; expected {MAGIC!r}")
         if version != VERSION:
             raise TraceFormatError(f"unsupported version {version}")
-        if rate <= 0:
-            raise TraceFormatError("sample rate must be positive")
+        if not 1 <= rate <= MAX_SAMPLE_RATE_HZ:
+            raise TraceFormatError(f"sample rate must be in [1, {MAX_SAMPLE_RATE_HZ:g}] Hz")
         held = (os.fstat(fh.fileno()).st_size - _HEADER.size) // 4
         if count > held:
             raise TraceFormatError(

@@ -40,6 +40,13 @@ def test_event_rates_must_increase():
         )
 
 
+@pytest.mark.parametrize("rate", [0.0, -5.0])
+def test_event_rates_must_be_positive(rate):
+    # A zero rate divides by zero, and a negative one is no exponential scale.
+    with pytest.raises(CalibrationError, match="event_rate_points rates must be > 0"):
+        CalibrationTable(event_rate_points=((90.0, rate, 0.4), (210.0, 21.0, 0.4)))
+
+
 def test_monolevel_blockage_must_decrease():
     with pytest.raises(CalibrationError):
         CalibrationTable(
@@ -111,6 +118,13 @@ def test_load_calibration(tmp_path):
     assert load_calibration(str(path)).bilevel_fraction == 0.5
 
 
+def test_load_calibration_refuses_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "cal.txt"
+    path.write_bytes(b"bilevel_fraction = 0.5\n\xff = 1\n")
+    with pytest.raises(CalibrationError, match=r"cal.txt: not UTF-8 text \(.* at byte 23\)$"):
+        load_calibration(str(path))
+
+
 def test_channel_config_validation():
     with pytest.raises(CalibrationError):
         ChannelConfig(kcl_molar=0.0)
@@ -118,6 +132,8 @@ def test_channel_config_validation():
         ChannelConfig(n_pores=0)
     with pytest.raises(CalibrationError):
         ChannelConfig(sample_rate_hz=0)
+    with pytest.raises(CalibrationError, match=r"sample_rate_hz must be in \[1, 1e\+12\]"):
+        ChannelConfig(sample_rate_hz=10**12 + 1)
     with pytest.raises(CalibrationError):
         ChannelConfig(bandwidth_khz=-1.0)
     for bad in (

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import math
 import re
 import struct
 import tempfile
@@ -485,9 +486,10 @@ _FUZZ_KEYS = [
     *field_defaults(PlanScenario),
     "level_x_3prime", "level_stats", "layout", "bogus", "",
 ]
-# No tiny positive values: a near-zero gating dwell runs as long as the
-# run is large, which is an open decision and not a parse error.
-_FUZZ_VALUES = ["0", "-1", "2.5", "nan", "inf", "-inf", "1e400", "1e308", "", "x", "1:2", "1 2"]
+# 1e-300 as a gating dwell asks for more dwells than simulate draws.
+_FUZZ_VALUES = [
+    "0", "-1", "2.5", "nan", "inf", "-inf", "1e400", "1e308", "1e-300", "", "x", "1:2", "1 2",
+]
 
 
 @settings(max_examples=200, deadline=None)
@@ -508,8 +510,8 @@ def test_fuzz_key_value_lines_exit_cleanly(key, value):
 
 
 # Options whose value is drawn, per command.  Output paths stay fixed, and
-# so does simulate's small --duration-s: whether a very large run fails
-# fast is an open decision, not an argument error.
+# so does simulate's small --duration-s, whose large values the run-size
+# limits refuse (test_simulate_refuses_a_run_too_large_to_simulate).
 _ARG_OPTIONS = {
     "simulate": [
         "--molecule", "--voltage-mv", "--kcl-molar", "--seed", "--pores",
@@ -570,6 +572,140 @@ def test_fuzz_argument_vectors_exit_cleanly(case):
         assert len(re.findall(r"^error: \w+: ", err.getvalue(), re.M)) == code
         assert err.getvalue().count("\n") == code
         assert not caught
+
+
+# Lines a fuzzed text trace body may hold in place of a sample, bytes a
+# fuzzed binary header field may hold, and lines a fuzzed calibration may
+# hold (tables, tiny and huge values, bytes that are not UTF-8).
+_TEXT_LINES = [
+    b"250.000000", b"-0.000000", b"  7 ", b"", b"nan", b"inf", b"1e400", b"-1e308",
+    b"1.0 2.0", b"#", b"1_0", b"0x10", b"\xff", b"\r", b"12345678901234567890.5",
+]
+_TEXT_HEADERS = [
+    b"sample_rate_hz=1000000", b"sample_rate_hz=0", b"sample_rate_hz=-5",
+    b"sample_rate_hz=1e6", b"sample_rate_hz=" + b"9" * 30, b"sample_rate_hz=1",
+    b"rate=1000", b"", b"sample_rate_hz=1000000\r", b"\xffsample_rate_hz=1000",
+]
+_BINARY_RATES = [1e6, 1.0, 0.0, -1.0, math.nan, math.inf, 5e-324, 1e300]
+_SAMPLE_VALUES = [250.0, 0.0, -1e30, 1e30, 3e38, math.nan, math.inf]
+_CAL_LINES = [
+    b"base_dwell_us = 1e-300", b"base_dwell_us = 5e-324", b"base_dwell_us = 1e300",
+    b"ref_voltage_mv = 1e-300", b"gating_open_dwell_ms = 1e-300",
+    b"gating_closed_dwell_ms = 1e300", b"gating_threshold_molar = 0.5",
+    b"event_rate_points = 90:2:0.4 210:1e12:0.4", b"event_rate_points = 90:-5:0.4 210:0:0.4",
+    b"event_rate_points = 90:0:0.4 210:21:0.4", b"event_rate_points = 90:2:1e300 210:21:-1",
+    b"iv_points = -210:-200 0:0 210:1e300", b"iv_points = 0:0 1e-300:1e-300",
+    b"clogged_current_pa = -1e300", b"clogged_current_pa = 249.9",
+    b"duration_jitter_cv = 1e300", b"monolevel_sigma = 1e300",
+    b"level_a_3prime = 0.99:1e300", b"level_c_3prime = 1e-300:1e-300",
+    b"incomplete_mean_duration_us = 1e300", b"incomplete_level_high = 1",
+    b"incomplete_level_low = 0", b"bilevel_fraction = 1", b"three_prime_first_fraction = 0",
+    b"bilevel_min_voltage_mv = -1e300", b"monolevel_blockage_points = 90:1e-300",
+    b"bogus = 1", b"\xff\xfe = 1", b"base_dwell_us",
+]
+
+
+@st.composite
+def _trace_bytes(draw):
+    """A trace file near _fuzz_trace(): a text trace with drawn lines in
+    place of samples, or a binary one with drawn header fields, samples and
+    length."""
+    samples = _fuzz_trace().samples
+    if draw(st.booleans()):
+        lines = [b"%.6f" % x for x in samples]
+        for index, line in draw(st.lists(
+            st.tuples(st.integers(0, len(lines) - 1), st.sampled_from(_TEXT_LINES)), max_size=4
+        )):
+            lines[index] = line
+        header = draw(st.sampled_from(_TEXT_HEADERS))
+        cut = draw(st.sampled_from([None, 0, 1, 7]))
+        body = b"\n".join([header, *lines]) + b"\n"
+        return body if cut is None else body[: len(header) + 1 + cut]
+    values = samples.astype("<f4")
+    for index, value in draw(st.lists(
+        st.tuples(st.integers(0, values.size - 1), st.sampled_from(_SAMPLE_VALUES)), max_size=3
+    )):
+        values[index] = np.float32(value) if abs(value) < 4e38 else value
+    header = struct.pack(
+        "<4sIdQ",
+        draw(st.sampled_from([traceio.MAGIC, b"MTRX"])),
+        draw(st.sampled_from([1, 1, 2])),
+        draw(st.sampled_from(_BINARY_RATES)),
+        draw(st.sampled_from([values.size, 0, values.size + 1, 2**64 - 1])),
+    )
+    return (header + values.tobytes())[: draw(st.sampled_from([None, 3, 24, 30]))]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    command=st.sampled_from(["read", "stats", "simulate"]),
+    trace=_trace_bytes(),
+    calibration=st.none() | st.lists(st.sampled_from(_CAL_LINES), max_size=3),
+    kcl_molar=st.sampled_from(["1.0", "2.0"]),
+)
+def test_fuzz_file_bytes_exit_cleanly(command, trace, calibration, kcl_molar):
+    """Trace and calibration files, mangled, run through read, stats and
+    simulate --calibration: each exits 0 or 1 with at most one error line
+    and raises no traceback or warning."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        (out / "t.trace").write_bytes(trace)
+        argv = ["--kcl-molar", kcl_molar]
+        if calibration is not None:
+            (out / "cal.txt").write_bytes(b"\n".join(calibration) + b"\n")
+            argv += ["--calibration", str(out / "cal.txt")]
+        if command == "simulate":
+            argv += [
+                "--molecule", "A50C100", "--duration-s", "0.01", "--seed", "1",
+                "--trace-out", str(out / "s.trace"), "--log-out", str(out / "log.csv"),
+            ]
+        elif command == "stats":
+            argv += ["--trace", str(out / "t.trace"), "--pores", "2", "--out", str(out / "o")]
+        else:
+            argv += [
+                "--trace", str(out / "t.trace"), "--noise-sigma-pa", "0.5",
+                "--scheme", "A50C100", "--events-out", str(out / "e"),
+                "--summary-out", str(out / "s"), "--payload-out", str(out / "p"),
+            ]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(command, *argv)
+        assert code in (0, 1)
+        assert len(re.findall(r"^error: \w+: ", err.getvalue(), re.M)) == code
+        assert err.getvalue().count("\n") == code
+        assert not caught, [str(w.message) for w in caught]
+
+
+@pytest.mark.parametrize("command", ["read", "stats"])
+def test_currents_near_the_float64_limit_exit_cleanly(tmp_path, capsys, command):
+    """Two text samples of -1e308 inside the event, read with a census step
+    of 0.1 pA: read classifies the event without a warning, and stats
+    refuses the currents' sum, which passes float64, with one error line."""
+    lines = [b"%.6f" % x for x in _fuzz_trace().samples]
+    lines[520] = lines[521] = b"-1e308"
+    trace = tmp_path / "t.trace"
+    trace.write_bytes(b"sample_rate_hz=1000000\n" + b"\n".join(lines) + b"\n")
+    (tmp_path / "cal.txt").write_text("clogged_current_pa = 249.9\n")
+    outs = {
+        "read": ["--events-out", tmp_path / "e.csv", "--summary-out", tmp_path / "s.txt",
+                 "--payload-out", tmp_path / "p.txt"],
+        "stats": ["--out", tmp_path / "stats.txt"],
+    }[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(
+            command, "--trace", str(trace), "--pores", "2", "--voltage-mv", "210",
+            "--calibration", str(tmp_path / "cal.txt"), *map(str, outs),
+        )
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    if command == "read":
+        assert code == 0 and err == ""
+        assert "events = 1\n" in (tmp_path / "s.txt").read_text()
+    else:
+        assert code == 1
+        assert err == "error: param: the trace's currents sum past the float64 range\n"
 
 
 def _traced_peak(*argv):
@@ -737,6 +873,54 @@ def test_simulate_refuses_molecule_over_the_base_limit(tmp_path, capsys, molecul
     assert err.startswith("error: param: molecule spec ") and err.count("\n") == 1
     assert "more than 1000000 bases" in err
     assert not trace.exists() and not log.exists()
+
+
+@pytest.mark.parametrize(
+    "extra, calibration, detail",
+    [
+        # 10^14 samples at 100 kHz
+        (["--duration-s", "1e9"], None, "more than 1e+10 samples"),
+        # ~10^10 events in 1 s
+        ([], "event_rate_points = 90:2:0.4 210:1e10:0.4", "more than 1e+06"),
+        # ~10^303 gating dwells in 1 s
+        (["--kcl-molar", "2"], "gating_open_dwell_ms = 1e-300", "more than 1e+06"),
+    ],
+)
+def test_simulate_refuses_a_run_too_large_to_simulate(
+    tmp_path, capsys, extra, calibration, detail
+):
+    if calibration is not None:
+        (tmp_path / "cal.txt").write_text(calibration + "\n")
+        extra = [*extra, "--calibration", str(tmp_path / "cal.txt")]
+    code, trace, log = _simulate(tmp_path, *extra, duration="1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: param: ") and err.count("\n") == 1 and detail in err
+    assert not trace.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("base_dwell_us", ["1e-300", "5e-324"])
+def test_read_counts_an_impossible_recovered_run_as_a_decode_failure(
+    tmp_path, capsys, base_dwell_us
+):
+    # Each tiny per-base dwell turns the event's 100 us substate into a base
+    # count past what any molecule holds (past float64, for 5e-324).
+    trace = str(tmp_path / "t.trace")
+    traceio.write_trace(_fuzz_trace(), trace, "binary")
+    (tmp_path / "cal.txt").write_text(f"base_dwell_us = {base_dwell_us}\n")
+    outs = {name: tmp_path / name for name in ("e.csv", "s.txt", "p.txt")}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run(
+            "read", "--trace", trace, "--noise-sigma-pa", "0.5", "--scheme", "A50C100",
+            "--calibration", str(tmp_path / "cal.txt"), "--events-out", str(outs["e.csv"]),
+            "--summary-out", str(outs["s.txt"]), "--payload-out", str(outs["p.txt"]),
+        )
+    assert code == 0 and capsys.readouterr().err == ""
+    summary = outs["s.txt"].read_text()
+    assert "events = 1\n" in summary
+    assert "decoded_events = 0\ndecode_failures = 1\n" in summary
+    assert outs["p.txt"].read_text() == ""
 
 
 def test_bad_sequence_is_decode_error(tmp_path, capsys):

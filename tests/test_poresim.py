@@ -275,6 +275,37 @@ def test_pore_streams_independent_of_evaluation_order():
         assert alone == by_pore[pore]
 
 
+@st.composite
+def _clog_schedules(draw, n_pores, duration_s):
+    """Disjoint clog intervals per pore, some reaching past the trace."""
+    clogs = {}
+    for pore in draw(st.sets(st.integers(0, n_pores - 1))):
+        ends = sorted(draw(st.sets(st.floats(-0.1, duration_s + 0.1), max_size=6)))
+        clogs[pore] = list(zip(ends[0::2], ends[1::2]))
+    return clogs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n_pores=st.integers(1, 4),
+    voltage=st.sampled_from([120.0, 150.0, 210.0]),
+    duration_s=st.sampled_from([0.05, 0.2, 0.5]),
+    data=st.data(),
+)
+def test_each_pores_events_are_its_own(seed, n_pores, voltage, duration_s, data):
+    """The events simulate gives pore p are pore_events of p alone, with
+    p's normalized clogs, whatever the other pores draw."""
+    clogs = data.draw(_clog_schedules(n_pores, duration_s))
+    config = ChannelConfig(voltage_mv=voltage, n_pores=n_pores, sample_rate_hz=100_000)
+    result = simulate(MOLECULE, config, duration_s, _BUSY, seed, clogs)
+    for pore in range(n_pores):
+        alone = pore_events(
+            MOLECULE, config, _BUSY, seed, pore, duration_s, result.clogs.get(pore, ())
+        )
+        assert [e for p, e in result.events if p == pore] == alone
+
+
 def test_persistent_clog_levels():
     calib = CALIB.replace(
         iv_points=((-210.0, -200.0), (0.0, 0.0), (90.0, 90.0), (150.0, 130.0), (210.0, 250.0))
@@ -309,6 +340,30 @@ def test_clog_validation():
     for duration in (math.nan, math.inf):
         with pytest.raises(SimulationError, match="duration_s must be finite"):
             simulate(MOLECULE, config, duration, CALIB, seed=1)
+
+
+def _refuse_draws(*args, **kwargs):
+    raise AssertionError("a refused run drew from its streams")
+
+
+@pytest.mark.parametrize(
+    "limit, value, config, duration_s",
+    [
+        # 10^4 samples at 100 kHz fill 0.1 s.
+        ("MAX_SAMPLES", 10_000, ChannelConfig(sample_rate_hz=100_000), 0.1),
+        # 2 pores at 21 events/s expect 10 events in 0.25 s.
+        ("MAX_EVENTS", 10, ChannelConfig(n_pores=2), 10 / 42),
+        # 2 gating pores with 20 ms dwells: 100 dwells in 1 s.
+        ("MAX_GATING_DWELLS", 100, ChannelConfig(kcl_molar=2.0, n_pores=2), 1.0),
+    ],
+)
+def test_simulate_refuses_a_run_past_each_limit(monkeypatch, limit, value, config, duration_s):
+    monkeypatch.setattr(poresim, limit, value)
+    simulate(MOLECULE, config, duration_s, CALIB, seed=1)  # at the limit
+    monkeypatch.setattr(poresim, "pore_events", _refuse_draws)
+    monkeypatch.setattr(poresim, "_gating_closed_intervals", _refuse_draws)
+    with pytest.raises(SimulationError, match=f"more than {value:g}"):
+        simulate(MOLECULE, config, duration_s * 1.01, CALIB, seed=1)
 
 
 def test_gating_suppresses_events_and_toggles_current():

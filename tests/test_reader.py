@@ -321,6 +321,32 @@ def test_decode_event_never_expands_the_bases():
     assert peak < 2 * 2**20, peak
 
 
+@pytest.mark.parametrize(
+    "base_dwell_us, ref_voltage_mv, reason",
+    [
+        (1e-300, 210.0, "more bits than"),
+        (5e-324, 210.0, "count is not finite"),
+        (1e-300, 1e-300, "count is not finite"),  # the dwell underflows to 0
+    ],
+)
+def test_decode_event_refuses_a_count_no_molecule_holds(base_dwell_us, ref_voltage_mv, reason):
+    # A tiny per-base dwell makes a 100 us substate hold ~10^302 bases, or
+    # more than a float64 holds.
+    scheme = RunLengthScheme.from_string("A50C100")
+    calib = CALIB.replace(base_dwell_us=base_dwell_us, ref_voltage_mv=ref_voltage_mv)
+    with pytest.raises(ReaderError, match=reason):
+        decode_event(BiLevel(0.37, 0.17, 100.0, 50.0), scheme, calib, 210.0)
+
+
+def test_decode_event_refuses_more_bits_than_a_molecule_holds_bases():
+    # A 3'-first C(4 x 10^5) A(6 x 10^5) layout carries 10^6 bits under A1C1.
+    scheme = RunLengthScheme.from_string("A1C1")
+    bits = decode_event(BiLevel(0.37, 0.17, 4e5, 6e5), scheme, CALIB, 210.0)
+    assert bits == [0] * 600_000 + [1] * 400_000
+    with pytest.raises(ReaderError, match=f"more bits than the {poresim.MAX_MOLECULE_BASES} "):
+        decode_event(BiLevel(0.37, 0.17, 4e5, 6e5 + 1), scheme, CALIB, 210.0)
+
+
 @pytest.mark.parametrize("voltage_mv", [-211.0, 210.5, 1e12, 1e308, np.inf, np.nan])
 def test_decode_refuses_voltage_outside_calibration(voltage_mv):
     scheme = RunLengthScheme.from_string("A50C100")
@@ -548,7 +574,11 @@ def _rates_cases(draw):
 )
 def test_census_rates_match_merge_loop(case):
     census, rate, n_pores, window_s, max_event_s, merge_gap_s = case
-    got = census_rates(census, rate, n_pores, window_s, max_event_s, merge_gap_s)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(reader, "_BASELINE_WINDOW_S", window_s)
+        patch.setattr(reader, "_MAX_EVENT_S", max_event_s)
+        patch.setattr(reader, "_MERGE_GAP_S", merge_gap_s)
+        got = census_rates(census, rate, n_pores)
     want = _census_rates_loop(census, rate, n_pores, window_s, max_event_s, merge_gap_s)
     assert got == want
 
@@ -728,7 +758,7 @@ def test_detect_and_stats_equal_on_every_trace_kind(tmp_path, monkeypatch, chunk
     text, binary = str(tmp_path / "t.txt"), str(tmp_path / "t.bin")
     traceio.write_trace_text(held, text)
     traceio.write_trace_binary(held, binary)
-    monkeypatch.setattr(traceio, "_READ_CHUNK", chunk)
+    monkeypatch.setattr(poresim, "_CHUNK", chunk)
     monkeypatch.setattr(traceio, "_BLOCK", 64)
     text_trace, binary_trace = traceio.read_trace(text), traceio.read_trace(binary)
     # A 64-byte block holds under 8 lines of 10 bytes or more.

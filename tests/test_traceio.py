@@ -276,7 +276,7 @@ def test_text_reader_accepts_what_loadtxt_accepts(
     else:
         monkeypatch.setattr(traceio, "_BLOCK", block)
     if read_chunk is not None:
-        monkeypatch.setattr(traceio, "_READ_CHUNK", read_chunk)
+        monkeypatch.setattr(poresim, "_CHUNK", read_chunk)
     path = tmp_path / "t.txt"
     path.write_bytes((header + body).encode("ascii"))
     expected = _loadtxt_reference(path)
@@ -361,7 +361,7 @@ def _binary_file(path, values):
 
 
 def test_binary_reads_in_chunks(tmp_path, monkeypatch):
-    monkeypatch.setattr(traceio, "_READ_CHUNK", 3)
+    monkeypatch.setattr(poresim, "_CHUNK", 3)
     values = [float(v) for v in range(-5, 6)]
     path = tmp_path / "t.mtrc"
     _binary_file(path, values)
@@ -371,7 +371,7 @@ def test_binary_reads_in_chunks(tmp_path, monkeypatch):
 
 
 def test_binary_chunk_passes_close_their_files(tmp_path, monkeypatch):
-    monkeypatch.setattr(traceio, "_READ_CHUNK", 3)
+    monkeypatch.setattr(poresim, "_CHUNK", 3)
     values = [float(v) for v in range(11)]
     path = tmp_path / "t.mtrc"
     _binary_file(path, values)
@@ -393,7 +393,7 @@ def test_binary_chunk_passes_close_their_files(tmp_path, monkeypatch):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("index", [0, 4, 10])
 def test_binary_reader_refuses_non_finite(tmp_path, monkeypatch, bad, index):
-    monkeypatch.setattr(traceio, "_READ_CHUNK", 3)
+    monkeypatch.setattr(poresim, "_CHUNK", 3)
     values = [250.0] * 11
     values[index] = bad
     path = tmp_path / "bad.mtrc"
@@ -441,6 +441,24 @@ def test_binary_bad_magic(tmp_path):
     path.write_bytes(b"XXXX" + b"\0" * 20)
     with pytest.raises(TraceFormatError):
         read_trace_binary(str(path))
+
+
+@pytest.mark.parametrize(
+    "fmt, rate", [
+        ("binary", 0.5), ("binary", math.nan), ("binary", math.inf), ("binary", 1e12 + 1),
+        ("binary", 1e300), ("text", "0"), ("text", "1000000000001"), ("text", "9" * 400),
+    ],
+)
+def test_reader_refuses_sample_rate_outside_range(tmp_path, fmt, rate):
+    # From ~9e21 Hz a 1 ms census block overflows an int64 index, and below
+    # 1 Hz the microseconds of an event can overflow a float64.
+    path = tmp_path / "t.trace"
+    if fmt == "binary":
+        path.write_bytes(struct.pack("<4sIdQf", MAGIC, 1, rate, 1, 250.0))
+    else:
+        path.write_bytes(f"sample_rate_hz={rate}\n250.0\n".encode("ascii"))
+    with pytest.raises(TraceFormatError, match=r"^sample rate must be in \[1, 1e\+12\] Hz$"):
+        read_trace(str(path))
 
 
 def test_binary_truncated(tmp_path):
