@@ -20,6 +20,7 @@ from .codec import (
 from .calibration import CalibrationTable, ChannelConfig
 from .poresim import (
     CurrentTrace,
+    EventTable,
     MoleculeSpec,
     Orientation,
     TranslocationEvent,
@@ -36,6 +37,7 @@ __all__ = [
     "CalibrationTable",
     "ChannelConfig",
     "CurrentTrace",
+    "EventTable",
     "MoleculeSpec",
     "Nucleotide",
     "Orientation",

@@ -53,6 +53,9 @@ def _default_level_stats() -> dict[tuple[str, str], LevelStats]:
 # an int64 index (as, at 1 Hz or more, the microseconds of a trace fit a
 # float64).
 MAX_SAMPLE_RATE_HZ = 10**12
+# The most pores a channel or a census holds: its largest census state
+# fits a uint16.
+MAX_PORES = 2**16 - 1
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,8 @@ class ChannelConfig:
             raise ParamError(
                 f"noise_sigma_pa must be finite and >= 0, got {self.noise_sigma_pa}"
             )
-        if self.n_pores < 1:
-            raise ParamError("n_pores must be >= 1")
+        if not 1 <= self.n_pores <= MAX_PORES:
+            raise ParamError(f"n_pores must be in [1, {MAX_PORES}], got {self.n_pores}")
         if self.bandwidth_khz is not None and not 0 < self.bandwidth_khz < math.inf:
             raise ParamError(
                 f"bandwidth_khz must be finite and > 0 when set, got {self.bandwidth_khz}"
@@ -280,16 +283,21 @@ def parse_calibration(text: str) -> CalibrationTable:
     return table.replace(level_stats=levels, **values)
 
 
-def load_calibration(path: str) -> CalibrationTable:
+def read_text(path: str) -> str:
+    """The UTF-8 text of a file; other bytes are a CalibrationError naming
+    the first offset that does not decode."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        text = raw.decode("utf-8")
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CalibrationError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
-    return parse_calibration(text)
+
+
+def load_calibration(path: str) -> CalibrationTable:
+    return parse_calibration(read_text(path))
 
 
 def format_calibration(table: CalibrationTable) -> str:

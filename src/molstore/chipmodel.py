@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 
-from .calibration import field_defaults, parse_key_values
+from .calibration import field_defaults, parse_key_values, read_text
 
 
 class PlanError(ValueError):
@@ -188,8 +188,7 @@ def parse_scenario(text: str, base: PlanScenario | None = None) -> PlanScenario:
 
 
 def load_scenario(path: str, base: PlanScenario | None = None) -> PlanScenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read(), base=base)
+    return parse_scenario(read_text(path), base=base)
 
 
 def report_items(report: PlanReport) -> list[tuple[str, str]]:

@@ -35,11 +35,6 @@ def _load_calibration(path: str | None) -> calibration.CalibrationTable:
     return calibration.load_calibration(path)
 
 
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
@@ -59,7 +54,7 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_encode(args) -> int:
-    bits = codec.read_payload(_read_text(args.infile))
+    bits = codec.read_payload(calibration.read_text(args.infile))
     if args.mode == "direct":
         seq = codec.encode_direct(bits)
     else:
@@ -69,7 +64,7 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    seq = codec.read_sequence(_read_text(args.infile))
+    seq = codec.read_sequence(calibration.read_text(args.infile))
     if args.mode == "direct":
         bits = codec.decode_direct(seq)
     else:
@@ -141,12 +136,18 @@ def _cmd_simulate(args) -> int:
     for cal_line in calibration.format_calibration(calib).splitlines():
         lines.append(f"# cal.{cal_line}")
     lines.append("kind,pore,t_start_s,duration_us,complete,orientation,levels,durations_us")
-    for pore, event in result.events:
-        levels = ";".join(f"{s.level:.6f}" for s in event.substates)
-        durations = ";".join(f"{s.duration_us:.3f}" for s in event.substates)
+    events = result.events
+    levels = [f"{level:.6f}" for level in events.levels.tolist()]
+    durations = [f"{duration:.3f}" for duration in events.durations_us.tolist()]
+    orientations = [o.value for o in poresim.ORIENTATIONS]
+    bounds = events.offsets.tolist()
+    for pore, t, duration, complete, code, a, b in zip(
+        events.pore.tolist(), events.t_start_s.tolist(), events.duration_us.tolist(),
+        events.complete.tolist(), events.orientation.tolist(), bounds, bounds[1:],
+    ):
         lines.append(
-            f"event,{pore},{event.t_start_s:.9f},{event.duration_us:.3f},"
-            f"{int(event.complete)},{event.orientation},{levels},{durations}"
+            f"event,{pore},{t:.9f},{duration:.3f},{int(complete)},{orientations[code]},"
+            f"{';'.join(levels[a:b])},{';'.join(durations[a:b])}"
         )
     for pore in sorted(result.clogs):
         for start, end in result.clogs[pore]:
@@ -207,8 +208,8 @@ def _resolve_open_current(args, calib) -> float:
 def _check_pores(args) -> None:
     if args.pores < 1:
         raise CliError("usage", f"--pores must be >= 1, got {args.pores}")
-    if args.pores > reader.MAX_PORES:
-        raise CliError("usage", f"--pores must be <= {reader.MAX_PORES}, got {args.pores}")
+    if args.pores > calibration.MAX_PORES:
+        raise CliError("usage", f"--pores must be <= {calibration.MAX_PORES}, got {args.pores}")
 
 
 def _cmd_read(args) -> int:

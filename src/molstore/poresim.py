@@ -57,9 +57,10 @@ MAX_MOLECULE_BASES = 10**6
 # The largest run simulate starts, checked before it draws anything: its
 # samples (duration_s * sample_rate_hz; 10^10 is ~3 h at 1 MHz), the events
 # it expects (capture_rate * duration_s * n_pores; each is drawn in Python
-# and held until the run's log is written) and, while gating, the gating
-# dwells it expects at most (duration_s * n_pores over the shorter mean
-# dwell).  Past these a run would not end in practice.
+# and held as a row of an EventTable's arrays until the run's log is
+# written) and, while gating, the gating dwells it expects at most
+# (duration_s * n_pores over the shorter mean dwell).  Past these a run
+# would not end in practice.
 MAX_SAMPLES = 10**10
 MAX_EVENTS = 10**6
 MAX_GATING_DWELLS = 10**6
@@ -118,6 +119,22 @@ class MoleculeSpec:
         return "".join(f"{base}{count}" for base, count in self.segments)
 
 
+# Orientation codes of an EventTable, and of the reader's array kernels,
+# index this tuple.
+ORIENTATIONS = (
+    Orientation.UNKNOWN,
+    Orientation.THREE_PRIME_FIRST,
+    Orientation.FIVE_PRIME_FIRST,
+)
+
+
+def _check_substate(level: float, duration_us: float) -> None:
+    if not 0.0 < level < 1.0:
+        raise SimulationError(f"substate level {level} outside (0, 1)")
+    if duration_us <= 0.0:
+        raise SimulationError("substate duration must be > 0")
+
+
 class Substate(NamedTuple):
     """One blockade level: normalized residual current and its duration."""
 
@@ -138,10 +155,7 @@ class TranslocationEvent:
         if not self.substates:
             raise SimulationError("event needs at least one substate")
         for sub in self.substates:
-            if not 0.0 < sub.level < 1.0:
-                raise SimulationError(f"substate level {sub.level} outside (0, 1)")
-            if sub.duration_us <= 0.0:
-                raise SimulationError("substate duration must be > 0")
+            _check_substate(*sub)
 
     @property
     def duration_us(self) -> float:
@@ -224,6 +238,103 @@ class CurrentTrace:
 class PoreEvent(NamedTuple):
     pore: int
     event: TranslocationEvent
+
+
+@dataclass(eq=False)
+class EventTable:
+    """Drawn events as arrays, one row per event: its ``pore``,
+    ``t_start_s``, whether it is ``complete`` and its ``orientation`` (an
+    ORIENTATIONS code).  Event ``i`` holds the substates ``offsets[i]`` to
+    ``offsets[i + 1] - 1`` of ``levels`` and ``durations_us``.  Iterating
+    gives each row as a ``PoreEvent``."""
+
+    pore: np.ndarray
+    t_start_s: np.ndarray
+    complete: np.ndarray
+    orientation: np.ndarray
+    offsets: np.ndarray
+    levels: np.ndarray
+    durations_us: np.ndarray
+
+    @classmethod
+    def from_columns(
+        cls, pore, t_start_s, complete, orientation, counts, levels, durations_us
+    ) -> "EventTable":
+        """A table from per-event columns, ``counts`` substates each, and the
+        substate columns."""
+        return cls(
+            np.asarray(pore, np.int64),
+            np.asarray(t_start_s, np.float64),
+            np.asarray(complete, np.bool_),
+            np.asarray(orientation, np.int8),
+            np.concatenate(([0], np.cumsum(counts, dtype=np.int64))),
+            np.asarray(levels, np.float64),
+            np.asarray(durations_us, np.float64),
+        )
+
+    @classmethod
+    def concatenate(cls, tables: Sequence["EventTable"]) -> "EventTable":
+        """The rows of ``tables``, one table after another."""
+        if not tables:
+            return cls.from_columns(*[()] * 7)
+        columns = zip(*(
+            (t.pore, t.t_start_s, t.complete, t.orientation, np.diff(t.offsets),
+             t.levels, t.durations_us)
+            for t in tables
+        ))
+        return cls.from_columns(*(np.concatenate(c) for c in columns))
+
+    def __len__(self) -> int:
+        return self.t_start_s.size
+
+    def __iter__(self) -> Iterator[PoreEvent]:
+        levels, durations = self.levels.tolist(), self.durations_us.tolist()
+        bounds = self.offsets.tolist()
+        for pore, t, complete, code, a, b in zip(
+            self.pore.tolist(), self.t_start_s.tolist(), self.complete.tolist(),
+            self.orientation.tolist(), bounds, bounds[1:],
+        ):
+            substates = tuple(map(Substate, levels[a:b], durations[a:b]))
+            yield PoreEvent(pore, TranslocationEvent(t, substates, complete, ORIENTATIONS[code]))
+
+    def take(self, rows) -> "EventTable":
+        """The rows picked by an index array or a boolean mask, in its order."""
+        rows = np.arange(len(self))[rows]
+        counts = np.diff(self.offsets)[rows]
+        offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        picked = np.repeat(self.offsets[rows] - offsets[:-1], counts) + np.arange(offsets[-1])
+        return EventTable(
+            self.pore[rows], self.t_start_s[rows], self.complete[rows],
+            self.orientation[rows], offsets, self.levels[picked], self.durations_us[picked],
+        )
+
+    def _ranks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """For k = 0, 1, ...: the mask of the events holding a k-th
+        substate, and the index of that substate in each."""
+        first, counts = self.offsets[:-1], np.diff(self.offsets)
+        for k in range(counts.max(initial=0)):
+            rows = counts > k
+            yield rows, first[rows] + k
+
+    @property
+    def duration_us(self) -> np.ndarray:
+        """Each event's duration: its substates' summed in order, as
+        ``TranslocationEvent.duration_us`` sums them."""
+        total = np.zeros(len(self))
+        for rows, at in self._ranks():
+            total[rows] += self.durations_us[at]
+        return total
+
+    def substate_spans_s(self) -> tuple[np.ndarray, np.ndarray]:
+        """Start and end time in s of each substate: an event's first starts
+        at its ``t_start_s`` and the next where the last ended, each ending
+        ``duration_us * 1e-6`` after its start."""
+        starts = np.empty_like(self.durations_us)
+        ends = np.empty_like(self.durations_us)
+        for k, (_, at) in enumerate(self._ranks()):
+            starts[at] = ends[at - 1] if k else self.t_start_s
+            ends[at] = starts[at] + self.durations_us[at] * 1e-6
+        return starts, ends
 
 
 ClogSchedule = Mapping[int, Sequence[tuple[float, float]]]
@@ -320,14 +431,6 @@ def _truncated_normal(rng: np.random.Generator, mean: float, sd: float) -> float
     )
 
 
-def _duration_jitter(rng: np.random.Generator, cv: float) -> float:
-    if cv <= 0.0:
-        return 1.0
-    sigma2 = math.log(1.0 + cv * cv)
-    # mean of the multiplier is exactly 1
-    return rng.lognormal(mean=-0.5 * sigma2, sigma=math.sqrt(sigma2))
-
-
 def _bilevel_possible(molecule: MoleculeSpec, calib: CalibrationTable) -> bool:
     if len(molecule.segments) != 2:
         return False
@@ -336,6 +439,72 @@ def _bilevel_possible(molecule: MoleculeSpec, calib: CalibrationTable) -> bool:
             if calib.level_for(base.value, end) is None:
                 return False
     return True
+
+
+class _EventSampler:
+    """``sample_event`` for one molecule, config and calibration: the
+    constants are computed once, and each ``draw`` makes the draws one
+    event takes, in the same order and with the same short-circuits."""
+
+    def __init__(self, molecule: MoleculeSpec, config: ChannelConfig, calib: CalibrationTable):
+        voltage = config.voltage_mv
+        if voltage <= 0:
+            raise SimulationError("sample_event requires a positive trans bias")
+        self.frac_complete = frac_complete = complete_fraction(voltage, calib)
+        self.incomplete_band = (calib.incomplete_level_low, calib.incomplete_level_high)
+        self.incomplete_min_us = calib.incomplete_min_duration_us
+        self.incomplete_extra_us = (
+            calib.incomplete_mean_duration_us - calib.incomplete_min_duration_us
+        )
+        cv = calib.duration_jitter_cv
+        sigma2 = math.log(1.0 + cv * cv)
+        # The lognormal dwell multiplier, whose mean is exactly 1; none at cv 0.
+        self.jitter = (-0.5 * sigma2, math.sqrt(sigma2)) if cv > 0.0 else None
+        dwell_scale = calib.base_dwell_us * calib.ref_voltage_mv / voltage
+        # (level mean, level sd, unjittered dwell us) of each substate.
+        self.monolevel = (
+            (1.0 - monolevel_blockage(voltage, calib), calib.monolevel_sigma,
+             molecule.total_bases * dwell_scale),
+        )
+        self.p_bilevel = None  # no bi-level draw at all
+        if voltage >= calib.bilevel_min_voltage_mv and _bilevel_possible(molecule, calib):
+            p_bilevel = calib.bilevel_fraction / frac_complete if frac_complete > 0 else 0.0
+            self.p_bilevel = min(1.0, p_bilevel)
+            self.three_prime_first = calib.three_prime_first_fraction
+            # Per ORIENTATIONS code, the segments in the order they enter:
+            # 3' first (code 1) is the molecule reversed.
+            self.bilevel = {
+                code: tuple(
+                    (*calib.level_for(base.value, ORIENTATIONS[code].entry_end),
+                     count * dwell_scale)
+                    for base, count in ordered
+                )
+                for code, ordered in (
+                    (1, tuple(reversed(molecule.segments))), (2, molecule.segments)
+                )
+            }
+
+    def draw(self, rng: np.random.Generator) -> tuple[bool, int, list, list]:
+        """One event, as ``sample_event`` describes it: (complete,
+        ORIENTATIONS code, levels, durations_us)."""
+        if rng.random() >= self.frac_complete:
+            levels = [rng.uniform(*self.incomplete_band)]
+            durations = [self.incomplete_min_us + rng.exponential(self.incomplete_extra_us)]
+            complete, code = False, 0
+        else:
+            complete, code, segments = True, 0, self.monolevel
+            if self.p_bilevel is not None and rng.random() < self.p_bilevel:
+                code = 1 if rng.random() < self.three_prime_first else 2
+                segments = self.bilevel[code]
+            levels, durations = [], []
+            for mean, sd, dwell_us in segments:
+                levels.append(_truncated_normal(rng, mean, sd))
+                if self.jitter is not None:
+                    dwell_us *= rng.lognormal(*self.jitter)
+                durations.append(dwell_us)
+        for level, duration_us in zip(levels, durations):
+            _check_substate(level, duration_us)
+        return complete, code, levels, durations
 
 
 def sample_event(
@@ -355,48 +524,13 @@ def sample_event(
     otherwise a single level drawn around the voltage-dependent mean
     blockage.  The calibrated bilevel_fraction is the share of bi-level
     events among ALL events, so the conditional probability given a
-    complete event is bilevel_fraction / complete_fraction.
+    complete event is bilevel_fraction / complete_fraction.  ``pore_events``
+    draws each of its events the same way, from one ``_EventSampler``.
     """
-    voltage = config.voltage_mv
-    if voltage <= 0:
-        raise SimulationError("sample_event requires a positive trans bias")
-    frac_complete = complete_fraction(voltage, calib)
-    if rng.random() >= frac_complete:
-        level = rng.uniform(calib.incomplete_level_low, calib.incomplete_level_high)
-        duration = calib.incomplete_min_duration_us + rng.exponential(
-            calib.incomplete_mean_duration_us - calib.incomplete_min_duration_us
-        )
-        return TranslocationEvent(
-            t_start_s, (Substate(level, duration),), complete=False
-        )
-
-    dwell_scale = calib.base_dwell_us * calib.ref_voltage_mv / voltage
-    cv = calib.duration_jitter_cv
-    bilevel_ok = voltage >= calib.bilevel_min_voltage_mv and _bilevel_possible(
-        molecule, calib
+    complete, code, levels, durations = _EventSampler(molecule, config, calib).draw(rng)
+    return TranslocationEvent(
+        t_start_s, tuple(map(Substate, levels, durations)), complete, ORIENTATIONS[code]
     )
-    p_bilevel = calib.bilevel_fraction / frac_complete if frac_complete > 0 else 0.0
-    if bilevel_ok and rng.random() < min(1.0, p_bilevel):
-        if rng.random() < calib.three_prime_first_fraction:
-            orientation = Orientation.THREE_PRIME_FIRST
-            ordered = tuple(reversed(molecule.segments))
-        else:
-            orientation = Orientation.FIVE_PRIME_FIRST
-            ordered = molecule.segments
-        subs = []
-        for base, count in ordered:
-            stats = calib.level_for(base.value, orientation.entry_end)
-            level = _truncated_normal(rng, stats.mean, stats.sd)
-            subs.append(Substate(level, count * dwell_scale * _duration_jitter(rng, cv)))
-        return TranslocationEvent(
-            t_start_s, tuple(subs), complete=True, orientation=orientation
-        )
-
-    level = _truncated_normal(
-        rng, 1.0 - monolevel_blockage(voltage, calib), calib.monolevel_sigma
-    )
-    duration = molecule.total_bases * dwell_scale * _duration_jitter(rng, cv)
-    return TranslocationEvent(t_start_s, (Substate(level, duration),), complete=True)
 
 
 # --- per-pore processes ----------------------------------------------------
@@ -461,7 +595,7 @@ def pore_events(
     pore: int,
     duration_s: float,
     clog_intervals: Sequence[tuple[float, float]] = (),
-) -> list[TranslocationEvent]:
+) -> EventTable:
     """Events for one pore substream; independent of other pores.
 
     Arrivals form a Poisson process at the calibrated capture rate;
@@ -469,29 +603,35 @@ def pore_events(
     interval) are discarded, and events that would be clipped by the trace
     end are dropped so the ground truth matches the rendered trace.
     """
-    voltage = config.voltage_mv
-    if voltage <= 0:
-        return []
-    rate = capture_rate(voltage, calib)
-    rng = _pore_rng(seed, pore)
-    events: list[TranslocationEvent] = []
-    busy_until = 0.0
-    t = 0.0
-    while True:
-        t += rng.exponential(1.0 / rate)
-        if t >= duration_s:
-            break
-        if t < busy_until:
-            continue  # arrived during a blockade: discarded
-        event = sample_event(molecule, config, calib, rng, t_start_s=t)
-        t_end = t + event.duration_us * 1e-6
-        if t_end > duration_s:
-            continue
-        if _overlaps(t, t_end, clog_intervals):
-            continue  # pore is (or becomes) persistently clogged
-        busy_until = t_end
-        events.append(event)
-    return events
+    starts, completes, codes, counts, levels, durations = [], [], [], [], [], []
+    if config.voltage_mv > 0:
+        mean_gap_s = 1.0 / capture_rate(config.voltage_mv, calib)
+        draw = _EventSampler(molecule, config, calib).draw
+        rng = _pore_rng(seed, pore)
+        busy_until = 0.0
+        t = 0.0
+        while True:
+            t += rng.exponential(mean_gap_s)
+            if t >= duration_s:
+                break
+            if t < busy_until:
+                continue  # arrived during a blockade: discarded
+            complete, code, event_levels, event_durations = draw(rng)
+            t_end = t + sum(event_durations) * 1e-6
+            if t_end > duration_s:
+                continue
+            if clog_intervals and _overlaps(t, t_end, clog_intervals):
+                continue  # pore is (or becomes) persistently clogged
+            busy_until = t_end
+            starts.append(t)
+            completes.append(complete)
+            codes.append(code)
+            counts.append(len(event_levels))
+            levels += event_levels
+            durations += event_durations
+    return EventTable.from_columns(
+        [pore] * len(starts), starts, completes, codes, counts, levels, durations
+    )
 
 
 def _gating_closed_intervals(
@@ -514,9 +654,12 @@ def _gating_closed_intervals(
 # --- trace synthesis -------------------------------------------------------
 
 
-def _sample_slice(t_start: float, t_end: float, rate: float, n: int) -> tuple[int, int]:
-    i0 = max(0, math.ceil(t_start * rate - 1e-9))
-    i1 = min(n, math.ceil(t_end * rate - 1e-9))
+def _sample_slices(
+    t_start: np.ndarray, t_end: np.ndarray, rate: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The first sample of each span and the first past it, within the trace."""
+    i0 = np.maximum(np.ceil(t_start * rate - 1e-9), 0).astype(np.int64)
+    i1 = np.minimum(np.ceil(t_end * rate - 1e-9), n).astype(np.int64)
     return i0, i1
 
 
@@ -585,7 +728,7 @@ class SimulationResult:
     """Synthesized trace plus the ground truth that produced it."""
 
     trace: SynthesizedTrace
-    events: tuple[PoreEvent, ...]
+    events: EventTable  # sorted by start time, then pore
     clogs: dict[int, tuple[tuple[float, float], ...]] = field(default_factory=dict)
     gating: bool = False
 
@@ -621,7 +764,7 @@ def simulate(
     clog_map = _normalize_clogs(clogs, config.n_pores, duration_s)
     gating = gating_active(config.kcl_molar, calib)
 
-    all_events: list[PoreEvent] = []
+    tables: list[EventTable] = []
     pore_s = duration_s * config.n_pores
     if gating:
         shortest_ms = min(calib.gating_open_dwell_ms, calib.gating_closed_dwell_ms)
@@ -642,35 +785,33 @@ def simulate(
                 f"{expected:.3g} expected events over {pore_s:g} pore-seconds "
                 f"are more than {MAX_EVENTS:g}"
             )
-        for pore in range(config.n_pores):
-            for event in pore_events(
-                molecule, config, calib, seed, pore, duration_s, clog_map.get(pore, ())
-            ):
-                all_events.append(PoreEvent(pore, event))
+        tables = [
+            pore_events(molecule, config, calib, seed, pore, duration_s, clog_map.get(pore, ()))
+            for pore in range(config.n_pores)
+        ]
+    events = EventTable.concatenate(tables)
 
-    segments: list[tuple[int, int, float]] = []
-    for _, event in all_events:
-        t = event.t_start_s
-        for level, dur_us in event.substates:
-            t_end = t + dur_us * 1e-6
-            segments.append((*_sample_slice(t, t_end, rate, n), open_pa * (1.0 - level)))
-            t = t_end
-    for intervals in clog_map.values():
-        for start, end in intervals:
-            segments.append(
-                (*_sample_slice(start, end, rate, n), open_pa - calib.clogged_current_pa)
-            )
-    starts, stops, drops = (np.array([seg[i] for seg in segments]) for i in range(3))
+    # Segments in pore-major event order, then the clogs: where segments
+    # overlap, the order they are subtracted in sets how samples round.
+    spans = np.array([span for pore_spans in clog_map.values() for span in pore_spans])
+    spans = spans.reshape(-1, 2)
+    event_i0, event_i1 = _sample_slices(*events.substate_spans_s(), rate, n)
+    clog_i0, clog_i1 = _sample_slices(spans[:, 0], spans[:, 1], rate, n)
+    starts = np.concatenate((event_i0, clog_i0))
+    stops = np.concatenate((event_i1, clog_i1))
+    drops = np.concatenate((
+        open_pa * (1.0 - events.levels),
+        np.full(len(spans), open_pa - calib.clogged_current_pa),
+    ))
     cutoff_hz = None if config.bandwidth_khz is None else config.bandwidth_khz * 1e3
     trace = SynthesizedTrace(
         rate, n, open_pa * config.n_pores, starts, stops, drops, config.noise_sigma_pa, seed,
         cutoff_hz,
     )
 
-    all_events.sort(key=lambda pe: (pe.event.t_start_s, pe.pore))
     return SimulationResult(
         trace=trace,
-        events=tuple(all_events),
+        events=events.take(np.lexsort((events.pore, events.t_start_s))),
         clogs=clog_map,
         gating=gating,
     )

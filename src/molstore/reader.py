@@ -17,10 +17,11 @@ from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
-from .calibration import CalibrationTable
+from .calibration import MAX_PORES, CalibrationTable
 from .codec import CodecError, RunLengthScheme, bit_runs, decode_runs
 from .poresim import (
     MAX_MOLECULE_BASES,
+    ORIENTATIONS,
     ChunkedTrace,
     CurrentTrace,
     Orientation,
@@ -202,12 +203,6 @@ def detect_events(
 # Class codes of the array kernels, in EVENT_KINDS order.
 INCOMPLETE, MONOLEVEL, BILEVEL = 0, 1, 2
 EVENT_KINDS = ("incomplete", "monolevel", "bilevel")
-# Orientation codes of the array kernels index this tuple.
-ORIENTATIONS = (
-    Orientation.UNKNOWN,
-    Orientation.THREE_PRIME_FIRST,
-    Orientation.FIVE_PRIME_FIRST,
-)
 TIE_TOLERANCE = 0.02
 # Cells (events x samples) per batch of the classification kernels; bounds
 # their float temporaries whatever the event count.  An event longer than
@@ -715,8 +710,6 @@ def read_station(
 
 # Samples per pass of census_series; keeps its float temporaries in cache.
 _CENSUS_CHUNK = 1 << 16
-# The most pores a census holds: its largest state fits a uint16.
-MAX_PORES = np.iinfo(np.uint16).max
 
 
 def _census_scale(

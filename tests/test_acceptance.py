@@ -328,9 +328,9 @@ def test_criterion_10_determinism(tmp_path):
 
     config = ChannelConfig(voltage_mv=210.0, n_pores=3, sample_rate_hz=100_000)
     result = simulate(A50C100, config, 2.0, CALIB, seed=7)
-    by_pore = {p: [e for q, e in result.events if q == p] for p in range(3)}
+    by_pore = {p: [pe for pe in result.events if pe.pore == p] for p in range(3)}
     schedule_ok = all(
-        pore_events(A50C100, config, CALIB, 7, pore, 2.0) == by_pore[pore]
+        list(pore_events(A50C100, config, CALIB, 7, pore, 2.0)) == by_pore[pore]
         for pore in (2, 0, 1)
     )
     rerun = simulate(A50C100, config, 2.0, CALIB, seed=7)

@@ -9,6 +9,7 @@ from molstore.calibration import (
     CalibrationError,
     CalibrationTable,
     ChannelConfig,
+    MAX_PORES,
     LevelStats,
     ParamError,
     format_calibration,
@@ -130,6 +131,10 @@ def test_channel_config_validation():
         ChannelConfig(kcl_molar=0.0)
     with pytest.raises(CalibrationError):
         ChannelConfig(n_pores=0)
+    ChannelConfig(n_pores=MAX_PORES)
+    for pores in (MAX_PORES + 1, 10**400):
+        with pytest.raises(ParamError, match=r"n_pores must be in \[1, 65535\]"):
+            ChannelConfig(n_pores=pores)
     with pytest.raises(CalibrationError):
         ChannelConfig(sample_rate_hz=0)
     with pytest.raises(CalibrationError, match=r"sample_rate_hz must be in \[1, 1e\+12\]"):

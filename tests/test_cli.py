@@ -509,9 +509,11 @@ def test_fuzz_key_value_lines_exit_cleanly(key, value):
             assert not caught
 
 
-# Options whose value is drawn, per command.  Output paths stay fixed, and
-# so does simulate's small --duration-s, whose large values the run-size
-# limits refuse (test_simulate_refuses_a_run_too_large_to_simulate).
+# Options whose value is drawn, per command.  Output paths stay fixed.
+# simulate's --duration-s is drawn from _ARG_DURATIONS at a 10 kHz sample
+# rate, so a run holds no events or tens of them and at most 25 k samples;
+# its large values the run-size limits refuse
+# (test_simulate_refuses_a_run_too_large_to_simulate).
 _ARG_OPTIONS = {
     "simulate": [
         "--molecule", "--voltage-mv", "--kcl-molar", "--seed", "--pores",
@@ -525,6 +527,7 @@ _ARG_OPTIONS = {
     "stats": ["--voltage-mv", "--kcl-molar", "--open-current-pa", "--pores"],
 }
 _ARG_VALUES = ["0", "-1", "2.5", "nan", "inf", "-inf", "1e308", "1e-300"]
+_ARG_DURATIONS = ["0.01", "0.5", "2.5"]
 
 
 def _fuzz_trace():
@@ -542,19 +545,21 @@ def _argument_vectors(draw):
     pairs = draw(st.lists(st.tuples(options, st.sampled_from(_ARG_VALUES)),
                           min_size=1, max_size=3))
     fmt = draw(st.sampled_from(["text", "binary"]))
-    return command, fmt, [f"{option}={value}" for option, value in pairs]
+    duration = draw(st.sampled_from(_ARG_DURATIONS))
+    return command, fmt, duration, [f"{option}={value}" for option, value in pairs]
 
 
 @settings(max_examples=150, deadline=None)
 @given(_argument_vectors())
 def test_fuzz_argument_vectors_exit_cleanly(case):
-    command, fmt, drawn = case
+    command, fmt, duration, drawn = case
     with tempfile.TemporaryDirectory() as tmp:
         trace = str(Path(tmp) / "t.trace")
         if command == "simulate":
             fixed = [
-                "--molecule", "A50C100", "--duration-s", "0.01", "--seed", "1",
-                "--format", fmt, "--trace-out", trace, "--log-out", str(Path(tmp) / "log.csv"),
+                "--molecule", "A50C100", "--duration-s", duration, "--sample-rate-hz", "10000",
+                "--seed", "1", "--format", fmt, "--trace-out", trace,
+                "--log-out", str(Path(tmp) / "log.csv"),
             ]
         else:
             traceio.write_trace(_fuzz_trace(), trace, fmt)
@@ -897,6 +902,38 @@ def test_simulate_refuses_a_run_too_large_to_simulate(
     err = capsys.readouterr().err
     assert err.startswith("error: param: ") and err.count("\n") == 1 and detail in err
     assert not trace.exists() and not log.exists()
+
+
+@pytest.mark.parametrize("pores", ["65536", "9" * 401])
+def test_simulate_refuses_more_pores_than_a_census_holds(tmp_path, capsys, pores):
+    code, trace, log = _simulate(tmp_path, "--pores", pores, duration="0.01")
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: param: n_pores must be in [1, 65535], got {pores}\n"
+    )
+    assert not trace.exists() and not log.exists()
+
+
+@pytest.mark.parametrize(
+    "command, option, content",
+    [
+        ("encode", "--in", b"\xff01\n"),
+        ("decode", "--in", b"\xff01\n"),
+        ("plan", "--scenario", b"stations = 10\n\xff\n"),
+    ],
+)
+def test_input_file_that_is_not_utf8_is_one_line_config_error(
+    tmp_path, capsys, command, option, content
+):
+    infile = tmp_path / "in.txt"
+    infile.write_bytes(content)
+    code = run(command, option, str(infile), "--out", str(tmp_path / "out.txt"))
+    assert code == 1
+    offset = content.index(b"\xff")
+    assert capsys.readouterr().err == (
+        f"error: config: {infile}: not UTF-8 text (invalid start byte at byte {offset})\n"
+    )
+    assert not (tmp_path / "out.txt").exists()
 
 
 @pytest.mark.parametrize("base_dwell_us", ["1e-300", "5e-324"])

@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from molstore import poresim
-from molstore.calibration import CalibrationTable, ChannelConfig, RangeError
+from molstore.calibration import THREE_PRIME, CalibrationTable, ChannelConfig, RangeError
 from molstore.codec import Nucleotide
 from molstore.poresim import (
     MAX_MOLECULE_BASES,
+    ORIENTATIONS,
     MoleculeSpec,
     Orientation,
+    PoreEvent,
     SimulationError,
+    Substate,
+    TranslocationEvent,
     capture_rate,
     complete_fraction,
     gating_active,
@@ -266,13 +270,25 @@ def test_multi_pore_event_rate_additivity():
     assert total == pytest.approx(expected, rel=0.05)
 
 
+_TABLE_FIELDS = (
+    "pore", "t_start_s", "complete", "orientation", "offsets", "levels", "durations_us"
+)
+
+
+def _assert_same_table(got, want):
+    for name in _TABLE_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+
+
 def test_pore_streams_independent_of_evaluation_order():
     config = ChannelConfig(voltage_mv=210.0, n_pores=3, sample_rate_hz=100_000)
     result = simulate(MOLECULE, config, 2.0, CALIB, seed=9)
-    by_pore = {p: [e for q, e in result.events if q == p] for p in range(3)}
+    by_pore = {p: result.events.take(result.events.pore == p) for p in range(3)}
     for pore in (2, 0, 1):  # shuffled evaluation order
         alone = pore_events(MOLECULE, config, CALIB, seed=9, pore=pore, duration_s=2.0)
-        assert alone == by_pore[pore]
+        _assert_same_table(alone, by_pore[pore])
 
 
 @st.composite
@@ -303,7 +319,7 @@ def test_each_pores_events_are_its_own(seed, n_pores, voltage, duration_s, data)
         alone = pore_events(
             MOLECULE, config, _BUSY, seed, pore, duration_s, result.clogs.get(pore, ())
         )
-        assert [e for p, e in result.events if p == pore] == alone
+        _assert_same_table(result.events.take(result.events.pore == pore), alone)
 
 
 def test_persistent_clog_levels():
@@ -372,7 +388,7 @@ def test_gating_suppresses_events_and_toggles_current():
     )
     result = simulate(MOLECULE, config, 2.0, CALIB, seed=40)
     assert result.gating
-    assert result.events == ()
+    assert len(result.events) == 0
     open_pa = open_current(120.0, 2.0, CALIB)
     values = set(np.round(result.trace.samples, 6))
     assert values <= {round(open_pa, 6), round(CALIB.clogged_current_pa, 6)}
@@ -382,8 +398,8 @@ def test_gating_suppresses_events_and_toggles_current():
 
 def test_events_do_not_overlap_within_pore():
     events = pore_events(MOLECULE, ChannelConfig(voltage_mv=210.0), CALIB, 77, 0, 60.0)
-    for first, second in zip(events, events[1:]):
-        assert second.t_start_s >= first.t_start_s + first.duration_us * 1e-6
+    ends = events.t_start_s + events.duration_us * 1e-6
+    assert np.all(events.t_start_s[1:] >= ends[:-1])
 
 
 def test_lowpass_filter_smooths_edges():
@@ -485,7 +501,7 @@ def test_simulate_independent_of_chunk_size(seed, noise, bandwidth, chunk):
         samples = chunked.trace.samples
     assert pieces == [min(chunk, 3000 - i) for i in range(0, 3000, chunk)]
     assert samples.tobytes() == reference.trace.samples.tobytes()
-    assert chunked.events == reference.events
+    _assert_same_table(chunked.events, reference.events)
     assert chunked.clogs == reference.clogs
 
 
@@ -518,3 +534,242 @@ def test_noise_and_filter_match_whole_array_calls(monkeypatch, bandwidth):
         alpha = 1.0 - math.exp(-2.0 * math.pi * bandwidth * 1e3 / 10_000)
         expected = lfilter([alpha], [1.0, alpha - 1.0], expected)
     assert samples.tobytes() == expected.tobytes()
+
+
+# --- the event table against the per-event loop --------------------------------
+#
+# The ``_ref_*`` functions are sample_event, pore_events and simulate's
+# segment loop as they were when each event was a TranslocationEvent,
+# copied unchanged apart from their names.  The event table and the segment
+# arrays must reproduce them bit for bit.
+
+
+def _ref_duration_jitter(rng: np.random.Generator, cv: float) -> float:
+    if cv <= 0.0:
+        return 1.0
+    sigma2 = math.log(1.0 + cv * cv)
+    # mean of the multiplier is exactly 1
+    return rng.lognormal(mean=-0.5 * sigma2, sigma=math.sqrt(sigma2))
+
+
+def _ref_sample_event(molecule, config, calib, rng, t_start_s=0.0):
+    voltage = config.voltage_mv
+    if voltage <= 0:
+        raise SimulationError("sample_event requires a positive trans bias")
+    frac_complete = complete_fraction(voltage, calib)
+    if rng.random() >= frac_complete:
+        level = rng.uniform(calib.incomplete_level_low, calib.incomplete_level_high)
+        duration = calib.incomplete_min_duration_us + rng.exponential(
+            calib.incomplete_mean_duration_us - calib.incomplete_min_duration_us
+        )
+        return TranslocationEvent(
+            t_start_s, (Substate(level, duration),), complete=False
+        )
+
+    dwell_scale = calib.base_dwell_us * calib.ref_voltage_mv / voltage
+    cv = calib.duration_jitter_cv
+    bilevel_ok = voltage >= calib.bilevel_min_voltage_mv and poresim._bilevel_possible(
+        molecule, calib
+    )
+    p_bilevel = calib.bilevel_fraction / frac_complete if frac_complete > 0 else 0.0
+    if bilevel_ok and rng.random() < min(1.0, p_bilevel):
+        if rng.random() < calib.three_prime_first_fraction:
+            orientation = Orientation.THREE_PRIME_FIRST
+            ordered = tuple(reversed(molecule.segments))
+        else:
+            orientation = Orientation.FIVE_PRIME_FIRST
+            ordered = molecule.segments
+        subs = []
+        for base, count in ordered:
+            stats = calib.level_for(base.value, orientation.entry_end)
+            level = _truncated_normal(rng, stats.mean, stats.sd)
+            subs.append(Substate(level, count * dwell_scale * _ref_duration_jitter(rng, cv)))
+        return TranslocationEvent(
+            t_start_s, tuple(subs), complete=True, orientation=orientation
+        )
+
+    level = _truncated_normal(
+        rng, 1.0 - monolevel_blockage(voltage, calib), calib.monolevel_sigma
+    )
+    duration = molecule.total_bases * dwell_scale * _ref_duration_jitter(rng, cv)
+    return TranslocationEvent(t_start_s, (Substate(level, duration),), complete=True)
+
+
+def _ref_pore_events(molecule, config, calib, seed, pore, duration_s, clog_intervals=()):
+    voltage = config.voltage_mv
+    if voltage <= 0:
+        return []
+    rate = capture_rate(voltage, calib)
+    rng = poresim._pore_rng(seed, pore)
+    events = []
+    busy_until = 0.0
+    t = 0.0
+    while True:
+        t += rng.exponential(1.0 / rate)
+        if t >= duration_s:
+            break
+        if t < busy_until:
+            continue  # arrived during a blockade: discarded
+        event = _ref_sample_event(molecule, config, calib, rng, t_start_s=t)
+        t_end = t + event.duration_us * 1e-6
+        if t_end > duration_s:
+            continue
+        if poresim._overlaps(t, t_end, clog_intervals):
+            continue  # pore is (or becomes) persistently clogged
+        busy_until = t_end
+        events.append(event)
+    return events
+
+
+def _ref_sample_slice(t_start, t_end, rate, n):
+    i0 = max(0, math.ceil(t_start * rate - 1e-9))
+    i1 = min(n, math.ceil(t_end * rate - 1e-9))
+    return i0, i1
+
+
+def _ref_simulate(molecule, config, duration_s, calib, seed, clog_map):
+    """simulate's events, sorted, and its segment arrays, for a run that is
+    not gating, given its normalized clogs."""
+    rate = float(config.sample_rate_hz)
+    n = int(duration_s * rate)
+    open_pa = open_current(config.voltage_mv, config.kcl_molar, calib)
+    all_events = []
+    for pore in range(config.n_pores):
+        for event in _ref_pore_events(
+            molecule, config, calib, seed, pore, duration_s, clog_map.get(pore, ())
+        ):
+            all_events.append(PoreEvent(pore, event))
+
+    segments = []
+    for _, event in all_events:
+        t = event.t_start_s
+        for level, dur_us in event.substates:
+            t_end = t + dur_us * 1e-6
+            segments.append((*_ref_sample_slice(t, t_end, rate, n), open_pa * (1.0 - level)))
+            t = t_end
+    for intervals in clog_map.values():
+        for start, end in intervals:
+            segments.append(
+                (*_ref_sample_slice(start, end, rate, n), open_pa - calib.clogged_current_pa)
+            )
+    starts, stops, drops = (np.array([seg[i] for seg in segments]) for i in range(3))
+    all_events.sort(key=lambda pe: (pe.event.t_start_s, pe.pore))
+    return all_events, (starts, stops, drops)
+
+
+def _assert_table_holds(table, events):
+    """The table's fields equal the (pore, TranslocationEvent) list's."""
+    assert len(table) == len(events)
+    subs = [sub for _, e in events for sub in e.substates]
+    expected = {
+        "pore": np.array([p for p, _ in events], dtype=np.int64),
+        "t_start_s": np.array([e.t_start_s for _, e in events], dtype=np.float64),
+        "complete": np.array([e.complete for _, e in events], dtype=np.bool_),
+        "orientation": np.array(
+            [ORIENTATIONS.index(e.orientation) for _, e in events], dtype=np.int8
+        ),
+        "offsets": np.cumsum([0] + [len(e.substates) for _, e in events], dtype=np.int64),
+        "levels": np.array([s.level for s in subs], dtype=np.float64),
+        "durations_us": np.array([s.duration_us for s in subs], dtype=np.float64),
+    }
+    for name, want in expected.items():
+        got = getattr(table, name)
+        assert got.dtype == want.dtype, name
+        assert got.tolist() == want.tolist(), name
+    assert table.duration_us.tolist() == [e.duration_us for _, e in events]
+    spans = []  # each substate's (start, end), chained as the segment loop chains them
+    for _, e in events:
+        t = e.t_start_s
+        for _, dur_us in e.substates:
+            spans.append((t, t + dur_us * 1e-6))
+            t = spans[-1][1]
+    assert list(zip(*(a.tolist() for a in table.substate_spans_s()))) == spans
+    assert list(table) == list(events)
+
+
+_ORACLE_MOLECULES = [MoleculeSpec.from_string(s) for s in ("C150", "A50C100", "A20C30G10")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    voltage=st.sampled_from([150.0, 210.0, 0.0, -90.0]),
+    molecule=st.sampled_from(_ORACLE_MOLECULES),
+    cv=st.sampled_from([0.0, 0.1]),
+    n_pores=st.integers(1, 3),
+    data=st.data(),
+)
+def test_event_table_equals_per_event_loop(seed, voltage, molecule, cv, n_pores, data):
+    duration_s = 0.05
+    calib = _BUSY.replace(duration_jitter_cv=cv)
+    clogs = data.draw(_clog_schedules(n_pores, duration_s))
+    config = ChannelConfig(
+        voltage_mv=voltage, n_pores=n_pores, sample_rate_hz=100_000, noise_sigma_pa=0.0
+    )
+    result = simulate(molecule, config, duration_s, calib, seed, clogs)
+    events, segments = _ref_simulate(molecule, config, duration_s, calib, seed, result.clogs)
+    _assert_table_holds(result.events, events)
+    for pore in range(n_pores):
+        clogged = result.clogs.get(pore, ())
+        alone = pore_events(molecule, config, calib, seed, pore, duration_s, clogged)
+        want = _ref_pore_events(molecule, config, calib, seed, pore, duration_s, clogged)
+        _assert_table_holds(alone, [PoreEvent(pore, e) for e in want])
+    trace = result.trace
+    # An empty segment list made float64 sample indices in the loop; the
+    # indices are int64 whether or not a segment exists.
+    for got, want, dtype in zip(
+        (trace.starts, trace.stops, trace.drops), segments, (np.int64, np.int64, np.float64)
+    ):
+        assert got.dtype == dtype
+        if want.size:
+            assert want.dtype == dtype
+        assert got.tolist() == want.tolist()
+
+
+def test_event_table_oracle_sees_every_kind_of_event():
+    """The oracle test's inputs draw incomplete, mono-level and both
+    orientations of bi-level events, and runs with no event at all."""
+    config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=100_000)
+    events = simulate(MOLECULE, config, 0.05, _BUSY, seed=1).events
+    assert not events.complete.all()
+    assert set(events.orientation.tolist()) == {0, 1, 2}
+    assert (np.diff(events.offsets) == 1).any()
+    assert len(simulate(MOLECULE, ChannelConfig(voltage_mv=0.0), 0.05, _BUSY, seed=1).events) == 0
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        # A negative minimum lets the incomplete dwell fall to or below 0.
+        ({"incomplete_min_duration_us": -1e6, "incomplete_mean_duration_us": 1.0},
+         "substate duration must be > 0"),
+        # A level band this narrow draws a level of exactly 0 about half the time.
+        ({"incomplete_level_low": 0.0, "incomplete_level_high": 5e-324},
+         r"substate level 0\.0 outside \(0, 1\)"),
+    ],
+)
+def test_every_drawn_event_is_checked(overrides, message):
+    """An event the calibration makes invalid is refused, as a
+    TranslocationEvent refuses it, also when the run would drop it: here the
+    one pore is clogged throughout."""
+    calib = _BUSY.replace(**overrides)
+    config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=100_000)
+    clogged = ((0.0, 0.05),)
+    for draw in (pore_events, _ref_pore_events):
+        with pytest.raises(SimulationError, match=message):
+            draw(MOLECULE, config, calib, 3, 0, 0.05, clogged)
+    with pytest.raises(SimulationError, match=message):
+        simulate(MOLECULE, config, 0.05, calib, 3, {0: clogged})
+
+
+def test_event_table_take_and_concatenate():
+    config = ChannelConfig(voltage_mv=210.0, n_pores=2, sample_rate_hz=100_000)
+    tables = [pore_events(MOLECULE, config, _BUSY, 4, pore, 0.02) for pore in range(2)]
+    joined = poresim.EventTable.concatenate(tables)
+    assert list(joined) == list(tables[0]) + list(tables[1])
+    order = np.arange(len(joined))[::-1]
+    assert list(joined.take(order)) == list(joined)[::-1]
+    _assert_same_table(joined.take(joined.pore == 1), tables[1])
+    empty = poresim.EventTable.concatenate([])
+    assert len(empty) == 0 and list(empty) == [] and empty.offsets.tolist() == [0]
+    _assert_same_table(joined.take(np.zeros(len(joined), bool)), empty)
