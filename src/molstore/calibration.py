@@ -302,7 +302,18 @@ def load_calibration(path: str) -> CalibrationTable:
 
 def format_calibration(table: CalibrationTable) -> str:
     """Serialize a table to the flat key-value format (round-trips): the
-    tables in field order, then the scalars sorted, then the levels."""
+    tables in field order, then the scalars sorted, then the levels.
+
+    A file can override or add a level but not remove a default one, so a
+    table that lacks one is refused with a CalibrationError naming it.
+    """
+    missing = sorted(set(_default_level_stats()) - set(table.level_stats))
+    if missing:
+        base, end = missing[0]
+        raise CalibrationError(
+            f"level_{base.lower()}_{end} is missing: a calibration file cannot remove "
+            "a default level"
+        )
     defaults = field_defaults(CalibrationTable)
     tables = [name for name, value in defaults.items() if isinstance(value, tuple)]
     lines = [

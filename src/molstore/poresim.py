@@ -9,9 +9,12 @@ explicit seed so runs are reproducible bit for bit.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import queue
 import re
+import threading
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
@@ -663,6 +666,55 @@ def _sample_slices(
     return i0, i1
 
 
+# Samples per block of the noise stream.  A worker thread draws the blocks
+# into three buffers that rotate: one being added to a chunk, one ready in
+# a queue of depth 1, one being drawn.
+_NOISE_BLOCK = 1 << 16
+
+
+def _noise_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
+    """The first ``n`` draws of ``_noise_rng(seed).standard_normal()``, in
+    blocks of ``_NOISE_BLOCK``, each valid until the next is asked for.
+
+    A worker thread, started when the first block is asked for, draws them
+    up to two blocks ahead: ``standard_normal(out=...)`` releases the GIL,
+    so the draw runs beside the caller's work on the block before.  The
+    worker is joined however the pass ends, and an error it raises is
+    raised here, once.
+    """
+    buffers = np.empty((3, min(_NOISE_BLOCK, n)))
+    ready: queue.Queue = queue.Queue(maxsize=1)
+    stop = threading.Event()
+
+    def draw() -> None:
+        try:
+            rng = _noise_rng(seed)
+            for i, start in enumerate(range(0, n, _NOISE_BLOCK)):
+                if stop.is_set():
+                    return
+                ready.put(rng.standard_normal(out=buffers[i % 3, : n - start]))
+        except Exception as exc:  # handed to the consumer, which raises it
+            ready.put(exc)
+
+    # A daemon, so that a pass its caller never closes cannot keep the
+    # process from exiting.
+    worker = threading.Thread(target=draw, name="molstore-noise", daemon=True)
+    worker.start()
+    try:
+        for _ in range(0, n, _NOISE_BLOCK):
+            block = ready.get()
+            if isinstance(block, Exception):
+                raise block
+            yield block
+    finally:
+        stop.set()
+        # Frees the worker if it is blocked putting a block: after `stop`
+        # it puts at most one more, into the emptied queue.
+        with contextlib.suppress(queue.Empty):
+            ready.get_nowait()
+        worker.join()
+
+
 @dataclass(eq=False)
 class SynthesizedTrace(ChunkedTrace):
     """A simulated trace, produced in chunks of ``_CHUNK`` samples.
@@ -672,9 +724,12 @@ class SynthesizedTrace(ChunkedTrace):
     ``starts[j]`` to ``stops[j] - 1`` by ``drops[j]`` pA, so samples where
     segments overlap round the same whatever the chunking.  Then it gets
     its share of the one noise stream and runs through the low-pass
-    filter, whose state is carried across chunks.  Chunked noise draws and
-    chunked filtering equal whole-array ones bit for bit.  Every
-    ``chunks()`` pass restarts the noise from the seed.
+    filter, whose state is carried across chunks.  The noise is drawn on a
+    second thread, a block or two ahead of the chunk that uses it, from the
+    same single stream in the same order (``_noise_blocks``), so chunked
+    noise and chunked filtering equal whole-array ``normal`` and
+    ``lfilter`` calls bit for bit.  Every ``chunks()`` pass restarts the
+    noise from the seed; a noiseless pass starts no thread.
     """
 
     sample_rate_hz: float
@@ -691,36 +746,52 @@ class SynthesizedTrace(ChunkedTrace):
         return self.n_samples
 
     def chunks(self) -> Iterator[np.ndarray]:
-        noise = _noise_rng(self.seed) if self.noise_sigma_pa > 0 else None
-        draws = np.empty(min(_CHUNK, self.n_samples), dtype=np.float64)
         if self.cutoff_hz is not None:
             from scipy.signal import lfilter
 
             alpha = 1.0 - math.exp(-2.0 * math.pi * self.cutoff_hz / self.sample_rate_hz)
             zi = np.zeros(1)
-        for c0 in range(0, self.n_samples, _CHUNK):
-            c1 = min(c0 + _CHUNK, self.n_samples)
-            chunk = np.full(c1 - c0, self.open_total_pa, dtype=np.float64)
-            overlapping = np.flatnonzero((self.starts < c1) & (self.stops > c0))
-            for i0, i1, drop_pa in zip(
-                *(a[overlapping].tolist() for a in (self.starts, self.stops, self.drops))
-            ):
-                chunk[max(i0, c0) - c0 : min(i1, c1) - c0] -= drop_pa
-            if noise is not None:
-                # The draws normal(0, sigma) makes, sigma * standard normal,
-                # without allocating a new array per chunk.
-                part = noise.standard_normal(out=draws[: c1 - c0])
-                try:
-                    with np.errstate(over="raise", invalid="raise"):
-                        part *= self.noise_sigma_pa
-                        chunk += part
-                except FloatingPointError:
-                    raise SimulationError(
-                        f"noise_sigma_pa {self.noise_sigma_pa:g} overflows the current"
-                    ) from None
-            if self.cutoff_hz is not None:
-                chunk, zi = lfilter([alpha], [1.0, alpha - 1.0], chunk, zi=zi)
-            yield chunk
+        # Closed on every exit, which joins the noise worker if one started.
+        with contextlib.closing(_noise_blocks(self.seed, self.n_samples)) as noise:
+            block = np.empty(0)  # the draws of the current block not yet used
+            for c0 in range(0, self.n_samples, _CHUNK):
+                c1 = min(c0 + _CHUNK, self.n_samples)
+                chunk = np.full(c1 - c0, self.open_total_pa, dtype=np.float64)
+                overlapping = np.flatnonzero((self.starts < c1) & (self.stops > c0))
+                for i0, i1, drop_pa in zip(
+                    *(a[overlapping].tolist() for a in (self.starts, self.stops, self.drops))
+                ):
+                    chunk[max(i0, c0) - c0 : min(i1, c1) - c0] -= drop_pa
+                if self.noise_sigma_pa > 0:
+                    block = self._add_noise(chunk, block, noise)
+                if self.cutoff_hz is not None:
+                    chunk, zi = lfilter([alpha], [1.0, alpha - 1.0], chunk, zi=zi)
+                yield chunk
+
+    def _add_noise(
+        self, chunk: np.ndarray, block: np.ndarray, noise: Iterator[np.ndarray]
+    ) -> np.ndarray:
+        """Add the noise of ``chunk`` to it in place: ``noise_sigma_pa``
+        times the next ``chunk.size`` draws, which start at ``block`` (the
+        draws of the current block not yet used) and go on into the next
+        blocks of ``noise`` as needed.  Returns the draws left unused."""
+        filled = 0
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                while filled < chunk.size:
+                    if not block.size:
+                        block = next(noise)
+                    # The draws normal(0, sigma) makes: sigma * standard normal.
+                    part = block[: chunk.size - filled]
+                    block = block[part.size :]
+                    part *= self.noise_sigma_pa
+                    chunk[filled : filled + part.size] += part
+                    filled += part.size
+        except FloatingPointError:
+            raise SimulationError(
+                f"noise_sigma_pa {self.noise_sigma_pa:g} overflows the current"
+            ) from None
+        return block
 
 
 @dataclass(eq=False)

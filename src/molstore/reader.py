@@ -121,11 +121,12 @@ def _event_runs(
     chunk's first sample index, the chunk, the bounds into it of the events
     that lie wholly inside it, and ``(start, samples)`` of an event that
     began in an earlier chunk and ends in this one (it precedes the
-    others), or None.  A run still open at a chunk's end is held, as
-    copies of its pieces, until it ends; one open at the trace's end comes
-    last, with an empty chunk.
+    others), or None.  A run still open at a chunk's end is held, as one
+    array grown in place chunk by chunk, until it ends; then that array is
+    its ``samples``, the caller's to keep.  One open at the trace's end
+    comes last, with an empty chunk.
     """
-    held: list[np.ndarray] = []  # pieces of the run open at the last chunk's end
+    held = np.empty(0)  # the run open at the last chunk's end, if any
     held_start = offset = 0
     empty = np.empty(0, dtype=np.intp)
     work = _Work()
@@ -133,34 +134,42 @@ def _event_runs(
         if not chunk.size:
             continue
         below = work("below", chunk.size + 2, bool)
-        below[0], below[-1] = bool(held), False
+        below[0], below[-1] = held.size > 0, False
         np.less(chunk, threshold, out=below[1:-1])
         edges = _run_edges(below, work("change", chunk.size + 1, bool))
         carried = None
-        if held:
+        if held.size:
             if edges[0] == chunk.size:  # the held run goes on past this chunk
-                held.append(chunk.copy())
+                _extend(held, chunk)
                 yield offset, chunk, empty, empty, None
                 offset += chunk.size
                 continue
-            held.append(chunk[: edges[0]])
-            samples = np.concatenate(held)
-            if not samples.size < min_samples:
-                carried = held_start, samples
-            held = []
+            _extend(held, chunk[: edges[0]])
+            if not held.size < min_samples:
+                carried = held_start, held
+            held = np.empty(0)
             edges = edges[1:]
         starts, ends = edges[0::2], edges[1::2]
         if below[-2]:  # a run still open at the chunk's end
             held_start = offset + int(starts[-1])
-            held = [chunk[starts[-1] :].copy()]
+            held = chunk[starts[-1] :].copy()
             starts, ends = starts[:-1], ends[:-1]
         keep = ~(ends - starts < min_samples)
         yield offset, chunk, starts[keep], ends[keep], carried
         offset += chunk.size
-    if held:
-        samples = np.concatenate(held)
-        if not samples.size < min_samples:
-            yield offset, np.empty(0), empty, empty, (held_start, samples)
+    if held.size and not held.size < min_samples:
+        yield offset, np.empty(0), empty, empty, (held_start, held)
+
+
+def _extend(held: np.ndarray, piece: np.ndarray) -> None:
+    """Append ``piece`` to ``held`` in place; ``held`` owns its data and no
+    view of it exists.  ``resize`` reallocates, which moves a large array's
+    pages without copying them, so a run is held once, never beside a
+    joined or grown copy of itself.  It stays one contiguous row, whose
+    pairwise sums ``_classify_rows`` takes as for an event inside a chunk."""
+    size = held.size
+    held.resize(size + piece.size, refcheck=False)
+    held[size:] = piece
 
 
 def _run_edges(padded: np.ndarray, change: np.ndarray) -> np.ndarray:

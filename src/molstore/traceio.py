@@ -56,7 +56,7 @@ import numpy as np
 
 from . import poresim
 from .calibration import MAX_SAMPLE_RATE_HZ
-from .poresim import ChunkedTrace, SimulationError, _Work
+from .poresim import ChunkedTrace, _Work
 
 MAGIC = b"MTRC"
 VERSION = 1
@@ -127,17 +127,19 @@ def _refuse_non_finite(values: np.ndarray, start: int) -> None:
 
 def _write_chunks(path: str, header: bytes, trace, write_chunk) -> None:
     """Write ``header``, then ``write_chunk(fh, chunk, start)`` for each chunk
-    of ``trace``; if a chunk is refused or cannot be made, the file is removed."""
-    try:
-        with open(path, "wb") as fh:
+    of ``trace``; if the write stops on any error (a chunk refused or not
+    made, a failed noise draw, a full disk), the file is removed."""
+    with open(path, "wb") as fh:
+        try:
             fh.write(header)
             start = 0
             for chunk in trace.chunks():
                 write_chunk(fh, chunk, start)
                 start += chunk.size
-    except (TraceFormatError, SimulationError):
-        os.remove(path)
-        raise
+        except BaseException:
+            fh.close()
+            os.remove(path)
+            raise
 
 
 def _write_text_chunk(fh, samples: np.ndarray, start: int) -> None:

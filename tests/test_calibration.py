@@ -199,6 +199,15 @@ def test_format_is_exact_where_g_would_round():
     assert parse_calibration(text) == table
 
 
+def test_format_refuses_a_table_without_a_default_level():
+    levels = dict(CalibrationTable().level_stats)
+    del levels["C", "5prime"]
+    with pytest.raises(CalibrationError, match="^level_c_5prime is missing"):
+        format_calibration(CalibrationTable(level_stats=levels))
+    with pytest.raises(CalibrationError, match="^level_a_3prime is missing"):
+        format_calibration(CalibrationTable(level_stats={}))
+
+
 def test_parse_last_repeated_key_wins_and_keys_are_lowercased():
     table = parse_calibration("Clogged_Current_PA = 1\nclogged_current_pa = 2\n")
     assert table.clogged_current_pa == 2.0
@@ -291,8 +300,14 @@ def calibration_tables(draw):
     low, high = draw(_increasing(2, 0.0, 1.0))
     short, long = draw(_increasing(2, 0.0, 1e3))
     positive = st.floats(1e-3, 1e4)
-    # A file can override a level or add one, not remove a default one.
+    # A file can override a level or add one, not remove a default one;
+    # tables without one are drawn too, as format_calibration must refuse
+    # them.
     levels = dict(CalibrationTable().level_stats)
+    for key in draw(st.one_of(
+        st.just(frozenset()), st.frozensets(st.sampled_from(sorted(levels)), min_size=1)
+    )):
+        del levels[key]
     levels |= draw(st.dictionaries(
         st.tuples(st.sampled_from("ACGT"), st.sampled_from(["3prime", "5prime"])),
         st.builds(LevelStats, st.floats(0.001, 0.999), positive),
@@ -327,4 +342,13 @@ def calibration_tables(draw):
 @settings(max_examples=200, deadline=None)
 @given(calibration_tables())
 def test_format_parse_round_trip_is_exact(table):
-    assert parse_calibration(format_calibration(table)) == table
+    missing = sorted(set(CalibrationTable().level_stats) - set(table.level_stats))
+    if missing:
+        base, end = missing[0]
+        with pytest.raises(
+            CalibrationError,
+            match=f"^level_{base.lower()}_{end} is missing: a calibration file cannot remove",
+        ):
+            format_calibration(table)
+    else:
+        assert parse_calibration(format_calibration(table)) == table

@@ -4,6 +4,7 @@ import math
 import re
 import struct
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -350,6 +351,22 @@ def test_non_finite_or_reversed_setting_is_one_line_param_error(
     assert "Traceback" not in err
     assert not caught
     assert sorted(p.name for p in tmp_path.iterdir()) == ["t.trace"]
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_noise_that_overflows_the_current_is_one_param_error(tmp_path, monkeypatch, capsys, fmt):
+    monkeypatch.chdir(tmp_path)
+    before = set(threading.enumerate())
+    code = run(
+        *_SIMULATE, "--noise-sigma-pa", "1e308", "--format", fmt,
+        "--trace-out", "x.trace", "--log-out", "x.csv",
+    )
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: param: noise_sigma_pa 1e+308 overflows the current\n"
+    )
+    assert not any(tmp_path.iterdir())
+    assert set(threading.enumerate()) == before
 
 
 @pytest.mark.parametrize(

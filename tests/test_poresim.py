@@ -1,12 +1,15 @@
 import itertools
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from molstore import poresim
+from molstore import poresim, traceio
 from molstore.calibration import THREE_PRIME, CalibrationTable, ChannelConfig, RangeError
 from molstore.codec import Nucleotide
 from molstore.poresim import (
@@ -480,26 +483,33 @@ def _overlap_across_pores(events) -> bool:
     return any(b[0] < a[1] and b[2] != a[2] for a, b in zip(spans, spans[1:]))
 
 
+_BLOCK = poresim._NOISE_BLOCK
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
     noise=st.sampled_from([0.0, 5.0]),
     bandwidth=st.sampled_from([None, 10.0]),
-    chunk=st.sampled_from([1, 7, 4096, 10**6]),
+    chunk=st.sampled_from([1, 7, 4096, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10**6]),
 )
 def test_simulate_independent_of_chunk_size(seed, noise, bandwidth, chunk):
     config = ChannelConfig(
         voltage_mv=210.0, sample_rate_hz=100_000, noise_sigma_pa=noise,
         bandwidth_khz=bandwidth, n_pores=3,
     )
+    # Past one noise block, so that chunks and blocks do not line up,
+    # unless a chunk is a few samples.
+    duration_s = 0.03 if chunk < 100 else 0.7
     clogs = {0: [(0.004, 0.012)], 2: [(0.01, 0.03)]}
-    reference = simulate(MOLECULE, config, 0.03, _BUSY, seed, clogs)
+    reference = simulate(MOLECULE, config, duration_s, _BUSY, seed, clogs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(poresim, "_CHUNK", chunk)
-        chunked = simulate(MOLECULE, config, 0.03, _BUSY, seed, clogs)
+        chunked = simulate(MOLECULE, config, duration_s, _BUSY, seed, clogs)
         pieces = [c.size for c in chunked.trace.chunks()]
         samples = chunked.trace.samples
-    assert pieces == [min(chunk, 3000 - i) for i in range(0, 3000, chunk)]
+    n = len(reference.trace)
+    assert pieces == [min(chunk, n - i) for i in range(0, n, chunk)]
     assert samples.tobytes() == reference.trace.samples.tobytes()
     _assert_same_table(chunked.events, reference.events)
     assert chunked.clogs == reference.clogs
@@ -524,16 +534,136 @@ def test_synthesized_trace_is_reiterable():
 def test_noise_and_filter_match_whole_array_calls(monkeypatch, bandwidth):
     from scipy.signal import lfilter
 
-    monkeypatch.setattr(poresim, "_CHUNK", 999)
     config = ChannelConfig(
         voltage_mv=0.0, sample_rate_hz=10_000, noise_sigma_pa=3.0, bandwidth_khz=bandwidth
     )
-    samples = simulate(MOLECULE, config, 1.0, CALIB, seed=21).trace.samples
-    expected = np.full(10_000, 0.0) + poresim._noise_rng(21).normal(0.0, 3.0, 10_000)
+    trace = simulate(MOLECULE, config, 20.0, CALIB, seed=21).trace
+    assert len(trace) == 200_000 > 3 * _BLOCK
+    expected = np.full(200_000, 0.0) + poresim._noise_rng(21).normal(0.0, 3.0, 200_000)
     if bandwidth is not None:
         alpha = 1.0 - math.exp(-2.0 * math.pi * bandwidth * 1e3 / 10_000)
         expected = lfilter([alpha], [1.0, alpha - 1.0], expected)
-    assert samples.tobytes() == expected.tobytes()
+    # Chunks that take part of a noise block, or end one sample short of,
+    # on, or one sample past a block's end.
+    for chunk in (999, _BLOCK - 1, _BLOCK, _BLOCK + 1):
+        monkeypatch.setattr(poresim, "_CHUNK", chunk)
+        assert trace.samples.tobytes() == expected.tobytes(), chunk
+
+
+# --- the noise worker --------------------------------------------------------
+
+
+def _noise_trace(duration_s: float = 100.0, noise_sigma_pa: float = 3.0):
+    """A trace of 10^4 samples per second of noise alone: 100 s is over 15
+    noise blocks, so the worker is still drawing after the first chunk."""
+    config = ChannelConfig(
+        voltage_mv=0.0, sample_rate_hz=10_000, noise_sigma_pa=noise_sigma_pa
+    )
+    return simulate(MOLECULE, config, duration_s, CALIB, seed=21).trace
+
+
+def test_closing_a_pass_early_joins_the_noise_worker(monkeypatch):
+    monkeypatch.setattr(poresim, "_CHUNK", 4096)
+    trace = _noise_trace()
+    before = set(threading.enumerate())
+    chunks = trace.chunks()
+    next(chunks)
+    assert len(set(threading.enumerate()) - before) == 1
+    # Let the worker draw ahead until it blocks on the full queue, which
+    # closing must undo.  Closed on a thread of its own, so that a close
+    # that never returns fails the test instead of hanging it.
+    time.sleep(0.1)
+    closer = threading.Thread(target=chunks.close, daemon=True)
+    closer.start()
+    closer.join(timeout=10)
+    assert not closer.is_alive()
+    assert set(threading.enumerate()) == before
+
+
+def test_a_noiseless_pass_starts_no_thread():
+    trace = _noise_trace(noise_sigma_pa=0.0)
+    before = set(threading.enumerate())
+    chunks = trace.chunks()
+    assert not next(chunks).std()
+    assert set(threading.enumerate()) == before
+    chunks.close()
+
+
+def test_an_error_in_a_chunk_joins_the_noise_worker():
+    trace = _noise_trace(noise_sigma_pa=1e308)
+    before = set(threading.enumerate())
+    # The error is held, with its traceback and so the frames of the pass,
+    # as a caller that reports it holds it.
+    with pytest.raises(SimulationError) as raised:
+        trace.samples
+    assert set(threading.enumerate()) == before
+    assert str(raised.value) == "noise_sigma_pa 1e+308 overflows the current"
+
+
+class _FailsOnThirdBlock:
+    """The noise stream of ``seed``, whose third block fails to draw
+    (``noise_rng`` is bound here, before a test patches this class in)."""
+
+    def __init__(self, seed, noise_rng=poresim._noise_rng):
+        self.rng, self.blocks = noise_rng(seed), 0
+
+    def standard_normal(self, out):
+        self.blocks += 1
+        if self.blocks == 3:
+            raise RuntimeError("block 3 not drawn")
+        return self.rng.standard_normal(out=out)
+
+
+def test_a_draw_error_reaches_the_pass_once_and_joins_the_worker(monkeypatch):
+    monkeypatch.setattr(poresim, "_CHUNK", 4096)
+    trace = _noise_trace()
+    expected = trace.samples[: 2 * _BLOCK]
+    monkeypatch.setattr(poresim, "_noise_rng", _FailsOnThirdBlock)
+    before = set(threading.enumerate())
+    chunks = trace.chunks()
+    got = []
+    with pytest.raises(RuntimeError, match="^block 3 not drawn$"):
+        for chunk in chunks:
+            got.append(chunk.copy())
+    assert next(chunks, None) is None
+    assert set(threading.enumerate()) == before
+    assert np.concatenate(got).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("write", [traceio.write_trace_binary, traceio.write_trace_text])
+def test_a_draw_error_while_writing_removes_the_partial_trace(monkeypatch, tmp_path, write):
+    trace = _noise_trace()
+    monkeypatch.setattr(poresim, "_noise_rng", _FailsOnThirdBlock)
+    with pytest.raises(RuntimeError, match="^block 3 not drawn$"):
+        write(trace, str(tmp_path / "t.trace"))
+    assert not any(tmp_path.iterdir())
+
+
+def test_noise_passes_on_many_threads_at_once_match_the_serial_draw(monkeypatch):
+    """Four passes at once, switching threads every microsecond: a block
+    drawn over before its chunk took it would change the samples."""
+    monkeypatch.setattr(poresim, "_CHUNK", 4096)
+    trace = _noise_trace(duration_s=30.0)
+    noise = poresim._noise_rng(21).normal(0.0, 3.0, 300_000)
+    expected = (np.full(300_000, 0.0) + noise).tobytes()
+    results = {}
+
+    def read(i):
+        results[i] = trace.samples.tobytes()
+
+    threads = [threading.Thread(target=read, args=(i,), daemon=True) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == [0, 1, 2, 3]
+    assert all(result == expected for result in results.values())
 
 
 # --- the event table against the per-event loop --------------------------------

@@ -10,6 +10,7 @@ or refusals, and the summary counts.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 from typing import Sequence
 from unittest import mock
@@ -606,6 +607,24 @@ def test_read_station_one_event_spans_the_trace():
     result = reader.read_station(trace, 250.0, 5.0, CALIB,
                                  RunLengthScheme.from_string("A50C100"), 210.0)
     assert result.start.tolist() == [0] and result.length.tolist() == [20_000]
+
+
+def test_read_station_holds_an_event_as_long_as_the_trace_once():
+    """A run open across chunks is grown in place: a trace clogged
+    throughout peaks at its 8 bytes per sample plus a chunk's and the
+    classification's work arrays.  Pieces joined into a second copy of the
+    run would pass twice its size."""
+    n = 10**6
+    trace = CurrentTrace(1e6, np.full(n, CALIB.clogged_current_pa))
+    scheme = RunLengthScheme.from_string("A50C100")
+    tracemalloc.start()
+    try:
+        result = reader.read_station(trace, 250.0, 5.0, CALIB, scheme, 210.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.start.tolist() == [0] and result.length.tolist() == [n]
+    assert peak < 1.5 * 8 * n, peak
 
 
 def test_read_station_parameter_errors():
