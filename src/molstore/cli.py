@@ -10,11 +10,13 @@ the recorded header.  Failures exit nonzero with a one-line
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import os
 import secrets
+import stat
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import __version__, calibration, chipmodel, codec, poresim, reader, traceio
 
@@ -38,6 +40,31 @@ def _load_calibration(path: str | None) -> calibration.CalibrationTable:
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
+
+
+@contextlib.contextmanager
+def _all_or_none() -> Iterator[list[str]]:
+    """Yield the list a command adds each output path to once it is
+    written.  If the command then fails, the regular files on the list are
+    removed, so a failed command leaves none of its outputs behind; a
+    device, FIFO or symlink it wrote through is left as it is."""
+    written: list[str] = []
+    try:
+        yield written
+    except BaseException:
+        for path in written:
+            with contextlib.suppress(FileNotFoundError):
+                if stat.S_ISREG(os.lstat(path).st_mode):
+                    os.remove(path)
+        raise
+
+
+def _write_texts(outputs: Iterable[tuple[str, str]]) -> None:
+    """Write each ``(path, text)`` in turn, all or none (see ``_all_or_none``)."""
+    with _all_or_none() as written:
+        for path, text in outputs:
+            _write_text(path, text)
+            written.append(path)
 
 
 def _header_lines(command: str, items: Sequence[tuple[str, object]]) -> list[str]:
@@ -126,35 +153,37 @@ def _cmd_simulate(args) -> int:
     result = poresim.simulate(
         molecule, config, args.duration_s, calib, seed, clogs=_parse_clogs(args.clog)
     )
-    traceio.write_trace(result.trace, args.trace_out, args.format)
 
-    lines = _header_lines(
-        "simulate", _config_items(config, molecule, args.duration_s, seed, args.clog)
-    )
-    lines.append(f"# trace = {os.path.basename(args.trace_out)} ({args.format})")
-    lines.append(f"# gating = {str(result.gating).lower()}")
-    for cal_line in calibration.format_calibration(calib).splitlines():
-        lines.append(f"# cal.{cal_line}")
-    lines.append("kind,pore,t_start_s,duration_us,complete,orientation,levels,durations_us")
-    events = result.events
-    levels = [f"{level:.6f}" for level in events.levels.tolist()]
-    durations = [f"{duration:.3f}" for duration in events.durations_us.tolist()]
-    orientations = [o.value for o in poresim.ORIENTATIONS]
-    bounds = events.offsets.tolist()
-    for pore, t, duration, complete, code, a, b in zip(
-        events.pore.tolist(), events.t_start_s.tolist(), events.duration_us.tolist(),
-        events.complete.tolist(), events.orientation.tolist(), bounds, bounds[1:],
-    ):
-        lines.append(
-            f"event,{pore},{t:.9f},{duration:.3f},{int(complete)},{orientations[code]},"
-            f"{';'.join(levels[a:b])},{';'.join(durations[a:b])}"
+    with _all_or_none() as written:
+        traceio.write_trace(result.trace, args.trace_out, args.format)
+        written.append(args.trace_out)
+        lines = _header_lines(
+            "simulate", _config_items(config, molecule, args.duration_s, seed, args.clog)
         )
-    for pore in sorted(result.clogs):
-        for start, end in result.clogs[pore]:
+        lines.append(f"# trace = {os.path.basename(args.trace_out)} ({args.format})")
+        lines.append(f"# gating = {str(result.gating).lower()}")
+        for cal_line in calibration.format_calibration(calib).splitlines():
+            lines.append(f"# cal.{cal_line}")
+        lines.append("kind,pore,t_start_s,duration_us,complete,orientation,levels,durations_us")
+        events = result.events
+        levels = [f"{level:.6f}" for level in events.levels.tolist()]
+        durations = [f"{duration:.3f}" for duration in events.durations_us.tolist()]
+        orientations = [o.value for o in poresim.ORIENTATIONS]
+        bounds = events.offsets.tolist()
+        for pore, t, duration, complete, code, a, b in zip(
+            events.pore.tolist(), events.t_start_s.tolist(), events.duration_us.tolist(),
+            events.complete.tolist(), events.orientation.tolist(), bounds, bounds[1:],
+        ):
             lines.append(
-                f"clog,{pore},{start:.9f},{(end - start) * 1e6:.3f},,,,"
+                f"event,{pore},{t:.9f},{duration:.3f},{int(complete)},{orientations[code]},"
+                f"{';'.join(levels[a:b])},{';'.join(durations[a:b])}"
             )
-    _write_text(args.log_out, "\n".join(lines) + "\n")
+        for pore in sorted(result.clogs):
+            for start, end in result.clogs[pore]:
+                lines.append(
+                    f"clog,{pore},{start:.9f},{(end - start) * 1e6:.3f},,,,"
+                )
+        _write_text(args.log_out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -250,7 +279,8 @@ def _cmd_read(args) -> int:
     lines = _header_lines("read", header_items)
     lines.append("start_s,duration_us,blockage_pct,class,orientation")
     kinds = [reader.EVENT_KINDS[k] for k in result.kind.tolist()]
-    orientations = [reader.ORIENTATIONS[o] for o in result.orientation.tolist()]
+    names = [o.value for o in reader.ORIENTATIONS]
+    orientations = [names[o] for o in result.orientation.tolist()]
     lines.extend(
         f"{start:.9f},{duration:.3f},{blockage:.3f},{kind},{orientation}"
         for start, duration, blockage, kind, orientation in zip(
@@ -258,7 +288,6 @@ def _cmd_read(args) -> int:
             (100.0 * (1.0 - result.mean_level)).tolist(), kinds, orientations,
         )
     )
-    _write_text(args.events_out, "\n".join(lines) + "\n")
 
     payload_lines = [
         codec.format_payload(bits).strip()
@@ -275,12 +304,11 @@ def _cmd_read(args) -> int:
     summary.append(f"decode_failures = {failures}")
     for k, count in result.census_histogram.items():
         summary.append(f"census_{k}_samples = {count}")
-    _write_text(args.summary_out, "\n".join(summary) + "\n")
-
-    _write_text(
-        args.payload_out,
-        "\n".join(payload_lines) + ("\n" if payload_lines else ""),
-    )
+    _write_texts([
+        (args.events_out, "\n".join(lines) + "\n"),
+        (args.summary_out, "\n".join(summary) + "\n"),
+        (args.payload_out, "\n".join(payload_lines) + ("\n" if payload_lines else "")),
+    ])
     return 0
 
 
@@ -326,13 +354,14 @@ def _cmd_plan(args) -> int:
     items = chipmodel.report_items(report)
     lines = _header_lines("plan", [("scenario", args.scenario or "defaults")])
     lines.extend(f"{key} = {value}" for key, value in items)
-    _write_text(args.out, "\n".join(lines) + "\n")
+    outputs = [(args.out, "\n".join(lines) + "\n")]
     if args.csv_out:
         csv_lines = [
             ",".join(key for key, _ in items),
             ",".join(value for _, value in items),
         ]
-        _write_text(args.csv_out, "\n".join(csv_lines) + "\n")
+        outputs.append((args.csv_out, "\n".join(csv_lines) + "\n"))
+    _write_texts(outputs)
     return 0
 
 

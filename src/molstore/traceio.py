@@ -24,6 +24,17 @@ CR.  The reader skips blank and whitespace-only lines; any other
 line, stripped of whitespace, must be one finite number as ``_SAMPLE``
 spells it, else the error names its line number (the header is line 1).
 
+The text writer stores each line as little-endian 8-byte words, the
+mirror of the reader's: ``lo`` is ``.dddddd`` and the newline, ``hi``
+the last 8 integer digits, zero-padded, and ``top`` the digits before
+them when a chunk has more, all looked up in ``_GROUPS``, the 10,000
+four-digit ASCII groups.  A chunk of one line width and no sign is
+stored through strided views.  Otherwise each word is scattered at the
+line ends, in the order top, hi, lo, so each store repairs the bytes an
+earlier one spilled into the line before; the ``-`` bytes go last.  A
+chunk the integer arithmetic cannot format exactly (see
+``_format_exact``) goes to Python's ``%`` instead.
+
 The text reader parses the body in blocks of ``_BLOCK`` bytes, each cut
 after its last newline, into one reused float64 buffer, and yields about
 ``poresim._CHUNK`` samples at a time from it.  Per block
@@ -74,18 +85,23 @@ _TEXT_CHUNK = 1 << 14
 _EXACT_LIMIT = 2.0**52
 
 
-def _put_digits(rows: np.ndarray, stop: int, count: int, value: np.ndarray) -> None:
-    """Write the last ``count`` decimal digits of ``value`` as ASCII into
-    columns ``stop - count .. stop - 1`` of ``rows``."""
-    for col in range(stop - 1, stop - 1 - count, -1):
-        quot = value // 10
-        np.add(value - quot * 10, ord("0"), out=rows[:, col], casting="unsafe")
-        value = quot
+# The ASCII of ``"%04d" % i`` for each i < 10_000, as a little-endian int64.
+_GROUPS = sum((np.arange(10_000) // 10**k % 10 + 48) << 8 * (3 - k) for k in range(4))
+# The '.' and the newline of a line's last word, bytes 0 and 7.
+_LO_ENDS = 0x0A00_0000_0000_002E
 
 
-def _format_exact(x: np.ndarray) -> bytes | None:
-    """The ``"%.6f"`` lines of a non-empty float64 chunk, by integer
-    arithmetic; ``None`` when the chunk needs Python's formatter.
+def _eight_digits(value: np.ndarray) -> np.ndarray:
+    """``"%08d" % v`` for each ``0 <= v < 10**8`` of ``value``, as a
+    little-endian int64."""
+    high = value // 10_000
+    return _GROUPS[high] | _GROUPS[value - high * 10_000] << 32
+
+
+def _format_exact(x: np.ndarray) -> memoryview | None:
+    """The ``"%.6f"`` lines of a non-empty float64 chunk, stored as words
+    (see the module docstring); ``None`` when the chunk needs Python's
+    formatter.
 
     ``rint(x * 1e6)`` is the correctly rounded ``x * 10**6`` unless the
     product lies within its rounding error of a half-integer, so chunks
@@ -99,22 +115,34 @@ def _format_exact(x: np.ndarray) -> bytes | None:
     q = np.rint(scaled)
     if np.any(np.abs(scaled - q) >= 0.5 - 2.0 * np.spacing(scaled.max())):
         return None
-    q = q.astype(np.uint64)
+    q = q.astype(np.int64)
     whole = q // 1_000_000
-    frac = (q - whole * 1_000_000).astype(np.uint32)
+    q -= whole * 1_000_000  # the 6 fractional digits
     n_int = len(str(int(whole.max())))
-    rows = np.empty((x.size, n_int + 9), np.uint8)
-    rows[:, 0] = ord("-")
-    _put_digits(rows, n_int + 1, n_int, whole)
-    rows[:, n_int + 1] = ord(".")
-    _put_digits(rows, n_int + 8, 6, frac)
-    rows[:, n_int + 8] = ord("\n")
-    # Keep the sign on negative rows only, and no leading zeros.
-    keep = np.ones(rows.shape, bool)
-    keep[:, 0] = np.signbit(x)
-    for col in range(1, n_int):
-        np.greater_equal(whole, 10 ** (n_int - col), out=keep[:, col])
-    return rows[keep].tobytes()
+    # Each word with its start back from its line's end, in store order.
+    low8, stores = whole, []
+    if n_int > 8:
+        top = whole // 100_000_000
+        low8, stores = whole - top * 100_000_000, [(_eight_digits(top), 24)]
+    stores += [(_eight_digits(low8), 16), (_eight_digits(q) >> 16 << 8 | _LO_ENDS, 8)]
+    n, sign = x.size, np.signbit(x)
+    # 16 bytes before the first line take the spill of its leading words.
+    if len(str(int(whole.min()))) == n_int and not sign.any():
+        width = n_int + 8
+        out = np.empty(16 + n * width, np.uint8)
+        for word, back in stores:
+            np.ndarray((n,), "<i8", out, 16 + width - back, (width,))[...] = word
+    else:
+        widths = sign + 9
+        for k in range(1, n_int):
+            widths += whole >= 10**k
+        ends = np.cumsum(widths) + 16
+        out = np.empty(ends[-1], np.uint8)
+        slots = np.ndarray((out.size - 7,), "<i8", out, 0, (1,))
+        for word, back in stores:
+            slots[ends - back] = word
+        out[(ends - widths)[sign]] = ord("-")
+    return out[16:].data
 
 
 def _refuse_non_finite(values: np.ndarray, start: int) -> None:
@@ -128,7 +156,7 @@ def _refuse_non_finite(values: np.ndarray, start: int) -> None:
 def _write_chunks(path: str, header: bytes, trace, write_chunk) -> None:
     """Write ``header``, then ``write_chunk(fh, chunk, start)`` for each chunk
     of ``trace``; if the write stops on any error (a chunk refused or not
-    made, a failed noise draw, a full disk), the file is removed."""
+    made, a failed noise draw, a full disk), the file is removed if regular."""
     with open(path, "wb") as fh:
         try:
             fh.write(header)
@@ -138,7 +166,8 @@ def _write_chunks(path: str, header: bytes, trace, write_chunk) -> None:
                 start += chunk.size
         except BaseException:
             fh.close()
-            os.remove(path)
+            if os.path.isfile(path) and not os.path.islink(path):
+                os.remove(path)
             raise
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import os
 import re
 import struct
 import tempfile
@@ -367,6 +368,74 @@ def test_noise_that_overflows_the_current_is_one_param_error(tmp_path, monkeypat
     )
     assert not any(tmp_path.iterdir())
     assert set(threading.enumerate()) == before
+
+
+@pytest.mark.parametrize("fmt", ["text", "binary"])
+def test_simulate_that_cannot_write_its_log_leaves_no_trace(tmp_path, monkeypatch, capsys, fmt):
+    monkeypatch.chdir(tmp_path)
+    code = run(
+        *_SIMULATE, "--format", fmt, "--trace-out", "x.trace", "--log-out", "missing/x.csv"
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: io: ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("failing", ["--events-out", "--summary-out", "--payload-out"])
+def test_read_that_cannot_write_an_output_leaves_none(tmp_path, monkeypatch, capsys, failing):
+    monkeypatch.chdir(tmp_path)
+    traceio.write_trace_text(CurrentTrace(1e6, np.full(10, 250.0)), "t.trace")
+    outputs = dict(zip(_READ[1::2], _READ[2::2]), **{failing: "missing/out.txt"})
+    assert run("read", "--trace", "t.trace", *(a for kv in outputs.items() for a in kv)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: io: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["t.trace"]
+
+
+def test_simulate_interrupted_building_its_log_leaves_no_trace(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def interrupt(calib):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli.calibration, "format_calibration", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run(*_SIMULATE, "--trace-out", "x.trace", "--log-out", "x.csv")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "failing", [("--log-out", "missing/x.csv"), ("--noise-sigma-pa", "1e308")],
+    ids=["log", "trace"],
+)
+def test_simulate_that_fails_leaves_a_symlinked_trace_alone(tmp_path, monkeypatch, failing):
+    monkeypatch.chdir(tmp_path)
+    os.symlink("target.trace", "x.trace")
+    assert run(*_SIMULATE, "--trace-out", "x.trace", "--log-out", "x.csv", *failing) == 1
+    assert os.path.islink("x.trace") and os.path.isfile("target.trace")
+
+
+def test_read_that_fails_leaves_a_fifo_output_alone(tmp_path, monkeypatch):
+    """A device or FIFO an output went to, like /dev/null, is not removed."""
+    monkeypatch.chdir(tmp_path)
+    traceio.write_trace_text(CurrentTrace(1e6, np.full(10, 250.0)), "t.trace")
+    os.mkfifo("e.csv")
+    drain = os.open("e.csv", os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        argv = ["read", "--trace", "t.trace", *_READ[1:-1], "missing/p.txt"]
+        assert run(*argv) == 1
+        assert os.read(drain, 1 << 16).startswith(b"# molstore read\n")
+    finally:
+        os.close(drain)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv", "t.trace"]
+
+
+def test_plan_that_cannot_write_its_csv_leaves_no_report(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run("plan", "--out", "report.txt", "--csv-out", "missing/report.csv") == 1
+    assert capsys.readouterr().err.startswith("error: io: ")
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(

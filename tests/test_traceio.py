@@ -131,8 +131,21 @@ def _reference_body(x):
         np.array([250.1, -3.5, 25.0, 0.0, -0.0, -1e-9, 4e-7, 1234567.0625]),
         np.array([-0.0]),
         np.array([98765432.125, -7.0]),
+        # One width (3 integer digits) and no sign: the strided stores.
+        np.random.default_rng(7).uniform(100.0, 999.0, _TEXT_CHUNK),
+        np.random.default_rng(8).uniform(0.0, 2000.0, _TEXT_CHUNK),
+        -np.random.default_rng(9).uniform(100.0, 999.0, 1000),
+        np.concatenate([np.full(500, 250.5), [-0.0], np.full(500, 251.25)]),
+        np.array([12345678.5, 99999999.999999, 10000000.0, 1.0, -7.25]),
+        np.array([123456789.25, 100000000.0, -999999999.5, 2.0, 3.0, 4.0]),
+        # Up to just below 2**50 / 1e6: a chunk holding a larger value is
+        # refused by the near-tie gate, as its spacing reaches 0.25.
+        np.array([1.0, -2.0, 3.0, 1000000000.5, 1125899906.5, -1099511627.75, 0.0]),
+        np.array([250.123456]),
     ],
-    ids=["trace", "same-width", "mixed", "negative-zero", "large"],
+    ids=["trace", "same-width", "mixed", "negative-zero", "large", "uniform",
+         "mixed-widths", "all-negative", "lone-negative-zero", "8-digits", "9-digits",
+         "10-digits", "single"],
 )
 def test_format_exact_matches_reference(x):
     assert _format_exact(x) == _reference_body(x)
@@ -148,6 +161,12 @@ def test_format_exact_declines(value):
     reference formatter."""
     x = np.array([250.0, value, 1.0])
     assert _format_exact(x) is None
+
+
+def test_digit_groups_are_the_four_digit_ascii_groups():
+    assert traceio._GROUPS.astype("<u4").tobytes() == b"".join(
+        b"%04d" % i for i in range(10_000)
+    )
 
 
 # Trace-like values, which the integer path formats, including +-0 and
