@@ -23,7 +23,6 @@ from .poresim import (
     EventTable,
     MoleculeSpec,
     Orientation,
-    TranslocationEvent,
     capture_rate,
     gating_active,
     mean_duration,
@@ -42,7 +41,6 @@ __all__ = [
     "Nucleotide",
     "Orientation",
     "RunLengthScheme",
-    "TranslocationEvent",
     "capture_rate",
     "decode_direct",
     "decode_runlength",

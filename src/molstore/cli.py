@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import os
 import secrets
 import stat
@@ -162,67 +161,9 @@ def _cmd_simulate(args) -> int:
         )
         lines.append(f"# trace = {os.path.basename(args.trace_out)} ({args.format})")
         lines.append(f"# gating = {str(result.gating).lower()}")
-        for cal_line in calibration.format_calibration(calib).splitlines():
-            lines.append(f"# cal.{cal_line}")
-        lines.append("kind,pore,t_start_s,duration_us,complete,orientation,levels,durations_us")
-        events = result.events
-        levels = [f"{level:.6f}" for level in events.levels.tolist()]
-        durations = [f"{duration:.3f}" for duration in events.durations_us.tolist()]
-        orientations = [o.value for o in poresim.ORIENTATIONS]
-        bounds = events.offsets.tolist()
-        for pore, t, duration, complete, code, a, b in zip(
-            events.pore.tolist(), events.t_start_s.tolist(), events.duration_us.tolist(),
-            events.complete.tolist(), events.orientation.tolist(), bounds, bounds[1:],
-        ):
-            lines.append(
-                f"event,{pore},{t:.9f},{duration:.3f},{int(complete)},{orientations[code]},"
-                f"{';'.join(levels[a:b])},{';'.join(durations[a:b])}"
-            )
-        for pore in sorted(result.clogs):
-            for start, end in result.clogs[pore]:
-                lines.append(
-                    f"clog,{pore},{start:.9f},{(end - start) * 1e6:.3f},,,,"
-                )
-        _write_text(args.log_out, "\n".join(lines) + "\n")
+        lines += [f"# cal.{line}" for line in calibration.format_calibration(calib).splitlines()]
+        poresim.write_event_log(args.log_out, lines, result.events, result.clogs)
     return 0
-
-
-def parse_event_log(path: str):
-    """Read a ground-truth log back as (header dict, events, clogs)."""
-    header: dict[str, str] = {}
-    events: list[tuple[int, poresim.TranslocationEvent]] = []
-    clogs: dict[int, list[tuple[float, float]]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = []
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    header[key.strip()] = value.strip()
-                continue
-            rows.append(line)
-    for row in csv.reader(rows[1:]):
-        if not row:
-            continue
-        kind, pore = row[0], int(row[1])
-        if kind == "clog":
-            start = float(row[2])
-            clogs.setdefault(pore, []).append((start, start + float(row[3]) * 1e-6))
-            continue
-        levels = [float(x) for x in row[6].split(";")]
-        durations = [float(x) for x in row[7].split(";")]
-        event = poresim.TranslocationEvent(
-            t_start_s=float(row[2]),
-            substates=tuple(
-                poresim.Substate(lv, du) for lv, du in zip(levels, durations)
-            ),
-            complete=bool(int(row[4])),
-            orientation=poresim.Orientation(row[5]),
-        )
-        events.append((pore, event))
-    return header, events, clogs
 
 
 # --- read / stats -----------------------------------------------------------
@@ -460,6 +401,7 @@ _CATEGORIES = (
     (calibration.ParamError, "param"),
     (calibration.RangeError, "range"),
     (calibration.CalibrationError, "config"),
+    (codec.SizeError, "param"),
     (codec.CodecError, "decode"),
     (poresim.SimulationError, "param"),
     (reader.ReaderError, "param"),

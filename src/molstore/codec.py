@@ -31,6 +31,10 @@ class LengthError(CodecError):
         self.run_index = run_index
 
 
+class SizeError(CodecError):
+    """An encoding longer than ``MAX_SEQUENCE_BASES``."""
+
+
 class AlphabetError(CodecError):
     """A homopolymer run uses a base that is not part of the scheme."""
 
@@ -61,6 +65,8 @@ _DIRECT_TABLE = {
 _DIRECT_INVERSE = {base: bits for bits, base in _DIRECT_TABLE.items()}
 
 _VALID_BASES = frozenset("ACGT")
+# The most bases encode_runlength spells out: a 1 GB sequence string.
+MAX_SEQUENCE_BASES = 10**9
 
 
 @dataclass(frozen=True)
@@ -157,8 +163,13 @@ def decode_direct(seq: BaseSequence) -> list[int]:
 
 
 def encode_runlength(bits: Sequence[int], scheme: RunLengthScheme) -> BaseSequence:
-    """Emit zero_run/one_run copies of the scheme base per bit, concatenated."""
+    """Emit zero_run/one_run copies of the scheme base per bit, concatenated,
+    after counting them: more than ``MAX_SEQUENCE_BASES`` are refused."""
     _check_bits(bits)
+    ones = sum(bits)
+    n_bases = (len(bits) - ones) * scheme.zero_run + ones * scheme.one_run
+    if n_bases > MAX_SEQUENCE_BASES:
+        raise SizeError(f"scheme {scheme} makes {n_bases} bases, more than {MAX_SEQUENCE_BASES}")
     parts = []
     for b in bits:
         if b == 0:

@@ -16,7 +16,7 @@ import queue
 import re
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -138,38 +138,6 @@ def _check_substate(level: float, duration_us: float) -> None:
         raise SimulationError("substate duration must be > 0")
 
 
-class Substate(NamedTuple):
-    """One blockade level: normalized residual current and its duration."""
-
-    level: float       # I_blocked / I_open, in (0, 1)
-    duration_us: float
-
-
-@dataclass(frozen=True)
-class TranslocationEvent:
-    """One pore blockade, possibly with two current substates."""
-
-    t_start_s: float
-    substates: tuple[Substate, ...]
-    complete: bool
-    orientation: Orientation = Orientation.UNKNOWN
-
-    def __post_init__(self):
-        if not self.substates:
-            raise SimulationError("event needs at least one substate")
-        for sub in self.substates:
-            _check_substate(*sub)
-
-    @property
-    def duration_us(self) -> float:
-        return sum(sub.duration_us for sub in self.substates)
-
-    @property
-    def mean_level(self) -> float:
-        total = self.duration_us
-        return sum(s.level * s.duration_us for s in self.substates) / total
-
-
 # Samples per chunk of a synthesized, held or binary trace (a text trace
 # yields about as many); bounds the working memory of every pass.  Read at
 # call time, so a test may patch it.
@@ -238,18 +206,12 @@ class CurrentTrace:
             yield samples[start : start + _CHUNK]
 
 
-class PoreEvent(NamedTuple):
-    pore: int
-    event: TranslocationEvent
-
-
 @dataclass(eq=False)
 class EventTable:
     """Drawn events as arrays, one row per event: its ``pore``,
     ``t_start_s``, whether it is ``complete`` and its ``orientation`` (an
     ORIENTATIONS code).  Event ``i`` holds the substates ``offsets[i]`` to
-    ``offsets[i + 1] - 1`` of ``levels`` and ``durations_us``.  Iterating
-    gives each row as a ``PoreEvent``."""
+    ``offsets[i + 1] - 1`` of ``levels`` and ``durations_us``."""
 
     pore: np.ndarray
     t_start_s: np.ndarray
@@ -290,16 +252,6 @@ class EventTable:
     def __len__(self) -> int:
         return self.t_start_s.size
 
-    def __iter__(self) -> Iterator[PoreEvent]:
-        levels, durations = self.levels.tolist(), self.durations_us.tolist()
-        bounds = self.offsets.tolist()
-        for pore, t, complete, code, a, b in zip(
-            self.pore.tolist(), self.t_start_s.tolist(), self.complete.tolist(),
-            self.orientation.tolist(), bounds, bounds[1:],
-        ):
-            substates = tuple(map(Substate, levels[a:b], durations[a:b]))
-            yield PoreEvent(pore, TranslocationEvent(t, substates, complete, ORIENTATIONS[code]))
-
     def take(self, rows) -> "EventTable":
         """The rows picked by an index array or a boolean mask, in its order."""
         rows = np.arange(len(self))[rows]
@@ -319,14 +271,22 @@ class EventTable:
             rows = counts > k
             yield rows, first[rows] + k
 
-    @property
-    def duration_us(self) -> np.ndarray:
-        """Each event's duration: its substates' summed in order, as
-        ``TranslocationEvent.duration_us`` sums them."""
+    def _sum(self, values: np.ndarray) -> np.ndarray:
+        """Each event's sum of ``values``, one per substate, added in order."""
         total = np.zeros(len(self))
         for rows, at in self._ranks():
-            total[rows] += self.durations_us[at]
+            total[rows] += values[at]
         return total
+
+    @property
+    def duration_us(self) -> np.ndarray:
+        """Each event's duration: its substates' summed in order."""
+        return self._sum(self.durations_us)
+
+    @property
+    def mean_level(self) -> np.ndarray:
+        """Each event's level: its substates' weighted by their durations."""
+        return self._sum(self.levels * self.durations_us) / self.duration_us
 
     def substate_spans_s(self) -> tuple[np.ndarray, np.ndarray]:
         """Start and end time in s of each substate: an event's first starts
@@ -341,6 +301,69 @@ class EventTable:
 
 
 ClogSchedule = Mapping[int, Sequence[tuple[float, float]]]
+
+
+# --- ground-truth log -------------------------------------------------------
+
+
+def write_event_log(
+    path: str, header: Sequence[str], events: EventTable, clogs: ClogSchedule
+) -> None:
+    """Write a ground-truth log: the ``header`` lines, the column row, an
+    ``event`` row per event, then a ``clog`` row per clog interval."""
+    lines = [*header, "kind,pore,t_start_s,duration_us,complete,orientation,levels,durations_us"]
+    levels = [f"{level:.6f}" for level in events.levels.tolist()]
+    durations = [f"{duration:.3f}" for duration in events.durations_us.tolist()]
+    orientations = [o.value for o in ORIENTATIONS]
+    bounds = events.offsets.tolist()
+    for pore, t, duration, complete, code, a, b in zip(
+        events.pore.tolist(), events.t_start_s.tolist(), events.duration_us.tolist(),
+        events.complete.tolist(), events.orientation.tolist(), bounds, bounds[1:],
+    ):
+        lines.append(
+            f"event,{pore},{t:.9f},{duration:.3f},{int(complete)},{orientations[code]},"
+            f"{';'.join(levels[a:b])},{';'.join(durations[a:b])}"
+        )
+    for pore in sorted(clogs):
+        for start, end in clogs[pore]:
+            lines.append(f"clog,{pore},{start:.9f},{(end - start) * 1e6:.3f},,,,")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def parse_event_log(path: str) -> tuple[dict[str, str], EventTable, dict]:
+    """Read a ground-truth log back as (header, events, clogs): its ``# key
+    = value`` lines as a dict, its ``event`` rows as a table and its ``clog``
+    rows as ``{pore: [(start_s, end_s), ...]}``.  Each substate is checked
+    as a drawn one is, so a level printed as 0 or 1 is a ``SimulationError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    comments = (line[1:].partition("=") for line in lines if line.startswith("#"))
+    header = {key.strip(): value.strip() for key, equals, value in comments if equals}
+    rows = [line.split(",") for line in lines if line and not line.startswith("#")]
+    pores, starts, completes, codes, counts, levels, durations = ([] for _ in range(7))
+    clogs: dict[int, list[tuple[float, float]]] = {}
+    for row in rows[1:]:  # after the column row
+        kind, pore = row[0], int(row[1])
+        if kind == "clog":
+            start = float(row[2])
+            clogs.setdefault(pore, []).append((start, start + float(row[3]) * 1e-6))
+            continue
+        event_levels = [float(x) for x in row[6].split(";")]
+        event_durations = [float(x) for x in row[7].split(";")]
+        if len(event_levels) != len(event_durations):
+            raise SimulationError(f"event at {row[2]} s has unpaired levels and durations")
+        for level, duration_us in zip(event_levels, event_durations):
+            _check_substate(level, duration_us)
+        pores.append(pore)
+        starts.append(float(row[2]))
+        completes.append(bool(int(row[4])))
+        codes.append(ORIENTATIONS.index(Orientation(row[5])))
+        counts.append(len(event_levels))
+        levels += event_levels
+        durations += event_durations
+    events = EventTable.from_columns(pores, starts, completes, codes, counts, levels, durations)
+    return header, events, clogs
 
 
 # --- calibrated lookups ----------------------------------------------------
@@ -516,8 +539,9 @@ def sample_event(
     calib: CalibrationTable,
     rng: np.random.Generator,
     t_start_s: float = 0.0,
-) -> TranslocationEvent:
-    """Draw one translocation event at the configured operating point.
+) -> EventTable:
+    """Draw one translocation event at the configured operating point, as a
+    one-row table on pore 0.
 
     With probability (1 - complete fraction) the molecule only enters the
     vestibule and returns: a single shallow substate with a short dwell.
@@ -531,8 +555,8 @@ def sample_event(
     draws each of its events the same way, from one ``_EventSampler``.
     """
     complete, code, levels, durations = _EventSampler(molecule, config, calib).draw(rng)
-    return TranslocationEvent(
-        t_start_s, tuple(map(Substate, levels, durations)), complete, ORIENTATIONS[code]
+    return EventTable.from_columns(
+        [0], [t_start_s], [complete], [code], [len(levels)], levels, durations
     )
 
 

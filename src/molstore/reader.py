@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Union
 
 import numpy as np
 
@@ -24,9 +24,8 @@ from .poresim import (
     ORIENTATIONS,
     ChunkedTrace,
     CurrentTrace,
+    EventTable,
     Orientation,
-    Substate,
-    TranslocationEvent,
     _Work,
     mean_duration,
 )
@@ -325,27 +324,23 @@ def classify_event(
 
 
 def _clip_levels(levels):
-    """Levels held inside (0, 1), as a TranslocationEvent needs them."""
+    """Levels held inside (0, 1), as an EventTable needs them."""
     return np.clip(levels, 1e-6, 1.0 - 1e-6)
 
 
 def to_translocation_event(
     event: DetectedEvent, cls: EventClass, orientation: Orientation = Orientation.UNKNOWN
-) -> TranslocationEvent:
-    """Package a detected event and its classification as a domain event."""
+) -> EventTable:
+    """Package a detected event and its classification as a one-row table."""
     if isinstance(cls, BiLevel):
-        substates = (
-            Substate(float(_clip_levels(cls.first_level)), cls.first_duration_us),
-            Substate(float(_clip_levels(cls.second_level)), cls.second_duration_us),
-        )
+        levels = [cls.first_level, cls.second_level]
+        durations = [cls.first_duration_us, cls.second_duration_us]
     else:
-        level = cls.level if isinstance(cls, MonoLevel) else event.mean_level
-        substates = (Substate(float(_clip_levels(level)), event.duration_us),)
-    return TranslocationEvent(
-        t_start_s=event.t_start_s,
-        substates=substates,
-        complete=not isinstance(cls, Incomplete),
-        orientation=orientation,
+        levels = [cls.level if isinstance(cls, MonoLevel) else event.mean_level]
+        durations = [event.duration_us]
+    return EventTable.from_columns(
+        [0], [event.t_start_s], [not isinstance(cls, Incomplete)],
+        [ORIENTATIONS.index(orientation)], [len(levels)], _clip_levels(levels), durations,
     )
 
 
@@ -1084,7 +1079,7 @@ def _summary(
 
 def trace_stats(
     trace: CurrentTrace | ChunkedTrace,
-    events: Sequence[TranslocationEvent],
+    events: EventTable,
     open_current_pa: float,
     threshold_fraction: float = 0.5,
     n_pores: int = 1,
@@ -1103,17 +1098,13 @@ def trace_stats(
         n_samples += chunk.size
         n_open += chunk_open
         census_counts += chunk_counts
-    n_complete = sum(1 for e in events if e.complete)
+    n_complete = int(np.count_nonzero(events.complete))
     open_fraction, complete_rate, partial_rate, histogram = _summary(
         n_samples, n_open, census_counts, n_samples / trace.sample_rate_hz, n_complete,
         len(events) - n_complete,
     )
-    pairs = tuple((e.duration_us, 100.0 * (1.0 - e.mean_level)) for e in events)
+    pairs = zip(events.duration_us.tolist(), (100.0 * (1.0 - events.mean_level)).tolist())
     return StatsReport(
-        open_fraction=open_fraction,
-        complete_rate=complete_rate,
-        partial_rate=partial_rate,
-        total_rate=complete_rate + partial_rate,
-        duration_blockage_pairs=pairs,
-        pore_census_histogram=histogram,
+        open_fraction, complete_rate, partial_rate, complete_rate + partial_rate, tuple(pairs),
+        histogram,
     )

@@ -23,6 +23,8 @@ value, so ``-0.0`` prints ``-0.000000``).  Lines end in LF, CR LF or
 CR.  The reader skips blank and whitespace-only lines; any other
 line, stripped of whitespace, must be one finite number as ``_SAMPLE``
 spells it, else the error names its line number (the header is line 1).
+A line of more than ``_MAX_LINE`` bytes (256 KiB) before its line break,
+header included, is refused the same way, without holding it.
 
 The text writer stores each line as little-endian 8-byte words, the
 mirror of the reader's: ``lo`` is ``.dddddd`` and the newline, ``hi``
@@ -61,7 +63,7 @@ import os
 import re
 import struct
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -80,9 +82,10 @@ class TraceFormatError(ValueError):
 
 # Samples formatted per numpy pass; bounds the writer's working memory.
 _TEXT_CHUNK = 1 << 14
-# A float64 this large has no fractional bits left to round; chunks with
-# |x * 1e6| at or past it go to Python's formatter.
-_EXACT_LIMIT = 2.0**52
+# Chunks with |x * 1e6| at or past this go to Python's formatter: from 2**50
+# on, the float64 spacing is 0.25 or more, and the near-tie gate of
+# ``_format_exact`` refuses every such chunk.
+_EXACT_LIMIT = 2.0**50
 
 
 # The ASCII of ``"%04d" % i`` for each i < 10_000, as a little-endian int64.
@@ -191,6 +194,9 @@ def write_trace_text(trace, path: str) -> None:
 
 # Bytes read per block of the text parse.
 _BLOCK = 1 << 18
+# The longest text line read, in bytes before its line break; the writer's
+# longest is 317.  Not below ``_BLOCK``, which a test may patch down.
+_MAX_LINE = 1 << 18
 # Filler before a block's first line: a line's two words start 16 bytes
 # before its newline.
 _PAD = 16
@@ -210,19 +216,20 @@ _SAMPLE = re.compile(
 )
 
 
-def _text_blocks(fh) -> Iterator[np.ndarray]:
+def _text_blocks(fh, line: Callable[[], int]) -> Iterator[np.ndarray]:
     """The rest of ``fh`` as uint8 arrays: ``_PAD`` filler bytes, then whole
     lines, each ending in a newline (a last line without one gets one).
 
     Line breaks are those of Python's text mode: CR LF and a lone CR become
     LF.  Blocks share one buffer, so each is valid only until the next is
-    read.
+    read.  A line of more than ``_MAX_LINE`` bytes is refused, not held, as
+    line ``line()``: the caller's count of the lines yielded, plus one.
     """
-    raw = bytearray(b"0" * _PAD + bytes(2 * _BLOCK))
+    raw = bytearray(b"0" * _PAD + bytes(_MAX_LINE + _BLOCK + 2))
     held = _PAD  # raw[_PAD:held] is a partial line carried over
     while True:
-        if len(raw) - held <= _BLOCK:  # a line longer than the buffer
-            raw = raw[:held] + bytes(len(raw))
+        if held - _PAD > _MAX_LINE + 1:  # too long even if it ends in half a CR LF
+            raise TraceFormatError(f"line {line()} is longer than {_MAX_LINE} bytes")
         with memoryview(raw) as view:
             got = fh.readinto(view[held : held + _BLOCK])
         end = held + got
@@ -232,14 +239,20 @@ def _text_blocks(fh) -> Iterator[np.ndarray]:
             raw[end] = ord("\n")
             end += 1
         cut = raw.rfind(b"\n", held, end) + 1
+        crs = raw.find(b"\r", _PAD, end) >= 0
+        if crs:  # a lone CR ends a line too; the last byte may be half a CR LF
+            cut = max(cut, raw.rfind(b"\r", _PAD, end - 1) + 1)
         if not cut:
             held = end
             continue
-        if raw.find(b"\r", _PAD, cut) < 0:
-            yield np.frombuffer(raw, np.uint8, cut)
-        else:
+        block = raw
+        if crs:
             lines = bytes(raw[_PAD:cut]).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-            yield np.frombuffer(raw[:_PAD] + lines, np.uint8)
+            block = raw[:_PAD] + lines
+        # Only the line carried over can be longer than a read.
+        if block.find(b"\n", _PAD) - _PAD > _MAX_LINE:
+            raise TraceFormatError(f"line {line()} is longer than {_MAX_LINE} bytes")
+        yield np.frombuffer(block, np.uint8, cut if block is raw else -1)
         if not got:
             return
         held = _PAD + end - cut
@@ -379,8 +392,9 @@ class TextTrace(ChunkedTrace):
         work = _Work()
         out = np.empty(0)
         n = 0
+        line = 1  # the file line number of the next line to parse
         with open(self.path, "rb") as fh:
-            blocks = _text_blocks(fh)
+            blocks = _text_blocks(fh, lambda: line)
             first = next(blocks, None)
             if first is None:
                 return
@@ -404,7 +418,7 @@ def read_trace_text(path: str) -> TextTrace:
     """Open a text trace: check its header line, and leave the body to be
     parsed on each ``chunks()`` pass."""
     with open(path, "rb") as fh:
-        buf = next(_text_blocks(fh), np.frombuffer(b"0" * _PAD + b"\n", np.uint8))
+        buf = next(_text_blocks(fh, lambda: 1), np.frombuffer(b"0" * _PAD + b"\n", np.uint8))
     try:
         header = buf[_PAD : _header_end(buf)].tobytes().decode("ascii").strip()
     except UnicodeDecodeError as exc:

@@ -5,6 +5,8 @@ Stochastic checks use fixed seeds; tolerances are sized by sampling error
 at the stated draw counts.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from molstore import chipmodel, cli
 from molstore.calibration import CalibrationTable, ChannelConfig
 from molstore.codec import RunLengthScheme, encode_runlength
 from molstore.poresim import (
+    ORIENTATIONS,
+    EventTable,
     MoleculeSpec,
     Orientation,
     capture_rate,
@@ -50,10 +54,27 @@ def _report(criterion: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def _draw_events(n, voltage, seed):
+def _draw_events(n, voltage, seed, molecule=A50C100):
+    """``n`` events drawn one by one by sample_event, as one table."""
     config = ChannelConfig(voltage_mv=voltage)
     rng = np.random.default_rng(seed)
-    return [sample_event(A50C100, config, CALIB, rng) for _ in range(n)]
+    return EventTable.concatenate(
+        [sample_event(molecule, config, CALIB, rng) for _ in range(n)]
+    )
+
+
+def _bilevel(events):
+    return np.diff(events.offsets) == 2
+
+
+def _level(events, k):
+    """Each event's k-th substate level (0 first)."""
+    return events.levels[events.offsets[:-1] + k]
+
+
+def _columns(events):
+    """An event table's columns as lists, to compare two tables."""
+    return [getattr(events, field.name).tolist() for field in dataclasses.fields(events)]
 
 
 @pytest.fixture(scope="module")
@@ -93,16 +114,16 @@ def test_criterion_1_calibration_fidelity():
 
 def test_criterion_2_bilevel_statistics():
     events = _draw_events(10_000, 210.0, seed=2002)
-    bilevel = [e for e in events if len(e.substates) == 2]
+    bilevel = events.take(_bilevel(events))
     frac = len(bilevel) / len(events)
-    three = [e for e in bilevel if e.orientation is Orientation.THREE_PRIME_FIRST]
+    three = bilevel.take(bilevel.orientation == ORIENTATIONS.index(Orientation.THREE_PRIME_FIRST))
     three_frac = len(three) / len(bilevel)
-    five = [e for e in bilevel if e.orientation is Orientation.FIVE_PRIME_FIRST]
+    five = bilevel.take(bilevel.orientation == ORIENTATIONS.index(Orientation.FIVE_PRIME_FIRST))
     means = (
-        float(np.mean([e.substates[0].level for e in three])),
-        float(np.mean([e.substates[1].level for e in three])),
-        float(np.mean([e.substates[1].level for e in five])),
-        float(np.mean([e.substates[0].level for e in five])),
+        float(np.mean(_level(three, 0))),
+        float(np.mean(_level(three, 1))),
+        float(np.mean(_level(five, 1))),
+        float(np.mean(_level(five, 0))),
     )
     targets = (0.37, 0.17, 0.20, 0.12)
     ok = (
@@ -122,16 +143,16 @@ def test_criterion_3_no_bilevel_below_threshold():
     counts = {}
     for voltage in (120.0, 150.0, 180.0):
         events = _draw_events(10_000, voltage, seed=int(voltage))
-        counts[voltage] = sum(1 for e in events if len(e.substates) == 2)
+        counts[voltage] = int(np.count_nonzero(_bilevel(events)))
     ok = all(c == 0 for c in counts.values())
     _report(3, ok, f"bi-level counts at 120/150/180 mV: {counts} (all exactly 0)")
 
 
 def test_criterion_4_duration_scaling():
-    complete_210 = [e for e in _draw_events(10_000, 210.0, seed=44) if e.complete]
-    complete_105 = [e for e in _draw_events(10_000, 105.0, seed=45) if e.complete]
-    mean_210 = float(np.mean([e.duration_us for e in complete_210]))
-    mean_105 = float(np.mean([e.duration_us for e in complete_105]))
+    events_210 = _draw_events(10_000, 210.0, seed=44)
+    events_105 = _draw_events(10_000, 105.0, seed=45)
+    mean_210 = float(np.mean(events_210.duration_us[events_210.complete]))
+    mean_105 = float(np.mean(events_105.duration_us[events_105.complete]))
     ratio = mean_105 / mean_210
     ok = abs(mean_210 - 150.0) <= 15.0 and abs(ratio - 2.0) <= 0.10
     _report(
@@ -152,7 +173,7 @@ def test_criterion_5_multi_pore_fig10(fig10_run):
         2: means[2] - 290.0,
         1: means[1] - 190.0,
     }
-    truth_rate = sum(1 for _, e in result.events if e.t_start_s < 20.0) / 20.0
+    truth_rate = np.count_nonzero(result.events.t_start_s < 20.0) / 20.0
     rates = census_rates(census, result.trace.sample_rate_hz, 3)
     r3, r2, r1 = (rates[k].rate_per_s for k in (3, 2, 1))
     ok = (
@@ -180,18 +201,16 @@ def test_criterion_6_monotonicity_suite():
     duration_ok = all(b < a for a, b in zip(durations, durations[1:]))
     blockages = []
     for i, v in enumerate(voltages):
-        config = ChannelConfig(voltage_mv=v)
-        rng = np.random.default_rng(60 + i)
-        events = [sample_event(AC60, config, CALIB, rng) for _ in range(3000)]
-        complete = [e for e in events if e.complete]
-        blockages.append(float(np.mean([1.0 - e.mean_level for e in complete])))
+        events = _draw_events(3000, v, seed=60 + i, molecule=AC60)
+        blockages.append(float(np.mean(1.0 - events.mean_level[events.complete])))
     blockage_ok = all(b < a for a, b in zip(blockages, blockages[1:]))
     open_fracs = []
     for i, v in enumerate(voltages):
         config = ChannelConfig(voltage_mv=v, sample_rate_hz=50_000)
         result = simulate(AC60, config, 120.0, CALIB, seed=600 + i)
         stats = trace_stats(
-            result.trace, [], open_current(v, 1.0, CALIB), threshold_fraction=0.7
+            result.trace, EventTable.concatenate([]), open_current(v, 1.0, CALIB),
+            threshold_fraction=0.7,
         )
         open_fracs.append(stats.open_fraction)
     open_ok = all(b < a for a, b in zip(open_fracs, open_fracs[1:]))
@@ -210,8 +229,8 @@ def test_criterion_7_detection_oracle(station_run):
     open_pa = open_current(210.0, 1.0, CALIB)
     detected = detect_events(station_run.trace, open_pa, threshold_fraction=0.75)
     starts = np.array([d.t_start_s for d in detected])
-    truth = [e for _, e in station_run.events if e.complete]
-    matched = sum(1 for e in truth if np.min(np.abs(starts - e.t_start_s)) <= 10e-6)
+    truth = station_run.events.t_start_s[station_run.events.complete].tolist()
+    matched = sum(1 for t in truth if np.min(np.abs(starts - t)) <= 10e-6)
     recovery = matched / len(truth)
     ok = recovery >= 0.99
     _report(
@@ -328,9 +347,10 @@ def test_criterion_10_determinism(tmp_path):
 
     config = ChannelConfig(voltage_mv=210.0, n_pores=3, sample_rate_hz=100_000)
     result = simulate(A50C100, config, 2.0, CALIB, seed=7)
-    by_pore = {p: [pe for pe in result.events if pe.pore == p] for p in range(3)}
+    events = result.events
     schedule_ok = all(
-        list(pore_events(A50C100, config, CALIB, 7, pore, 2.0)) == by_pore[pore]
+        _columns(pore_events(A50C100, config, CALIB, 7, pore, 2.0))
+        == _columns(events.take(events.pore == pore))
         for pore in (2, 0, 1)
     )
     rerun = simulate(A50C100, config, 2.0, CALIB, seed=7)

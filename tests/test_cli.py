@@ -4,6 +4,8 @@ import math
 import os
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from molstore import cli, traceio
+from molstore import cli, codec, poresim, traceio
 from molstore.calibration import CalibrationTable, field_defaults, format_calibration
 from molstore.chipmodel import ChipLayout, PlanScenario
 from molstore.poresim import CurrentTrace
@@ -47,6 +49,28 @@ def test_encode_runlength_default_scheme(tmp_path):
     payload.write_text("01\n")
     assert run("encode", "--in", str(payload), "--out", str(out), "--mode", "runlength") == 0
     assert out.read_text() == "A" * 20 + "C" * 30 + "\n"
+
+
+def test_encode_refuses_an_output_past_the_base_limit(tmp_path):
+    """A scheme that asks for 10^10 bases is one ``param`` line and exit 1,
+    before a base is spelled out.  The command runs in a child process under
+    ``ulimit -v``, so an encoder that did spell them out would fail there
+    with a MemoryError instead of taking the machine's memory."""
+    payload, out = tmp_path / "payload.txt", tmp_path / "seq.txt"
+    payload.write_text("0\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        ["/bin/sh", "-c", 'ulimit -v 2000000 && exec "$@"', "sh", sys.executable, "-m",
+         "molstore.cli", "encode", "--in", str(payload), "--out", str(out),
+         "--mode", "runlength", "--scheme", "A10000000000C1"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert (done.returncode, done.stderr) == (1, (
+        "error: param: scheme A10000000000C1 makes 10000000000 bases, "
+        f"more than {codec.MAX_SEQUENCE_BASES}\n"
+    ))
+    assert not out.exists()
 
 
 def test_decode_round_trip(tmp_path):
@@ -106,11 +130,11 @@ def test_simulate_binary_format_determinism(tmp_path):
 
 def test_simulate_log_header_and_parse(tmp_path):
     _, trace, log = _simulate(tmp_path)
-    header, events, clogs = cli.parse_event_log(str(log))
+    header, events, clogs = poresim.parse_event_log(str(log))
     assert header["seed"] == "1"
     assert header["molecule"] == "A50C100"
     assert "cal.bilevel_fraction" in header
-    assert events
+    assert len(events)
     assert clogs == {}
     # log events describe the trace written next to it
     data = traceio.read_trace(str(trace))
@@ -125,7 +149,7 @@ def test_simulate_records_generated_seed(tmp_path):
         "--sample-rate-hz", "100000",
         "--trace-out", str(trace), "--log-out", str(log),
     ) == 0
-    header, _, _ = cli.parse_event_log(str(log))
+    header, _, _ = poresim.parse_event_log(str(log))
     assert int(header["seed"]) >= 0
 
 
@@ -138,21 +162,21 @@ def test_simulate_gating_no_events(tmp_path):
         "--sample-rate-hz", "100000",
         "--trace-out", str(trace), "--log-out", str(log),
     ) == 0
-    header, events, clogs = cli.parse_event_log(str(log))
+    header, events, clogs = poresim.parse_event_log(str(log))
     assert header["gating"] == "true"
-    assert events == []
+    assert len(events) == 0
     assert clogs  # spontaneous closures logged as clog intervals
 
 
 def test_simulate_clog_schedule_logged(tmp_path):
     _, trace, log = _simulate(tmp_path, "--pores", "3", "--clog", "0:0.1:0.3", name="clog")
-    _, events, clogs = cli.parse_event_log(str(log))
+    _, events, clogs = poresim.parse_event_log(str(log))
     assert clogs[0] == [(pytest.approx(0.1), pytest.approx(0.3))]
     # no ground-truth event overlaps the clog on pore 0
-    for pore, event in events:
-        if pore == 0:
-            end = event.t_start_s + event.duration_us * 1e-6
-            assert end <= 0.1 or event.t_start_s >= 0.3
+    on_0 = events.take(events.pore == 0)
+    assert len(on_0)
+    ends = on_0.t_start_s + on_0.duration_us * 1e-6
+    assert np.all((ends <= 0.1) | (on_0.t_start_s >= 0.3))
 
 
 def test_census_of_trace_matches_logged_clog_intervals(tmp_path):
@@ -164,7 +188,7 @@ def test_census_of_trace_matches_logged_clog_intervals(tmp_path):
         tmp_path, "--pores", "3", "--clog", "0:0.1:0.3", "--clog", "1:0.2:0.3",
         name="census",
     )
-    _, _, clogs = cli.parse_event_log(str(log))
+    _, _, clogs = poresim.parse_event_log(str(log))
     data = traceio.read_trace(str(trace))
     calib = CalibrationTable()
     census = census_series(
@@ -1084,6 +1108,6 @@ def test_calibration_flag_overrides(tmp_path):
         "--sample-rate-hz", "100000",
         "--trace-out", str(trace), "--log-out", str(log),
     ) == 0
-    header, events, _ = cli.parse_event_log(str(log))
+    header, events, _ = poresim.parse_event_log(str(log))
     assert header["gating"] == "true"
-    assert events == []
+    assert len(events) == 0

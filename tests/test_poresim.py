@@ -3,10 +3,11 @@ import math
 import sys
 import threading
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from molstore import poresim, traceio
@@ -15,12 +16,10 @@ from molstore.codec import Nucleotide
 from molstore.poresim import (
     MAX_MOLECULE_BASES,
     ORIENTATIONS,
+    EventTable,
     MoleculeSpec,
     Orientation,
-    PoreEvent,
     SimulationError,
-    Substate,
-    TranslocationEvent,
     capture_rate,
     complete_fraction,
     gating_active,
@@ -158,16 +157,32 @@ MOLECULE = MoleculeSpec.from_string("A50C100")
 
 
 def _draw(n, voltage, seed=7):
+    """``n`` events drawn one by one by sample_event, as one table."""
     config = ChannelConfig(voltage_mv=voltage)
     rng = np.random.default_rng(seed)
-    return [sample_event(MOLECULE, config, CALIB, rng) for _ in range(n)]
+    return EventTable.concatenate([sample_event(MOLECULE, config, CALIB, rng) for _ in range(n)])
+
+
+def _substates(events):
+    """Each event's substate count."""
+    return np.diff(events.offsets)
+
+
+def _level(events, k):
+    """Each event's k-th substate level (0 first)."""
+    return events.levels[events.offsets[:-1] + k]
+
+
+_THREE, _FIVE = (ORIENTATIONS.index(o) for o in (Orientation.THREE_PRIME_FIRST,
+                                                   Orientation.FIVE_PRIME_FIRST))
 
 
 def test_sample_event_deterministic():
     config = ChannelConfig(voltage_mv=210.0)
-    a = sample_event(MOLECULE, config, CALIB, np.random.default_rng(5))
-    b = sample_event(MOLECULE, config, CALIB, np.random.default_rng(5))
-    assert a == b
+    a = sample_event(MOLECULE, config, CALIB, np.random.default_rng(5), t_start_s=2.5)
+    b = sample_event(MOLECULE, config, CALIB, np.random.default_rng(5), t_start_s=2.5)
+    assert len(a) == 1 and a.pore.tolist() == [0] and a.t_start_s.tolist() == [2.5]
+    _assert_same_table(a, b)
 
 
 def test_sample_event_requires_positive_voltage():
@@ -177,56 +192,54 @@ def test_sample_event_requires_positive_voltage():
 
 def test_bilevel_fraction_among_all_events():
     events = _draw(10_000, 210.0)
-    frac = sum(1 for e in events if len(e.substates) == 2) / len(events)
+    frac = np.count_nonzero(_substates(events) == 2) / len(events)
     assert frac == pytest.approx(0.29, abs=0.02)
 
 
 def test_no_bilevel_below_threshold_voltage():
     for voltage in (120.0, 150.0, 180.0):
         events = _draw(3000, voltage)
-        assert all(len(e.substates) == 1 for e in events)
+        assert (_substates(events) == 1).all()
 
 
 def test_incomplete_events_single_shallow_substate():
-    events = [e for e in _draw(2000, 210.0) if not e.complete]
-    assert events
-    for e in events:
-        assert len(e.substates) == 1
-        assert CALIB.incomplete_level_low <= e.substates[0].level <= CALIB.incomplete_level_high
-        assert e.substates[0].duration_us >= CALIB.incomplete_min_duration_us
+    events = _draw(2000, 210.0)
+    events = events.take(~events.complete)
+    assert len(events)
+    assert (_substates(events) == 1).all()
+    assert (CALIB.incomplete_level_low <= events.levels).all()
+    assert (events.levels <= CALIB.incomplete_level_high).all()
+    assert (events.durations_us >= CALIB.incomplete_min_duration_us).all()
 
 
 def test_complete_duration_mean():
-    complete = [e for e in _draw(10_000, 210.0) if e.complete]
-    mean = np.mean([e.duration_us for e in complete])
+    events = _draw(10_000, 210.0)
+    mean = np.mean(events.duration_us[events.complete])
     assert mean == pytest.approx(150.0, rel=0.10)
 
 
 def test_bilevel_orientation_and_levels():
-    events = [e for e in _draw(10_000, 210.0) if len(e.substates) == 2]
-    three = [e for e in events if e.orientation is Orientation.THREE_PRIME_FIRST]
+    events = _draw(10_000, 210.0)
+    events = events.take(_substates(events) == 2)
+    three = events.take(events.orientation == _THREE)
     assert len(three) / len(events) == pytest.approx(0.75, abs=0.03)
-    assert np.mean([e.substates[0].level for e in three]) == pytest.approx(0.37, abs=0.02)
-    assert np.mean([e.substates[1].level for e in three]) == pytest.approx(0.17, abs=0.02)
-    five = [e for e in events if e.orientation is Orientation.FIVE_PRIME_FIRST]
-    assert np.mean([e.substates[0].level for e in five]) == pytest.approx(0.12, abs=0.02)
-    assert np.mean([e.substates[1].level for e in five]) == pytest.approx(0.20, abs=0.02)
+    assert np.mean(_level(three, 0)) == pytest.approx(0.37, abs=0.02)
+    assert np.mean(_level(three, 1)) == pytest.approx(0.17, abs=0.02)
+    five = events.take(events.orientation == _FIVE)
+    assert np.mean(_level(five, 0)) == pytest.approx(0.12, abs=0.02)
+    assert np.mean(_level(five, 1)) == pytest.approx(0.20, abs=0.02)
 
 
 def test_level_spread_matches_calibration():
-    events = [e for e in _draw(10_000, 210.0) if len(e.substates) == 2]
-    three_first = [
-        e.substates[0].level
-        for e in events
-        if e.orientation is Orientation.THREE_PRIME_FIRST
-    ]
+    events = _draw(10_000, 210.0)
+    three_first = _level(events.take((_substates(events) == 2) & (events.orientation == _THREE)), 0)
     assert np.std(three_first) == pytest.approx(0.09, rel=0.25)
 
 
 def test_monolevel_complete_tracks_blockage_table():
     for voltage, blockage in ((90.0, 0.85), (120.0, 0.80), (150.0, 0.75)):
-        events = [e for e in _draw(3000, voltage) if e.complete]
-        mean_level = np.mean([e.substates[0].level for e in events])
+        events = _draw(3000, voltage)
+        mean_level = np.mean(_level(events, 0)[events.complete])
         assert mean_level == pytest.approx(1.0 - blockage, abs=0.01)
 
 
@@ -276,6 +289,20 @@ def test_multi_pore_event_rate_additivity():
 _TABLE_FIELDS = (
     "pore", "t_start_s", "complete", "orientation", "offsets", "levels", "durations_us"
 )
+
+
+def _rows(table):
+    """Each event of ``table`` as (pore, t_start_s, complete, orientation,
+    levels, durations_us)."""
+    bounds = table.offsets.tolist()
+    levels, durations = table.levels.tolist(), table.durations_us.tolist()
+    return [
+        (pore, t, complete, code, levels[a:b], durations[a:b])
+        for pore, t, complete, code, a, b in zip(
+            table.pore.tolist(), table.t_start_s.tolist(), table.complete.tolist(),
+            table.orientation.tolist(), bounds, bounds[1:],
+        )
+    ]
 
 
 def _assert_same_table(got, want):
@@ -461,7 +488,7 @@ def test_zero_sigma_monolevel_calibration_simulates():
     )
     config = ChannelConfig(voltage_mv=90.0, sample_rate_hz=10_000)
     result = simulate(MoleculeSpec.from_string("(AC)60"), config, 10.0, calib, seed=3)
-    levels = {e.substates[0].level for _, e in result.events if e.complete}
+    levels = set(_level(result.events, 0)[result.events.complete].tolist())
     assert len(levels) == 1
     assert levels.pop() == pytest.approx(0.001)
 
@@ -477,9 +504,8 @@ _BUSY = CALIB.replace(
 
 
 def _overlap_across_pores(events) -> bool:
-    spans = sorted(
-        (e.t_start_s, e.t_start_s + e.duration_us * 1e-6, pore) for pore, e in events
-    )
+    ends = events.t_start_s + events.duration_us * 1e-6
+    spans = sorted(zip(events.t_start_s.tolist(), ends.tolist(), events.pore.tolist()))
     return any(b[0] < a[1] and b[2] != a[2] for a, b in zip(spans, spans[1:]))
 
 
@@ -669,9 +695,34 @@ def test_noise_passes_on_many_threads_at_once_match_the_serial_draw(monkeypatch)
 # --- the event table against the per-event loop --------------------------------
 #
 # The ``_ref_*`` functions are sample_event, pore_events and simulate's
-# segment loop as they were when each event was a TranslocationEvent,
-# copied unchanged apart from their names.  The event table and the segment
-# arrays must reproduce them bit for bit.
+# segment loop as they were when each event was an object of its own,
+# copied unchanged apart from their names and that class, which is
+# ``_RefEvent`` here.  The event table and the segment arrays must
+# reproduce them bit for bit.
+
+
+class _RefEvent(NamedTuple):
+    """One event as the per-event loop held it: (level, duration_us)
+    substates, each checked as a drawn substate is."""
+
+    t_start_s: float
+    substates: tuple[tuple[float, float], ...]
+    complete: bool
+    orientation: Orientation = Orientation.UNKNOWN
+
+    @classmethod
+    def checked(cls, t_start_s, substates, complete, orientation=Orientation.UNKNOWN):
+        for level, duration_us in substates:
+            poresim._check_substate(level, duration_us)
+        return cls(t_start_s, tuple(substates), complete, orientation)
+
+    @property
+    def duration_us(self) -> float:
+        return sum(duration_us for _, duration_us in self.substates)
+
+    @property
+    def mean_level(self) -> float:
+        return sum(level * duration_us for level, duration_us in self.substates) / self.duration_us
 
 
 def _ref_duration_jitter(rng: np.random.Generator, cv: float) -> float:
@@ -692,9 +743,7 @@ def _ref_sample_event(molecule, config, calib, rng, t_start_s=0.0):
         duration = calib.incomplete_min_duration_us + rng.exponential(
             calib.incomplete_mean_duration_us - calib.incomplete_min_duration_us
         )
-        return TranslocationEvent(
-            t_start_s, (Substate(level, duration),), complete=False
-        )
+        return _RefEvent.checked(t_start_s, ((level, duration),), complete=False)
 
     dwell_scale = calib.base_dwell_us * calib.ref_voltage_mv / voltage
     cv = calib.duration_jitter_cv
@@ -713,16 +762,14 @@ def _ref_sample_event(molecule, config, calib, rng, t_start_s=0.0):
         for base, count in ordered:
             stats = calib.level_for(base.value, orientation.entry_end)
             level = _truncated_normal(rng, stats.mean, stats.sd)
-            subs.append(Substate(level, count * dwell_scale * _ref_duration_jitter(rng, cv)))
-        return TranslocationEvent(
-            t_start_s, tuple(subs), complete=True, orientation=orientation
-        )
+            subs.append((level, count * dwell_scale * _ref_duration_jitter(rng, cv)))
+        return _RefEvent.checked(t_start_s, subs, complete=True, orientation=orientation)
 
     level = _truncated_normal(
         rng, 1.0 - monolevel_blockage(voltage, calib), calib.monolevel_sigma
     )
     duration = molecule.total_bases * dwell_scale * _ref_duration_jitter(rng, cv)
-    return TranslocationEvent(t_start_s, (Substate(level, duration),), complete=True)
+    return _RefEvent.checked(t_start_s, ((level, duration),), complete=True)
 
 
 def _ref_pore_events(molecule, config, calib, seed, pore, duration_s, clog_intervals=()):
@@ -768,7 +815,7 @@ def _ref_simulate(molecule, config, duration_s, calib, seed, clog_map):
         for event in _ref_pore_events(
             molecule, config, calib, seed, pore, duration_s, clog_map.get(pore, ())
         ):
-            all_events.append(PoreEvent(pore, event))
+            all_events.append((pore, event))
 
     segments = []
     for _, event in all_events:
@@ -783,12 +830,12 @@ def _ref_simulate(molecule, config, duration_s, calib, seed, clog_map):
                 (*_ref_sample_slice(start, end, rate, n), open_pa - calib.clogged_current_pa)
             )
     starts, stops, drops = (np.array([seg[i] for seg in segments]) for i in range(3))
-    all_events.sort(key=lambda pe: (pe.event.t_start_s, pe.pore))
+    all_events.sort(key=lambda pe: (pe[1].t_start_s, pe[0]))
     return all_events, (starts, stops, drops)
 
 
 def _assert_table_holds(table, events):
-    """The table's fields equal the (pore, TranslocationEvent) list's."""
+    """The table's fields equal the (pore, _RefEvent) list's."""
     assert len(table) == len(events)
     subs = [sub for _, e in events for sub in e.substates]
     expected = {
@@ -799,14 +846,15 @@ def _assert_table_holds(table, events):
             [ORIENTATIONS.index(e.orientation) for _, e in events], dtype=np.int8
         ),
         "offsets": np.cumsum([0] + [len(e.substates) for _, e in events], dtype=np.int64),
-        "levels": np.array([s.level for s in subs], dtype=np.float64),
-        "durations_us": np.array([s.duration_us for s in subs], dtype=np.float64),
+        "levels": np.array([level for level, _ in subs], dtype=np.float64),
+        "durations_us": np.array([duration for _, duration in subs], dtype=np.float64),
     }
     for name, want in expected.items():
         got = getattr(table, name)
         assert got.dtype == want.dtype, name
         assert got.tolist() == want.tolist(), name
     assert table.duration_us.tolist() == [e.duration_us for _, e in events]
+    assert table.mean_level.tolist() == [e.mean_level for _, e in events]
     spans = []  # each substate's (start, end), chained as the segment loop chains them
     for _, e in events:
         t = e.t_start_s
@@ -814,7 +862,6 @@ def _assert_table_holds(table, events):
             spans.append((t, t + dur_us * 1e-6))
             t = spans[-1][1]
     assert list(zip(*(a.tolist() for a in table.substate_spans_s()))) == spans
-    assert list(table) == list(events)
 
 
 _ORACLE_MOLECULES = [MoleculeSpec.from_string(s) for s in ("C150", "A50C100", "A20C30G10")]
@@ -843,7 +890,7 @@ def test_event_table_equals_per_event_loop(seed, voltage, molecule, cv, n_pores,
         clogged = result.clogs.get(pore, ())
         alone = pore_events(molecule, config, calib, seed, pore, duration_s, clogged)
         want = _ref_pore_events(molecule, config, calib, seed, pore, duration_s, clogged)
-        _assert_table_holds(alone, [PoreEvent(pore, e) for e in want])
+        _assert_table_holds(alone, [(pore, e) for e in want])
     trace = result.trace
     # An empty segment list made float64 sample indices in the loop; the
     # indices are int64 whether or not a segment exists.
@@ -879,9 +926,9 @@ def test_event_table_oracle_sees_every_kind_of_event():
     ],
 )
 def test_every_drawn_event_is_checked(overrides, message):
-    """An event the calibration makes invalid is refused, as a
-    TranslocationEvent refuses it, also when the run would drop it: here the
-    one pore is clogged throughout."""
+    """An event the calibration makes invalid is refused, as the per-event
+    loop refused it, also when the run would drop it: here the one pore is
+    clogged throughout."""
     calib = _BUSY.replace(**overrides)
     config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=100_000)
     clogged = ((0.0, 0.05),)
@@ -895,11 +942,85 @@ def test_every_drawn_event_is_checked(overrides, message):
 def test_event_table_take_and_concatenate():
     config = ChannelConfig(voltage_mv=210.0, n_pores=2, sample_rate_hz=100_000)
     tables = [pore_events(MOLECULE, config, _BUSY, 4, pore, 0.02) for pore in range(2)]
-    joined = poresim.EventTable.concatenate(tables)
-    assert list(joined) == list(tables[0]) + list(tables[1])
+    joined = EventTable.concatenate(tables)
+    assert _rows(joined) == _rows(tables[0]) + _rows(tables[1])
     order = np.arange(len(joined))[::-1]
-    assert list(joined.take(order)) == list(joined)[::-1]
+    assert _rows(joined.take(order)) == _rows(joined)[::-1]
     _assert_same_table(joined.take(joined.pore == 1), tables[1])
-    empty = poresim.EventTable.concatenate([])
-    assert len(empty) == 0 and list(empty) == [] and empty.offsets.tolist() == [0]
+    empty = EventTable.concatenate([])
+    assert len(empty) == 0 and _rows(empty) == [] and empty.offsets.tolist() == [0]
     _assert_same_table(joined.take(np.zeros(len(joined), bool)), empty)
+
+
+# --- the ground-truth log ---------------------------------------------------------
+
+
+@st.composite
+def _logged_tables(draw):
+    """An event table whose levels print inside (0, 1) and whose durations
+    print above 0, as write_event_log prints them."""
+    n = draw(st.integers(0, 6))
+
+    def column(values, size=n):
+        return draw(st.lists(values, min_size=size, max_size=size))
+
+    counts = column(st.integers(1, 3))
+    return EventTable.from_columns(
+        column(st.integers(0, 4)), column(st.floats(0.0, 1e4)), column(st.booleans()),
+        column(st.integers(0, 2)), counts, column(st.floats(1e-6, 1.0 - 1e-6), sum(counts)),
+        column(st.floats(1e-3, 1e7), sum(counts)),
+    )
+
+
+_LOGGED_CLOGS = st.dictionaries(
+    st.integers(0, 4),
+    st.lists(
+        st.tuples(st.floats(0.0, 1e4), st.floats(1e-9, 1e3)).map(lambda p: (p[0], p[0] + p[1])),
+        min_size=1, max_size=3,
+    ),
+)
+
+
+def _printed(values, places):
+    return np.array([float(f"{v:.{places}f}") for v in values.tolist()])
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(events=_logged_tables(), clogs=_LOGGED_CLOGS)
+def test_event_log_round_trip(tmp_path, events, clogs):
+    """Writing a log then parsing it gives back the header, the table and
+    the clogs at the printed precision."""
+    path = str(tmp_path / "truth.log")
+    header = ["# molstore simulate", "# seed = 7", "# cal.iv_points = 0:0 210:250"]
+    poresim.write_event_log(path, header, events, clogs)
+    got_header, got, got_clogs = poresim.parse_event_log(path)
+    assert got_header == {"seed": "7", "cal.iv_points": "0:0 210:250"}
+    _assert_same_table(got, EventTable(
+        events.pore, _printed(events.t_start_s, 9), events.complete, events.orientation,
+        events.offsets, _printed(events.levels, 6), _printed(events.durations_us, 3),
+    ))
+    want_clogs = {}
+    for pore, intervals in clogs.items():
+        for start, end in intervals:
+            start, width_us = float(f"{start:.9f}"), float(f"{(end - start) * 1e6:.3f}")
+            want_clogs.setdefault(pore, []).append((start, start + width_us * 1e-6))
+    assert got_clogs == want_clogs
+
+
+@pytest.mark.parametrize(
+    "levels, durations, message",
+    [
+        ("0.000000", "150.000", r"substate level 0\.0 outside \(0, 1\)"),
+        ("0.370000;1.000000", "100.000;50.000", r"substate level 1\.0 outside \(0, 1\)"),
+        ("0.370000", "0.000", "substate duration must be > 0"),
+        ("0.370000;0.170000", "100.000", "unpaired levels and durations"),
+    ],
+)
+def test_event_log_refuses_a_substate_no_draw_makes(tmp_path, levels, durations, message):
+    path = tmp_path / "truth.log"
+    path.write_text(
+        "# seed = 1\nkind,pore,t_start_s,duration_us,complete,orientation,levels,durations_us\n"
+        f"event,0,0.001000000,150.000,1,unknown,{levels},{durations}\n"
+    )
+    with pytest.raises(SimulationError, match=message):
+        poresim.parse_event_log(str(path))

@@ -2,7 +2,8 @@
 
 The ``_ref_*`` functions below are the per-event reader functions and the
 ``read`` command's loop as they were before read_station existed, copied
-unchanged apart from their names.  read_station must reproduce them bit
+unchanged apart from their names and the event class they made, which is
+``_RefEvent`` here.  read_station must reproduce them bit
 for bit: event bounds, means, classes, levels, orientations, decoded bits
 or refusals, and the summary counts.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 from unittest import mock
 
 import numpy as np
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from molstore import poresim, reader
 from molstore.calibration import CalibrationTable
 from molstore.codec import BaseSequence, CodecError, RunLengthScheme, decode_runlength
-from molstore.poresim import CurrentTrace, Orientation, Substate, TranslocationEvent
+from molstore.poresim import CurrentTrace, Orientation
 from molstore.reader import (
     BiLevel,
     DetectedEvent,
@@ -41,6 +42,24 @@ CALIB = CalibrationTable()
 
 
 # --- reference: the per-event path, unchanged -------------------------------
+
+
+class _RefEvent(NamedTuple):
+    """One event as the per-event path held it: (level, duration_us)
+    substates."""
+
+    t_start_s: float
+    substates: tuple[tuple[float, float], ...]
+    complete: bool
+    orientation: Orientation = Orientation.UNKNOWN
+
+    @property
+    def duration_us(self) -> float:
+        return sum(duration_us for _, duration_us in self.substates)
+
+    @property
+    def mean_level(self) -> float:
+        return sum(level * duration_us for level, duration_us in self.substates) / self.duration_us
 
 
 @dataclass(frozen=True)
@@ -164,21 +183,21 @@ def _ref_clip_level(level: float) -> float:
 
 def _ref_to_translocation_event(
     event: DetectedEvent, cls: EventClass, orientation: Orientation = Orientation.UNKNOWN
-) -> TranslocationEvent:
+) -> _RefEvent:
     """Package a detected event and its classification as a domain event."""
     if isinstance(cls, BiLevel):
         substates = (
-            Substate(_ref_clip_level(cls.first_level), cls.first_duration_us),
-            Substate(_ref_clip_level(cls.second_level), cls.second_duration_us),
+            (_ref_clip_level(cls.first_level), cls.first_duration_us),
+            (_ref_clip_level(cls.second_level), cls.second_duration_us),
         )
         complete = True
     elif isinstance(cls, MonoLevel):
-        substates = (Substate(_ref_clip_level(cls.level), event.duration_us),)
+        substates = ((_ref_clip_level(cls.level), event.duration_us),)
         complete = True
     else:
-        substates = (Substate(_ref_clip_level(event.mean_level), event.duration_us),)
+        substates = ((_ref_clip_level(event.mean_level), event.duration_us),)
         complete = False
-    return TranslocationEvent(
+    return _RefEvent(
         t_start_s=event.t_start_s,
         substates=substates,
         complete=complete,
@@ -255,7 +274,7 @@ def _ref_assign_bases(levels: Sequence[float], means: dict[str, float]) -> list[
 
 
 def _ref_recover_bases(
-    event: TranslocationEvent,
+    event: _RefEvent,
     orientation: Orientation,
     calib: CalibrationTable,
     voltage_mv: float,
@@ -282,7 +301,7 @@ def _ref_recover_bases(
     if not means:
         raise ReaderError("calibration has no level statistics for this orientation")
     dwell_us = calib.base_dwell_us * calib.ref_voltage_mv / voltage_mv
-    assigned = _ref_assign_bases([s.level for s in event.substates], means)
+    assigned = _ref_assign_bases([level for level, _ in event.substates], means)
     segments: list[tuple[Nucleotide, int]] = []
     for base, (_, duration_us) in zip(assigned, event.substates):
         count = max(1, int(duration_us / dwell_us + 0.5))
@@ -311,11 +330,11 @@ def _ref_decode_event(
     call = _ref_infer_orientation(cls, calib, tie_tolerance=tie_tolerance)
     if call.orientation is Orientation.UNKNOWN:
         raise OrientationUnknownError("level ordering is a tie; orientation unknown")
-    event = TranslocationEvent(
+    event = _RefEvent(
         t_start_s=0.0,
         substates=(
-            Substate(_ref_clip_level(cls.first_level), cls.first_duration_us),
-            Substate(_ref_clip_level(cls.second_level), cls.second_duration_us),
+            (_ref_clip_level(cls.first_level), cls.first_duration_us),
+            (_ref_clip_level(cls.second_level), cls.second_duration_us),
         ),
         complete=True,
         orientation=call.orientation,
@@ -327,7 +346,7 @@ def _ref_decode_event(
 
 def _ref_trace_stats(
     trace: CurrentTrace,
-    events: Sequence[TranslocationEvent],
+    events: Sequence[_RefEvent],
     open_current_pa: float,
     threshold_fraction: float = 0.5,
     n_pores: int = 1,

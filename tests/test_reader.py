@@ -10,10 +10,9 @@ from molstore.calibration import CalibrationTable, ChannelConfig
 from molstore.codec import RunLengthScheme
 from molstore.poresim import (
     CurrentTrace,
+    EventTable,
     MoleculeSpec,
     Orientation,
-    Substate,
-    TranslocationEvent,
     capture_rate,
     open_current,
     simulate,
@@ -40,6 +39,7 @@ from molstore.reader import (
 
 CALIB = CalibrationTable()
 RATE = 1_000_000.0
+NO_EVENTS = EventTable.concatenate([])
 
 
 def _flat(value, n, rate=RATE):
@@ -128,14 +128,11 @@ def test_detect_recovers_seeded_events_within_10us():
     open_pa = open_current(210.0, 1.0, CALIB)
     detected = detect_events(result.trace, open_pa, threshold_fraction=0.5)
     starts = np.array([d.t_start_s for d in detected])
-    truth = [
-        e for _, e in result.events
-        if e.complete and max(s.level for s in e.substates) <= 0.4
-    ]
+    events = result.events
+    shallow = np.maximum.reduceat(events.levels, events.offsets[:-1]) <= 0.4
+    truth = events.t_start_s[events.complete & shallow].tolist()
     assert truth
-    matched = sum(
-        1 for e in truth if np.min(np.abs(starts - e.t_start_s)) <= 10e-6
-    )
+    matched = sum(1 for t in truth if np.min(np.abs(starts - t)) <= 10e-6)
     assert matched / len(truth) >= 0.99
 
 
@@ -228,12 +225,6 @@ def test_orientation_ordering_decides_against_depths():
 
 
 # --- base recovery -----------------------------------------------------------
-
-
-def _event(substates, orientation=Orientation.UNKNOWN, complete=True):
-    return TranslocationEvent(
-        0.0, tuple(Substate(*s) for s in substates), complete, orientation
-    )
 
 
 def _recover_bases(substates, orientation, voltage_mv):
@@ -687,7 +678,7 @@ def test_census_stats_refuses_pore_counts_past_uint16():
 
 
 def test_trace_stats_zero_events():
-    stats = trace_stats(_flat(250.0, 1000), [], 250.0)
+    stats = trace_stats(_flat(250.0, 1000), NO_EVENTS, 250.0)
     assert stats.open_fraction == 1.0
     assert stats.total_rate == 0.0
     assert stats.complete_rate == 0.0
@@ -695,14 +686,16 @@ def test_trace_stats_zero_events():
 
 
 def test_trace_stats_empty_trace():
-    stats = trace_stats(CurrentTrace(RATE, np.empty(0)), [], 250.0)
+    stats = trace_stats(CurrentTrace(RATE, np.empty(0)), NO_EVENTS, 250.0)
     assert stats.open_fraction == 1.0
 
 
 @pytest.mark.parametrize("fraction", [np.nan, 1.5, 0.0, 1.0])
 def test_trace_stats_refuses_threshold_fraction_outside_unit_interval(fraction):
     with pytest.raises(ReaderError, match="threshold_fraction"):
-        trace_stats(CurrentTrace(RATE, np.full(10, 250.0)), [], 250.0, threshold_fraction=fraction)
+        trace_stats(
+            CurrentTrace(RATE, np.full(10, 250.0)), NO_EVENTS, 250.0, threshold_fraction=fraction
+        )
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -713,7 +706,7 @@ def test_summary_refuses_impossible_pore_counts_before_reading(n, n_pores):
     trace = _flat(250.0, n)
     scheme = RunLengthScheme.from_string("A50C100")
     with pytest.raises(ReaderError, match="n_pores"):
-        trace_stats(trace, [], 250.0, n_pores=n_pores)
+        trace_stats(trace, NO_EVENTS, 250.0, n_pores=n_pores)
     with pytest.raises(ReaderError, match="n_pores"):
         reader.read_station(trace, 250.0, 5.0, CALIB, scheme, 210.0, n_pores=n_pores)
 
@@ -723,7 +716,7 @@ def test_summary_refuses_open_current_below_clogged(n):
     trace = _flat(250.0, n)
     scheme = RunLengthScheme.from_string("A50C100")
     with pytest.raises(ReaderError, match="exceed clogged"):
-        trace_stats(trace, [], 20.0, clogged_current_pa=30.0)
+        trace_stats(trace, NO_EVENTS, 20.0, clogged_current_pa=30.0)
     with pytest.raises(ReaderError, match="exceed clogged"):
         reader.read_station(trace, CALIB.clogged_current_pa / 2, 5.0, CALIB, scheme, 210.0)
 
@@ -745,7 +738,9 @@ def _stepped_trace(n=6000):
 
 def _summaries(trace):
     detected = detect_events(trace, 250.0, threshold_fraction=0.75)
-    events = [to_translocation_event(d, classify_event(d, 0.02)) for d in detected]
+    events = EventTable.concatenate(
+        [to_translocation_event(d, classify_event(d, 0.02)) for d in detected]
+    )
     found = [(d.t_start_s, d.levels.tobytes(), d.sample_rate_hz) for d in detected]
     return found, trace_stats(trace, events, 250.0, 0.75, n_pores=2)
 
@@ -781,7 +776,7 @@ def test_trace_stats_never_holds_the_float64_trace(tmp_path):
     open_pa = open_current(210.0, 1.0, CALIB)
     tracemalloc.start()
     try:
-        stats = trace_stats(trace, [], open_pa, 0.75)
+        stats = trace_stats(trace, NO_EVENTS, open_pa, 0.75)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -790,12 +785,30 @@ def test_trace_stats_never_holds_the_float64_trace(tmp_path):
     assert peak < 8 * len(trace), peak
 
 
+def test_to_translocation_event_is_a_one_row_table():
+    """Each class packaged as a table row on pore 0, its levels clipped
+    into (0, 1)."""
+    detected = DetectedEvent(0.25, np.array([0.5, 0.5, 0.25, 0.25]), RATE)
+    bilevel = to_translocation_event(
+        detected, BiLevel(1.5, -0.1, 2.0, 2.5), Orientation.FIVE_PRIME_FIRST
+    )
+    mono = to_translocation_event(detected, MonoLevel(0.3))
+    partial = to_translocation_event(detected, Incomplete())
+    assert [t.pore.tolist() for t in (bilevel, mono, partial)] == [[0]] * 3
+    assert [t.t_start_s.tolist() for t in (bilevel, mono, partial)] == [[0.25]] * 3
+    assert [t.complete.tolist() for t in (bilevel, mono, partial)] == [[True], [True], [False]]
+    assert [t.orientation.tolist() for t in (bilevel, mono, partial)] == [[2], [0], [0]]
+    assert bilevel.levels.tolist() == [1.0 - 1e-6, 1e-6]
+    assert bilevel.durations_us.tolist() == [2.0, 2.5]
+    assert (mono.levels.tolist(), mono.durations_us.tolist()) == ([0.3], [4.0])
+    assert (partial.levels.tolist(), partial.durations_us.tolist()) == ([0.375], [4.0])
+
+
 def test_trace_stats_rate_identity_and_pairs():
-    events = [
-        _event([(0.3, 100.0)], complete=True),
-        _event([(0.5, 30.0)], complete=False),
-        _event([(0.4, 60.0)], complete=False),
-    ]
+    events = EventTable.from_columns(
+        [0, 0, 0], [0.0, 0.001, 0.002], [True, False, False], [0, 0, 0], [1, 1, 1],
+        [0.3, 0.5, 0.4], [100.0, 30.0, 60.0],
+    )
     stats = trace_stats(_flat(250.0, 10_000), events, 250.0)
     assert stats.total_rate == stats.complete_rate + stats.partial_rate
     assert len(stats.duration_blockage_pairs) == len(events)
@@ -834,10 +847,10 @@ def test_complete_partial_split_matches_calibrated_fractions():
     open_pa = open_current(150.0, 1.0, calib)
     detected = detect_events(result.trace, open_pa, threshold_fraction=0.75, min_duration_us=8.0)
     floor = complete_duration_floor_us(150.0, molecule.total_bases, calib)
-    events = [
+    events = EventTable.concatenate([
         to_translocation_event(d, classify_event(d, 5.0 / open_pa, 20.0, floor))
         for d in detected
-    ]
+    ])
     stats = trace_stats(result.trace, events, open_pa, 0.75)
     # complete:partial rate ratio tracks 12.6:19.2
     assert stats.complete_rate / stats.partial_rate == pytest.approx(

@@ -84,3 +84,13 @@ def test_no_code_reads_a_whole_trace_array():
         visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
         reads += [f"{path.name}:{line}" for line in visitor.found]
     assert not reads
+
+
+def test_every_public_name_resolves():
+    """Each name in ``molstore.__all__`` is an attribute of the package, so
+    ``from molstore import *`` imports them all."""
+    missing = [name for name in molstore.__all__ if not hasattr(molstore, name)]
+    assert not missing
+    namespace: dict = {}
+    exec("from molstore import *", namespace)
+    assert set(molstore.__all__) <= set(namespace)

@@ -1,6 +1,7 @@
 import gc
 import math
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -138,14 +139,15 @@ def _reference_body(x):
         np.concatenate([np.full(500, 250.5), [-0.0], np.full(500, 251.25)]),
         np.array([12345678.5, 99999999.999999, 10000000.0, 1.0, -7.25]),
         np.array([123456789.25, 100000000.0, -999999999.5, 2.0, 3.0, 4.0]),
-        # Up to just below 2**50 / 1e6: a chunk holding a larger value is
-        # refused by the near-tie gate, as its spacing reaches 0.25.
+        # Up to just below 2**50 / 1e6 (traceio._EXACT_LIMIT): a chunk
+        # holding a larger value is refused, as its spacing reaches 0.25.
         np.array([1.0, -2.0, 3.0, 1000000000.5, 1125899906.5, -1099511627.75, 0.0]),
+        np.array([250.0, 1125899906.842622, -1125899906.842622, 1.0]),
         np.array([250.123456]),
     ],
     ids=["trace", "same-width", "mixed", "negative-zero", "large", "uniform",
          "mixed-widths", "all-negative", "lone-negative-zero", "8-digits", "9-digits",
-         "10-digits", "single"],
+         "10-digits", "below-limit", "single"],
 )
 def test_format_exact_matches_reference(x):
     assert _format_exact(x) == _reference_body(x)
@@ -153,14 +155,17 @@ def test_format_exact_matches_reference(x):
 
 @pytest.mark.parametrize(
     "value",
-    [np.nan, np.inf, -np.inf, 2.0**52 / 1e6, -1e300, 0.0078125, (250123 + 0.5) / 1e6],
-    ids=["nan", "inf", "-inf", "limit", "huge", "exact-tie", "near-tie"],
+    [np.nan, np.inf, -np.inf, traceio._EXACT_LIMIT / 1e6, 1125899906.8426242,
+     -1125899906.8426242, 2.0**52 / 1e6, -1e300, 0.0078125, (250123 + 0.5) / 1e6],
+    ids=["nan", "inf", "-inf", "limit", "past-limit", "-past-limit", "2**52", "huge",
+         "exact-tie", "near-tie"],
 )
 def test_format_exact_declines(value):
     """Chunks that integer arithmetic cannot format exactly go to the
     reference formatter."""
     x = np.array([250.0, value, 1.0])
     assert _format_exact(x) is None
+
 
 
 def test_digit_groups_are_the_four_digit_ascii_groups():
@@ -174,7 +179,7 @@ def test_digit_groups_are_the_four_digit_ascii_groups():
 _PLAIN = st.one_of(
     st.floats(-1000.0, 1000.0), st.floats(-1e-6, 1e-6), st.sampled_from([0.0, -0.0])
 )
-# Values it must decline: anything (+-inf, NaN, beyond 2**52 / 1e6),
+# Values it must decline: anything (+-inf, NaN, from 2**50 / 1e6 on),
 # near-ties (k + 0.5) / 1e6 and exact dyadic ties (odd multiples of 2**-7
 # scale to exact half-integers).
 _AWKWARD = st.one_of(
@@ -207,6 +212,7 @@ _FIXTURE_OK = settings(
 
 
 @_FIXTURE_OK
+@example(values=[1125899906.842622, -1125899906.8426242], length=3)
 @given(values=_value_lists(_AWKWARD), length=_LENGTHS)
 def test_text_writer_matches_reference(tmp_path, values, length):
     x = _samples(values, length)
@@ -348,6 +354,55 @@ def test_bad_sample_error_names_its_line_in_the_third_block(tmp_path):
     path.write_bytes(header + b"250.000000\n" * n_good + b"1.0 2.0\n4.0\n")
     with pytest.raises(TraceFormatError, match=rf"^bad sample value on line {n_good + 2}: "):
         read_trace_text(str(path)).samples
+
+
+@pytest.mark.parametrize(
+    "content, number",
+    [
+        (b"sample_rate_hz=1000\n1.5\n" + b"1" * 10**7 + b"\n2.5\n", 3),
+        (b"sample_rate_hz=" + b"1" * 10**7 + b"\n2.5\n", 1),
+    ],
+    ids=["body", "header"],
+)
+def test_text_line_longer_than_the_limit_is_refused_in_bounded_memory(
+    tmp_path, content, number
+):
+    """A 10 MB line is refused by its number before it is held: the reader
+    holds its sample chunk and a buffer of a block and the longest line it
+    accepts, never the line."""
+    path = tmp_path / "t.txt"
+    path.write_bytes(content)
+    message = rf"^line {number} is longer than {traceio._MAX_LINE} bytes$"
+    tracemalloc.start()
+    try:
+        with pytest.raises(TraceFormatError, match=message):
+            read_trace_text(str(path)).samples
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * poresim._CHUNK + 2 * (traceio._MAX_LINE + traceio._BLOCK), peak
+
+
+@pytest.mark.parametrize("brk", [b"\n", b"\r\n", b"\r"])
+def test_text_line_at_the_limit_is_read(tmp_path, brk):
+    """A line of ``_MAX_LINE`` bytes before its line break is read, one byte
+    more is refused, whichever line break ends it."""
+    longest = b" " * (traceio._MAX_LINE - 3) + b"2.5"
+    path = tmp_path / "t.txt"
+    path.write_bytes(brk.join([b"sample_rate_hz=1000", b"1.5", longest, b"3.5", b""]))
+    assert read_trace_text(str(path)).samples.tolist() == [1.5, 2.5, 3.5]
+    path.write_bytes(brk.join([b"sample_rate_hz=1000", b"1.5", b" " + longest, b""]))
+    with pytest.raises(TraceFormatError, match="^line 3 is longer than"):
+        read_trace_text(str(path)).samples
+
+
+def test_text_lone_cr_lines_parse_over_many_blocks(tmp_path):
+    """A file of CR line breaks alone, several blocks and longer than the
+    line limit, parses line by line."""
+    n = 3 * max(traceio._BLOCK, traceio._MAX_LINE) // 4
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"sample_rate_hz=1000\r" + b"7\r-1\r" * (n // 2))
+    assert read_trace_text(str(path)).samples.tolist() == [7.0, -1.0] * (n // 2)
 
 
 def test_binary_round_trip(tmp_path):
