@@ -187,6 +187,14 @@ class CalibrationTable:
                 raise CalibrationError(f"{name} must be > 0")
         if not 0.0 <= self.incomplete_level_low < self.incomplete_level_high <= 1.0:
             raise CalibrationError("incomplete level band must satisfy 0 <= low < high <= 1")
+        # The event log prints levels as "%.6f" and cannot read back 0 or 1.
+        for name, edge in (("incomplete_level_low", "0.000000"),
+                           ("incomplete_level_high", "1.000000")):
+            if f"{getattr(self, name):.6f}" == edge:
+                raise CalibrationError(
+                    f"{name} = {getattr(self, name)!r} prints as {edge} in the event log; "
+                    "the band must lie within 0.000001..0.999999 as printed"
+                )
         if self.incomplete_mean_duration_us <= self.incomplete_min_duration_us:
             raise CalibrationError("incomplete mean duration must exceed the minimum")
         if self.duration_jitter_cv < 0:

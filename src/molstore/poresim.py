@@ -446,13 +446,14 @@ _MAX_LEVEL_DRAWS = 1000
 
 
 def _truncated_normal(rng: np.random.Generator, mean: float, sd: float) -> float:
-    # Rejection sampling onto the open interval (0, 1).
+    # Rejection sampling onto the levels the event log, which prints them
+    # as "%.6f", reads back inside (0, 1).
     for _ in range(_MAX_LEVEL_DRAWS):
         x = rng.normal(mean, sd)
-        if 0.0 < x < 1.0:
+        if 1e-6 <= x <= 0.999999 or 0.0 < float(f"{x:.6f}") < 1.0:
             return x
     raise SimulationError(
-        f"no blockade level in (0, 1) after {_MAX_LEVEL_DRAWS} draws "
+        f"no blockade level in (0, 1) as the log prints it after {_MAX_LEVEL_DRAWS} draws "
         f"from normal({mean:g}, {sd:g})"
     )
 

@@ -39,16 +39,29 @@ chunk the integer arithmetic cannot format exactly (see
 
 The text reader parses the body in blocks of ``_BLOCK`` bytes, each cut
 after its last newline, into one reused float64 buffer, and yields about
-``poresim._CHUNK`` samples at a time from it.  Per block
-it refuses a byte >= 0x80, finds the newlines, and reads each line the
-writer makes for |x| < 1e8 from two 8-byte words with integer SWAR
-arithmetic: its digits, read without the '.', are the integer
+``poresim._CHUNK`` samples at a time from it; a chunk ends where the next
+block's lines would not fit, counted exactly, blank lines too.  Each line
+the writer makes for |x| < 1e8 is read from two 8-byte words with integer
+SWAR arithmetic: its digits, read without the '.', are the integer
 ``q = |x| * 10**6``, below ``10**15 < 2**53`` and so exact in float64, and
 ``q / 1e6`` is one correctly rounded division, the float64 nearest the
 decimal: the same bits ``float()`` and C ``strtod`` give.
-The other lines (more digits, exponents, a short decimal such as
+
+A block is read in two ways (``_segment``).  A run of at least
+``_MIN_RUN`` lines of one width, 9 to 16 bytes, each digits, '.', 6
+digits and a newline, is read through two strided word views at the
+width's stride (``_run``): no newline search, no gather, no per-line
+length or sign; the newline and '.' slots, the digits and bit 7 (no byte
+>= 0x80) are checked in the words.  The run ends at the first line that
+breaks it.  The other lines are taken in windows of ``_WINDOW`` bytes or
+more: ``_line_ends`` refuses a byte >= 0x80 and finds the newlines, and
+``_parse_block`` gathers each line's words (a '-' negates it); the lines
+it cannot read so (more digits, exponents, a short decimal such as
 ``1.5``, surrounding whitespace) are matched against ``_SAMPLE`` and
-converted by ``float``.
+converted by ``float``.  Only those two refuse a line, and a block's
+windows are all searched before any is parsed, so the error and its line
+number are those of reading the whole block as one window: a byte >= 0x80
+anywhere in a block is reported before a bad line in it.
 
 Binary format: magic ``MTRC``, little-endian u32 version (1), f64 sample
 rate, u64 sample count, then float32 samples; the reader refuses a count
@@ -207,6 +220,17 @@ _HI_XOR, _LO_XOR = 0x3030303030303030, 0x3030303030302E30
 # Added to those values, sets bit 7 of each byte above 9 (above 0 in the
 # '.' slot); no carry crosses a byte, as every byte is below 0x80.
 _HI_CHECK, _LO_CHECK = 0x7676767676767676, 0x7676767676767F76
+# The same for a run's lo word, the line's last 8 bytes: the '.' in byte 0
+# and the newline in byte 7 both become 0.
+_RUN_LO_XOR, _RUN_LO_CHECK = 0x0A3030303030302E, 0x7F7676767676767F
+# The fewest lines read as a run through strided views (see ``_run``): a
+# run costs about 30 numpy calls, which take as long as the gathered parse
+# of some 1,000 lines.
+_MIN_RUN = 1 << 10
+_NEWLINES = b"\n" * _MIN_RUN
+# Bytes of the first window of lines ``_line_ends`` and ``_parse_block``
+# take where no run starts (see ``_segment``).
+_WINDOW = 1 << 12
 # A sample line stripped of whitespace, as C string-to-double conversion
 # takes it: a decimal with an optional exponent, or inf or nan (which are
 # then refused).
@@ -285,23 +309,55 @@ def _line_ends(buf: np.ndarray, begin: int, line: int, work: _Work) -> np.ndarra
     return ends
 
 
+def _word_faults(
+    hi: np.ndarray, lo: np.ndarray, lo_check: int, faults: np.ndarray, spare: np.ndarray
+) -> np.ndarray:
+    """Set bit 7 of a byte of ``faults`` where the line's words ``hi`` and
+    ``lo``, XORed to digit values and with the bytes before the line
+    cleared from hi, hold a value above 9, or above 0 where ``lo_check``
+    (like ``_LO_CHECK``) has 0x7F; every byte is below 0x80."""
+    np.add(hi, _HI_CHECK, out=faults)
+    faults |= np.add(lo, lo_check, out=spare)
+    return faults
+
+
+def _word_values(
+    words: np.ndarray, hi: np.ndarray, lo: np.ndarray, out: np.ndarray, scale: float
+) -> None:
+    """Write into ``out`` ``(hi * 10**7 + lo) / scale`` for each line's
+    words ``hi`` and ``lo``, digit values that passed ``_word_faults``, each
+    read as an 8-digit integer by SWAR multiplies on ``words``, which holds
+    them both and is spent.  The integer is below 2**53, so one division
+    gives the correctly rounded value."""
+    halves = words.view(np.uint32)  # the first two steps stay within 4 bytes
+    halves *= 2561
+    halves >>= 8
+    halves &= 0x00FF00FF
+    halves *= 6553601
+    halves >>= 16
+    words *= 42949672960001
+    words >>= 32
+    hi *= 10_000_000
+    hi += lo
+    np.divide(hi.view(np.int64), scale, out=out[: hi.size])
+
+
 def _parse_block(
     buf: np.ndarray, begin: int, ends: np.ndarray, out: np.ndarray, line: int, work: _Work
 ) -> int:
-    """Parse the lines ``buf[begin:]``, which end at the newlines ``ends``
-    (and ``begin >= _PAD``), into the front of ``out``, which has room for
+    """Parse the lines ``buf[begin:]`` that end at the newlines ``ends``
+    (and ``begin >= _PAD``) into the front of ``out``, which has room for
     one sample per line; ``line`` is the file line number of the first.
     Returns the samples written (blank lines are skipped).
 
     A line of 8 to 16 bytes with '.' 7 bytes before its newline is read
-    from two little-endian words: lo, its last 8 bytes with the units digit
-    moved into the '.' slot, and hi, the 8 bytes before them with any bytes
-    before the line (and a leading '-') cleared.  Each word is checked to
-    hold 8 digits and read as an integer by SWAR multiplies, and the value
-    is ``(hi * 10**7 + lo) / 1e6`` (exact: see the module docstring).
-    Every other line goes to ``_sample_value``.  Each step works in place
-    or into the arrays of ``work``; only the gathered words are allocated
-    per block.
+    from two little-endian words gathered at its end: lo, its last 8 bytes
+    with the units digit moved into the '.' slot, and hi, the 8 bytes
+    before them with any bytes before the line (and a leading '-')
+    cleared.  They are checked by ``_word_faults`` and read by
+    ``_word_values``, and a '-' negates the value.  Every other line goes
+    to ``_sample_value``.  Each step works in place or into the arrays of
+    ``work``; only the gathered words are allocated per call.
     """
     n = ends.size
     if not n:
@@ -327,27 +383,16 @@ def _parse_block(
     negative = np.equal(spare, ord("-") ^ ord("0"), out=work("negative", n, bool))
     np.add(below, 8, out=below, where=negative)
     hi &= np.left_shift(_ONES, below, out=spare)
-    check = np.add(hi, _HI_CHECK, out=below)
-    check |= np.add(lo, _LO_CHECK, out=spare)
-    check &= 0x8080808080808080
-    ok = np.equal(check, 0, out=work("ok", n, bool))
+    faults = _word_faults(hi, lo, _LO_CHECK, below, spare)
+    faults &= 0x8080808080808080
+    ok = np.equal(faults, 0, out=work("ok", n, bool))
     flag = work("flag", n, bool)
     ok &= np.less_equal(lengths, 16, out=flag)
     units = np.bitwise_and(lo, 0xFF, out=spare)
     units *= 0xFF
     lo += units  # units digit from byte 0 into byte 1, the '.' slot
-    words *= 2561
-    words >>= 8
-    words &= 0x00FF00FF00FF00FF
-    words *= 6553601
-    words >>= 16
-    words &= 0x0000FFFF0000FFFF
-    words *= 42949672960001
-    words >>= 32
-    hi *= 10_000_000
-    hi += lo
     held = out[:n]
-    np.divide(hi.view(np.int64), 1e6, out=held)
+    _word_values(words, hi, lo, held, 1e6)
     np.negative(held, out=held, where=negative)
     blank = np.equal(lengths, 0, out=work("blank", n, bool))
     ok |= blank
@@ -363,6 +408,96 @@ def _parse_block(
     kept = held[~blank]
     out[: kept.size] = kept
     return kept.size
+
+
+def _run(buf: np.ndarray, p: int, rows: np.ndarray, work: _Work) -> tuple[int, int]:
+    """(width, lines) of the run of lines at ``buf[p:]`` that share the
+    first one's width, 9 to 16 bytes, and are written as the writer writes
+    a line with no sign; the checked words of line i are left in
+    ``rows[:, i]``, for ``_word_values`` with a scale of 1e7.
+
+    The words are read through two strided views at the width's stride:
+    lo, the line's last 8 bytes ('.', 6 digits, newline), and hi, the 8
+    before them with the bytes before the line cleared.  So lo reads
+    ``10 * frac`` and hi the integer part.  A run shorter than ``_MIN_RUN``
+    is not read: the first ``_MIN_RUN`` newline slots are compared as bytes
+    first, and the words are read in a piece of ``_MIN_RUN`` lines, then
+    one of the rest of the block.
+    """
+    width = buf[p : p + 16].tobytes().find(b"\n") + 1
+    if width < 9 or buf[p + width - 1 : p + _MIN_RUN * width : width].tobytes() != _NEWLINES:
+        return width, 0
+    count = (buf.size - p) // width
+    done, step = 0, _MIN_RUN
+    while done < count:
+        end = p + (done + 1) * width  # just past the piece's first newline
+        m = min(step, count - done)
+        hi, lo = rows[:, done : done + m]
+        np.bitwise_xor(np.ndarray((m,), "<u8", buf, end - 16, (width,)), _HI_XOR, out=hi)
+        np.bitwise_xor(np.ndarray((m,), "<u8", buf, end - 8, (width,)), _RUN_LO_XOR, out=lo)
+        if width < 16:
+            hi &= _ONES << np.uint64(8 * (16 - width))
+        faults = _word_faults(
+            hi, lo, _RUN_LO_CHECK, work("faults", m, np.uint64), work("spare", m, np.uint64)
+        )
+        faults |= hi  # a byte >= 0x80, whose add may carry, fails by its own bit 7
+        faults |= lo
+        good = m
+        if np.bitwise_or.reduce(faults) & 0x8080808080808080:
+            faults &= 0x8080808080808080
+            good = int(np.argmax(faults != 0))
+        done += good
+        if good < step:
+            break
+        step *= 32
+    return width, done
+
+
+def _segment(
+    buf: np.ndarray, begin: int, line: int, window: int, work: _Work
+) -> tuple[list, int, int]:
+    """Split the lines ``buf[begin:]`` (file line ``line`` on) into runs
+    that ``_run`` checks, of at least ``_MIN_RUN`` lines, and the lines
+    between them, whose newlines ``_line_ends`` finds, ``window`` bytes at a
+    time, doubled for each window in a row.  Returns the pieces, each the
+    checked words of a run or the (begin, ends) of a window, the number of
+    lines and the window size to go on with."""
+    rows = work("rows", 2 * ((buf.size - begin) // 9 + 1), np.uint64).reshape(2, -1)
+    pieces, lines, used, p = [], 0, 0, begin
+    while p < buf.size:
+        width, k = _run(buf, p, rows[:, used:], work)
+        if k >= _MIN_RUN:
+            pieces.append(rows[:, used : used + k])
+            used += k
+            p += k * width
+            window = _WINDOW
+        else:
+            ends = _line_ends(buf[: p + window], p, line + lines, work)
+            if not ends.size:  # the line at p is longer than the window
+                ends = _line_ends(buf, p, line + lines, work)
+            pieces.append((p, ends))
+            k = ends.size
+            p = int(ends[-1]) + 1
+            window = min(2 * window, _MAX_LINE + _BLOCK)
+        lines += k
+    return pieces, lines, window
+
+
+def _parse_pieces(buf: np.ndarray, pieces: list, out: np.ndarray, line: int, work: _Work) -> int:
+    """Parse the pieces ``_segment`` made of ``buf`` into the front of
+    ``out``, whose first line is file line ``line``; returns the samples
+    written."""
+    n = 0
+    for piece in pieces:
+        if isinstance(piece, tuple):
+            begin, ends = piece
+            n += _parse_block(buf, begin, ends, out[n:], line, work)
+            line += ends.size
+        else:
+            _word_values(piece, *piece, out[n:], 1e7)
+            line += piece.shape[1]
+            n += piece.shape[1]
+    return n
 
 
 def _header_end(buf: np.ndarray) -> int:
@@ -392,6 +527,7 @@ class TextTrace(ChunkedTrace):
         work = _Work()
         out = np.empty(0)
         n = 0
+        window = _WINDOW
         line = 1  # the file line number of the next line to parse
         with open(self.path, "rb") as fh:
             blocks = _text_blocks(fh, lambda: line)
@@ -400,15 +536,15 @@ class TextTrace(ChunkedTrace):
                 return
             line, begin = 2, _header_end(first) + 1
             for buf in itertools.chain([first], blocks):
-                ends = _line_ends(buf, begin, line, work)
-                if n + ends.size > out.size:
+                pieces, lines, window = _segment(buf, begin, line, window, work)
+                if n + lines > out.size:
                     if n:
                         yield out[:n]
                         n = 0
-                    if ends.size > out.size:
-                        out = np.empty(max(poresim._CHUNK, ends.size))
-                n += _parse_block(buf, begin, ends, out[n:], line, work)
-                line += ends.size
+                    if lines > out.size:
+                        out = np.empty(max(poresim._CHUNK, lines))
+                n += _parse_pieces(buf, pieces, out[n:], line, work)
+                line += lines
                 begin = _PAD
         if n:
             yield out[:n]

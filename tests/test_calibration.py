@@ -151,6 +151,25 @@ def test_channel_config_validation():
             ChannelConfig(**bad)
 
 
+@pytest.mark.parametrize(
+    "overrides, name",
+    [
+        ({"incomplete_level_low": 1e-9, "incomplete_level_high": 1e-7}, "incomplete_level_low"),
+        ({"incomplete_level_low": 0.0}, "incomplete_level_low"),
+        ({"incomplete_level_low": 4.9e-7}, "incomplete_level_low"),
+        ({"incomplete_level_high": 0.9999995}, "incomplete_level_high"),
+        ({"incomplete_level_high": 1.0}, "incomplete_level_high"),
+    ],
+)
+def test_incomplete_band_must_print_inside_0_1(overrides, name):
+    """The event log prints a level as "%.6f" and cannot read back 0 or 1,
+    so a band edge that prints as either is refused, naming the field; the
+    edges that print as 0.000001 and 0.999999 are taken."""
+    with pytest.raises(CalibrationError, match=f"^{name} = .* prints as [01]\\.000000 "):
+        CalibrationTable(**overrides)
+    CalibrationTable(incomplete_level_low=5.1e-7, incomplete_level_high=0.9999994)
+
+
 def test_incomplete_band_validation():
     with pytest.raises(CalibrationError):
         CalibrationTable(incomplete_level_low=0.7, incomplete_level_high=0.6)

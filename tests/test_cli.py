@@ -519,6 +519,19 @@ def test_non_finite_binary_sample_is_reported_with_its_index(tmp_path, capsys, c
     assert not any(tmp_path.glob("*.txt")) and not any(tmp_path.glob("*.csv"))
 
 
+def test_simulate_refuses_a_band_whose_levels_the_log_cannot_hold(tmp_path, capsys):
+    """A level below 5e-7 prints as 0.000000 in the log, which the log's
+    parser refuses, so the band is refused before anything is written."""
+    calib = tmp_path / "cal.txt"
+    calib.write_text("incomplete_level_low = 1e-9\nincomplete_level_high = 1e-7\n")
+    code, trace, log = _simulate(tmp_path, "--calibration", str(calib), duration="1")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: incomplete_level_low = 1e-09 prints as 0.000000 ")
+    assert err.count("\n") == 1
+    assert not trace.exists() and not log.exists()
+
+
 def test_simulate_rejects_unsimulatable_calibration(tmp_path, capsys):
     # A full monolevel blockage with no spread would leave no level in (0, 1).
     calib = tmp_path / "cal.txt"

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import sys
@@ -11,7 +12,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from molstore import poresim, traceio
-from molstore.calibration import THREE_PRIME, CalibrationTable, ChannelConfig, RangeError
+from molstore.calibration import (
+    THREE_PRIME,
+    CalibrationTable,
+    ChannelConfig,
+    LevelStats,
+    RangeError,
+)
 from molstore.codec import Nucleotide
 from molstore.poresim import (
     MAX_MOLECULE_BASES,
@@ -476,7 +483,7 @@ def test_truncated_normal_draws_as_unbounded_loop(mean, sd):
     for _ in range(200):
         while True:
             x = unbounded.normal(mean, sd)
-            if 0.0 < x < 1.0:
+            if 0.0 < float(f"{x:.6f}") < 1.0:
                 break
         assert _truncated_normal(bounded, mean, sd) == x
     assert bounded.random() == unbounded.random()
@@ -920,7 +927,9 @@ def test_event_table_oracle_sees_every_kind_of_event():
         # A negative minimum lets the incomplete dwell fall to or below 0.
         ({"incomplete_min_duration_us": -1e6, "incomplete_mean_duration_us": 1.0},
          "substate duration must be > 0"),
-        # A level band this narrow draws a level of exactly 0 about half the time.
+        # A level band this narrow draws a level of exactly 0 about half the
+        # time.  The table refuses such a band itself, so it is set past the
+        # table's check below.
         ({"incomplete_level_low": 0.0, "incomplete_level_high": 5e-324},
          r"substate level 0\.0 outside \(0, 1\)"),
     ],
@@ -928,8 +937,11 @@ def test_event_table_oracle_sees_every_kind_of_event():
 def test_every_drawn_event_is_checked(overrides, message):
     """An event the calibration makes invalid is refused, as the per-event
     loop refused it, also when the run would drop it: here the one pore is
-    clogged throughout."""
-    calib = _BUSY.replace(**overrides)
+    clogged throughout.  The overrides are set past ``CalibrationTable``'s
+    own checks, so the draw's check is the one under test."""
+    calib = copy.copy(_BUSY)
+    for name, value in overrides.items():
+        object.__setattr__(calib, name, value)
     config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=100_000)
     clogged = ((0.0, 0.05),)
     for draw in (pore_events, _ref_pore_events):
@@ -1005,6 +1017,32 @@ def test_event_log_round_trip(tmp_path, events, clogs):
             start, width_us = float(f"{start:.9f}"), float(f"{(end - start) * 1e6:.3f}")
             want_clogs.setdefault(pore, []).append((start, start + width_us * 1e-6))
     assert got_clogs == want_clogs
+
+
+@pytest.mark.parametrize(
+    "mean, band",
+    [(3e-7, (6e-7, 1.5e-6)), (1 - 3e-7, (0.999998, 0.9999994))],
+    ids=["near-0", "near-1"],
+)
+def test_levels_drawn_at_the_edges_print_inside_and_parse_back(tmp_path, mean, band):
+    """Levels drawn around 3e-7 from 0 or 1, from every level draw (the
+    bi-level and mono-level normals and the incomplete band), print inside
+    (0, 1) with "%.6f", reach the printed edge, and parse back."""
+    calib = _BUSY.replace(
+        level_stats={key: LevelStats(mean, 1e-6) for key in CALIB.level_stats},
+        monolevel_blockage_points=((90.0, 1 - mean + 3e-8), (210.0, 1 - mean)),
+        monolevel_sigma=1e-6,
+        incomplete_level_low=band[0],
+        incomplete_level_high=band[1],
+    )
+    config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=100_000)
+    events = simulate(MOLECULE, config, 0.05, calib, seed=2).events
+    assert not events.complete.all() and set(events.orientation.tolist()) == {0, 1, 2}
+    path = str(tmp_path / "truth.log")
+    poresim.write_event_log(path, [], events, {})
+    levels = poresim.parse_event_log(path)[1].levels
+    assert levels.tolist() == _printed(events.levels, 6).tolist()
+    assert (1e-6 if mean < 0.5 else 0.999999) in levels.tolist()
 
 
 @pytest.mark.parametrize(

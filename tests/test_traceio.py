@@ -1,4 +1,5 @@
 import gc
+import itertools
 import math
 import struct
 import tracemalloc
@@ -335,6 +336,159 @@ def test_written_lines_take_the_word_parse(tmp_path, monkeypatch):
     assert got.view(np.uint64).tolist() == np.array(
         [float(f"{v:.6f}") for v in x]
     ).view(np.uint64).tolist()
+
+
+def _one_width_lines(rng, width, n):
+    """``n`` lines of ``width`` bytes as the writer writes a non-negative
+    value: ``width - 8`` integer digits, '.', 6 digits and a newline."""
+    digits = width - 8
+    whole = rng.integers(10 ** (digits - 1) if digits > 1 else 0, 10**digits, n)
+    frac = rng.integers(0, 10**6, n)
+    return [b"%d.%06d\n" % (w, f) for w, f in zip(whole.tolist(), frac.tolist())]
+
+
+# One line that breaks a run of one width, and the error it makes (None
+# when np.loadtxt reads it); the line is placed as line ``{line}``.
+_ODD_LINES = [
+    (b"-12.345678\n", None), (b"-1.234567\n", None), (b"7.5\n", None), (b"1.5\n", None),
+    (b"123456789.123456\n", None), (b"\n", None), (b"  \t\n", None),
+    (b"250.123456\r\n", None), (b"250.123456\r", None), (b"0250.123456\n", None),
+    (b"25x.123456\n", "bad sample value on line {line}: '25x.123456'"),
+    (b"250.1234 6\n", "bad sample value on line {line}: '250.1234 6'"),
+    (b"250,123456\n", "bad sample value on line {line}: '250,123456'"),
+    (b"250.123456 7.5\n", "bad sample value on line {line}: '250.123456 7.5'"),
+    (b"250.12\xe93456\n", "trace is not ASCII: byte 0xe9 on line {line}"),
+    (b"\x80\n", "trace is not ASCII: byte 0x80 on line {line}"),
+]
+
+
+@settings(_FIXTURE_OK, max_examples=200)
+@example(width=11, before=2000, after=1500, odd=("byte", b"\x8a"), place=1, block=None, seed=0)
+@example(width=11, before=2000, after=1500, odd=("byte", b"\x8a"), place=4, block=None, seed=0)
+@given(
+    width=st.integers(9, 16),
+    before=st.integers(0, 3000),
+    after=st.integers(0, 3000),
+    odd=st.sampled_from(
+        _ODD_LINES + [("join", b"\t"), ("join", b"\x0b"), ("byte", b"\xe9"), ("byte", b"\x8a")]
+    ),
+    place=st.integers(0, 14),
+    block=st.sampled_from([17000, 33001, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_runs_of_one_width_read_as_loadtxt_reads_them(
+    tmp_path, monkeypatch, width, before, after, odd, place, block, seed
+):
+    """A body of lines of one width, read as strided runs across patched
+    block edges, with one line of another shape at any place: it parses
+    to np.loadtxt's bits, or fails with the message and line number of the
+    gathered parse, which is the only one that reads the odd line.  A
+    "join" is two lines of the width joined by a whitespace byte in the
+    first one's newline slot, and a "byte" one line of the width with a
+    digit (the ``place``-th, cyclically) replaced by a byte >= 0x80."""
+    if block is not None:
+        monkeypatch.setattr(traceio, "_BLOCK", block)
+    rng = np.random.default_rng(seed)
+    line, error = odd
+    if line == "join":
+        first, second = _one_width_lines(rng, width, 2)
+        line = first[:-1] + error + second
+        error = f"bad sample value on line {{line}}: {line.decode().strip()!r}"
+    elif line == "byte":
+        (regular,) = _one_width_lines(rng, width, 1)
+        digits = [i for i in range(width - 1) if regular[i : i + 1] != b"."]
+        at = digits[place % len(digits)]
+        line = regular[:at] + error + regular[at + 1 :]
+        error = f"trace is not ASCII: byte {error[0]:#x} on line {{line}}"
+    header = b"sample_rate_hz=1000\n"
+    body = _one_width_lines(rng, width, before) + [line] + _one_width_lines(rng, width, after)
+    path = tmp_path / "t.txt"
+    path.write_bytes(header + b"".join(body))
+    if error is not None:
+        with pytest.raises(TraceFormatError) as raised:
+            read_trace_text(str(path)).samples
+        assert str(raised.value) == error.format(line=before + 2)
+        return
+    expected = _loadtxt_reference(path)
+    assert expected is not None
+    got = read_trace_text(str(path)).samples
+    assert got.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("width", range(9, 17))
+def test_written_runs_take_the_strided_read(tmp_path, monkeypatch, width):
+    """A written trace of one line width, over several blocks, is read as
+    strided runs alone: no line goes through the newline search or the
+    gathered parse, and the values are those of the written lines."""
+    n = int(2.5 * traceio._BLOCK) // width
+    x = np.array([float(v) for v in _one_width_lines(np.random.default_rng(width), width, n)])
+    path = str(tmp_path / "t.txt")
+    write_trace_text(CurrentTrace(1000.0, x), path)
+
+    def gathered(*args):
+        raise AssertionError("a line left the strided read")
+
+    monkeypatch.setattr(traceio, "_line_ends", gathered)
+    monkeypatch.setattr(traceio, "_parse_block", gathered)
+    got = read_trace_text(path).samples
+    assert got.view(np.uint64).tolist() == x.view(np.uint64).tolist()
+
+
+def _block_counts(content: bytes, block: int) -> list[tuple[int, int]]:
+    """(lines, samples) of each block of a text trace with LF line breaks:
+    the body cut after the last newline of each ``block`` bytes read."""
+    counts, start = [], 0
+    for read in itertools.count(block, block):
+        end = content.rfind(b"\n", 0, read) + 1 if read < len(content) else len(content)
+        lines = content[start:end].split(b"\n")[:-1]
+        if start == 0:
+            lines = lines[1:]  # the header
+        counts.append((len(lines), sum(1 for text in lines if text.strip())))
+        start = end
+        if end == len(content):
+            return counts
+
+
+def _chunk_sizes_by_rule(counts: list[tuple[int, int]], chunk: int) -> list[int]:
+    """The reader's rule: a block of L lines (blank ones too) goes into the
+    chunk when L more would fit in its room, else starts the next chunk,
+    whose room is ``chunk`` or, if more, L."""
+    sizes, n, room = [], 0, 0
+    for lines, samples in counts:
+        if n + lines > room:
+            if n:
+                sizes.append(n)
+                n = 0
+            room = max(room, chunk, lines)
+        n += samples
+    return sizes + [n] if n else sizes
+
+
+def test_chunks_break_where_the_block_line_counts_say(tmp_path, monkeypatch):
+    """A body of long one-width runs, mixed widths, signs and blank lines
+    yields the chunk sizes of the reader's rule, which works on the exact
+    line count of each block whichever way its lines are read: ``stats``
+    of a text trace sums over slices of each chunk, so its bytes depend on
+    where chunks break.  One chunk size is filled exactly by two blocks."""
+    monkeypatch.setattr(traceio, "_BLOCK", 40_000)
+    rng = np.random.default_rng(3)
+    body = []
+    for _ in range(60):
+        width = int(rng.integers(9, 17))
+        body += _one_width_lines(rng, width, int(rng.integers(1, 3000)))
+        body += [b"-%d.5\n" % k for k in range(int(rng.integers(0, 5)))]
+        body += [b"\n"] * int(rng.integers(0, 3))
+    content = b"sample_rate_hz=1000\n" + b"".join(body)
+    path = tmp_path / "t.txt"
+    path.write_bytes(content)
+    counts = _block_counts(content, 40_000)
+    assert any(lines != samples for lines, samples in counts)
+    fill = counts[0][1] + counts[1][0]  # the samples of one block and the lines of the next
+    for chunk in (10_000, fill - 1, fill):
+        monkeypatch.setattr(poresim, "_CHUNK", chunk)
+        sizes = [part.size for part in read_trace_text(str(path)).chunks()]
+        assert sizes == _chunk_sizes_by_rule(counts, chunk)
+        assert len(set(sizes)) > 3
 
 
 def test_short_lines_grow_the_sample_array(tmp_path):
