@@ -195,6 +195,16 @@ class CalibrationTable:
                     f"{name} = {getattr(self, name)!r} prints as {edge} in the event log; "
                     "the band must lie within 0.000001..0.999999 as printed"
                 )
+        # With no spread, a mono-level event's level is 1 - blockage, or
+        # between two knots' levels, and must print inside (0, 1) too.
+        levels = [1.0 - b for b in blockages] if self.monolevel_sigma == 0 else []
+        for point, level in zip(self.monolevel_blockage_points, levels):
+            if f"{level:.6f}" in ("0.000000", "1.000000"):
+                raise CalibrationError(
+                    f"monolevel_blockage_points = {_fmt(point)} gives level {level!r}, which "
+                    f"prints as {level:.6f} in the event log; with monolevel_sigma = 0 "
+                    "each level 1 - blockage must lie within 0.000001..0.999999 as printed"
+                )
         if self.incomplete_mean_duration_us <= self.incomplete_min_duration_us:
             raise CalibrationError("incomplete mean duration must exceed the minimum")
         if self.duration_jitter_cv < 0:

@@ -623,7 +623,7 @@ def read_station(
     _check_voltage(voltage_mv, calib)
     rate = trace.sample_rate_hz
     threshold = _detection_threshold(open_current_pa, threshold_fraction)
-    _census_scale(n_pores, open_current_pa, calib.clogged_current_pa)
+    thresholds = _census_thresholds(n_pores, open_current_pa, calib.clogged_current_pa)
     noise_sigma_norm = noise_sigma_pa / open_current_pa
     n_samples = n_open = n_events = 0
     census_counts = np.zeros(n_pores + 1, dtype=np.int64)
@@ -637,12 +637,8 @@ def read_station(
         trace.chunks(), threshold, min_duration_us * 1e-6 * rate
     ):
         if chunk.size:
-            chunk_open, chunk_counts = _summary_counts(
-                chunk, threshold, n_pores, open_current_pa, calib.clogged_current_pa
-            )
             n_samples += chunk.size
-            n_open += chunk_open
-            census_counts += chunk_counts
+            n_open += _summary_counts(chunk, threshold, thresholds, census_counts)
         found = []
         if carried is not None:
             start, samples = carried
@@ -712,14 +708,22 @@ def read_station(
 
 # --- multi-pore census -----------------------------------------------------
 
-# Samples per pass of census_series; keeps its float temporaries in cache.
+# Samples per census slice.  Its states lie between those of its least and
+# greatest sample, so a slice of one state takes no per-sample census work.
 _CENSUS_CHUNK = 1 << 16
+# A slice spanning fewer states takes one compare or mask per state.
+_FEW_STATES = 8
 
 
-def _census_scale(
+def _census_thresholds(
     n_pores: int, open_current_pa: float, clogged_current_pa: float
-) -> tuple[float, float]:
-    """The current of census state 0 and the current one more open pore adds."""
+) -> np.ndarray:
+    """The census thresholds ``t_1..t_n_pores``.  The census of a current
+    ``x``, ``clip(rint((x - offset) / step), 0, n_pores)`` for the current
+    ``offset`` of state 0 and the ``step`` of one more open pore, is
+    monotone in ``x``: it is the number of ``t_k <= x``, where ``t_k`` is
+    the least finite float64 whose census is at least ``k``, or inf.  Each
+    ``t_k`` is bisected over the int64 image of the float64 order."""
     if not 1 <= n_pores <= MAX_PORES:
         raise ReaderError(f"n_pores must be in [1, {MAX_PORES}], got {n_pores}")
     if not (math.isfinite(open_current_pa) and math.isfinite(clogged_current_pa)):
@@ -727,10 +731,48 @@ def _census_scale(
             f"open and clogged currents must be finite, got {open_current_pa} "
             f"and {clogged_current_pa}"
         )
-    step = open_current_pa - clogged_current_pa
+    offset, step = n_pores * clogged_current_pa, open_current_pa - clogged_current_pa
     if step <= 0:
         raise ReaderError("open current must exceed clogged current")
-    return n_pores * clogged_current_pa, step
+    k = np.arange(1, n_pores + 1)
+    # Bisect between the keys of -inf (census 0 < k) and inf, where t_k stays
+    # if no finite float64 reaches k.  A key is a float64's bits as int64, the
+    # low 63 flipped if negative, so keys order as their values do.
+    thresholds = np.full(n_pores, np.inf)
+    lo, hi = -1 - thresholds.view(np.int64), thresholds.view(np.int64).copy()
+    while (lo + 1 < hi).any():  # at most 64 rounds
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # floor((lo + hi) / 2), no overflow
+        x = (mid ^ ((mid >> 63) & np.iinfo(np.int64).max)).view(np.float64)
+        with np.errstate(over="ignore", invalid="ignore"):  # NaN reaches no state
+            reached = np.clip(np.rint((x - offset) / step), 0, n_pores) >= k
+        hi, lo = np.where(reached, mid, hi), np.where(reached, lo, mid)
+        thresholds = np.where(reached, x, thresholds)
+    return thresholds
+
+
+def _census_ranges(samples: np.ndarray, thresholds: np.ndarray) -> Iterator[tuple]:
+    """Each ``_CENSUS_CHUNK`` slice: its start, samples and census states lo..hi."""
+    for start in range(0, samples.size, _CENSUS_CHUNK):
+        values = samples[start : start + _CENSUS_CHUNK]
+        lo, hi = thresholds.searchsorted((values.min(), values.max()), "right").tolist()
+        yield start, values, lo, hi
+
+
+def _census_chunk(samples, thresholds, counts=None, sums=None) -> np.ndarray:
+    """The census of float64 ``samples`` against ``thresholds``; with
+    ``counts`` and ``sums``, each slice is tallied into them too."""
+    census = np.empty(samples.shape, dtype=np.min_scalar_type(thresholds.size))
+    for start, values, lo, hi in _census_ranges(samples, thresholds):
+        part = census[start : start + values.size]
+        if hi - lo < _FEW_STATES:
+            part.fill(lo)
+            for threshold in thresholds[lo:hi].tolist():
+                part += values >= threshold
+        else:
+            part[...] = thresholds.searchsorted(values, "right")
+        if counts is not None:
+            _census_tally(part, values, lo, hi, counts, sums)
+    return census
 
 
 def census_series(
@@ -741,56 +783,40 @@ def census_series(
 ) -> np.ndarray:
     """Per-sample census: the number of open pores k whose quantized total
     current ``k*open + (n_pores-k)*clogged`` sits nearest, in the smallest
-    unsigned dtype that holds ``n_pores``; one pass over the samples in
-    chunks of ``_CENSUS_CHUNK``."""
-    offset, step = _census_scale(n_pores, open_current_pa, clogged_current_pa)
-    samples = np.asarray(samples)
-    census = np.empty(samples.shape, dtype=np.min_scalar_type(n_pores))
-    for start in range(0, samples.size, _CENSUS_CHUNK):
-        with np.errstate(over="ignore"):  # past float64 is past the end states
-            raw = (samples[start : start + _CENSUS_CHUNK] - offset) / step
-        np.rint(raw, out=raw)
-        np.clip(raw, 0, n_pores, out=raw)
-        census[start : start + _CENSUS_CHUNK] = raw
-    return census
+    unsigned dtype that holds ``n_pores``: the states the rounding formula
+    gives, read against exact current thresholds (see _census_thresholds)."""
+    thresholds = _census_thresholds(n_pores, open_current_pa, clogged_current_pa)
+    return _census_chunk(np.asarray(samples, dtype=np.float64), thresholds)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _census_tally(
-    census: np.ndarray, samples: np.ndarray, n_pores: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Samples in each census state 0..n_pores and their sum, in one pass
-    over chunks of ``_CENSUS_CHUNK``; states above ``n_pores`` are skipped.
+def _census_tally(census, values, lo: int, hi: int, counts, sums) -> None:
+    """Add the samples of one census slice (as read against exact current
+    thresholds), whose states lie in lo..hi, to ``counts`` and their sum
+    to ``sums``; states past ``counts`` are skipped.
 
-    A census is piecewise constant, so most chunks span a few states; those
-    take one mask per state, which costs less than sorting for up to about
-    eight states, and a wider chunk is sorted by state.  Each state's
-    samples in a chunk are summed pairwise, as ``np.sum`` sums an array.
-    A sum past the float64 range is infinite or NaN, without a warning.
+    A slice of fewer than ``_FEW_STATES`` states takes one mask per state
+    and sums each state by ``np.add.reduce``; a wider one is sorted by
+    state and summed by ``np.add.reduceat``.  A sum past the float64 range
+    is inf or NaN, without a warning.
     """
-    counts = np.zeros(n_pores + 1, dtype=np.int64)
-    sums = np.zeros(n_pores + 1)
-    for start in range(0, census.size, _CENSUS_CHUNK):
-        chunk = census[start : start + _CENSUS_CHUNK]
-        values = samples[start : start + _CENSUS_CHUNK]
-        lo, hi = int(chunk.min()), int(chunk.max())
-        if lo == hi <= n_pores:
-            counts[lo] += chunk.size
-            sums[lo] += np.add.reduce(values)
-        elif hi - lo < 8:
-            for k in range(lo, min(hi, n_pores) + 1):
-                in_state = chunk == k
-                counts[k] += np.count_nonzero(in_state)
-                sums[k] += np.add.reduce(values[in_state])
-        else:
-            order = np.argsort(chunk, kind="stable")
-            states = chunk[order]
-            firsts = np.flatnonzero(np.r_[True, states[1:] != states[:-1]])
-            present = states[firsts]
-            keep = present <= n_pores
-            counts[present[keep]] += np.diff(firsts, append=chunk.size)[keep]
-            sums[present[keep]] += np.add.reduceat(values[order], firsts)[keep]
-    return counts, sums
+    top = counts.size - 1
+    if lo == hi <= top:
+        counts[lo] += census.size
+        sums[lo] += np.add.reduce(values)
+    elif hi - lo < _FEW_STATES:
+        for k in range(lo, min(hi, top) + 1):
+            in_state = census == k
+            counts[k] += np.count_nonzero(in_state)
+            sums[k] += np.add.reduce(values[in_state])
+    else:
+        order = np.argsort(census, kind="stable")
+        states = census[order]
+        firsts = np.flatnonzero(np.r_[True, states[1:] != states[:-1]])
+        present = states[firsts]
+        keep = present <= top
+        counts[present[keep]] += np.diff(firsts, append=census.size)[keep]
+        sums[present[keep]] += np.add.reduceat(values[order], firsts)[keep]
 
 
 def _state_means(counts: np.ndarray, sums: np.ndarray) -> dict[int, float]:
@@ -976,7 +1002,12 @@ def census_current_means(
 ) -> dict[int, float]:
     """Mean measured current of the samples assigned to each census state
     present; ``census`` is the samples' census_series."""
-    return _state_means(*_census_tally(census, np.asarray(samples), n_pores))
+    samples, census = np.asarray(samples), np.asarray(census)
+    counts, sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
+    for start in range(0, census.size, _CENSUS_CHUNK):
+        part, values = (a[start : start + _CENSUS_CHUNK] for a in (census, samples))
+        _census_tally(part, values, int(part.min()), int(part.max()), counts, sums)
+    return _state_means(counts, sums)
 
 
 @dataclass(frozen=True, eq=False)
@@ -1002,21 +1033,21 @@ def census_stats(
 ) -> CensusStats:
     """Census statistics of a trace in one pass over ``trace.chunks()``.
 
-    Each chunk's census_series goes into a count and a sum of its samples
-    per census state, and on to the dip count of census_rates; the means
-    come from the sums.  Neither the float trace nor its census is held
-    whole: the pass holds a chunk and the census the baseline still needs.
-    ``mean_pa`` of an empty trace is 0.
+    Each chunk's census_series, read against exact current thresholds
+    computed once, goes into a count and a sum of its samples per state,
+    whence the means, and on to the dip count of census_rates.  Neither the
+    float trace nor its census is held whole: the pass holds a chunk and
+    the census the baseline still needs.  ``mean_pa`` of an empty trace is 0.
     """
-    _census_scale(n_pores, open_current_pa, clogged_current_pa)
+    thresholds = _census_thresholds(n_pores, open_current_pa, clogged_current_pa)
     rate = trace.sample_rate_hz
     counts = np.zeros(n_pores + 1, dtype=np.int64)
     sums = np.zeros(n_pores + 1)
     dips = _DipCounter(rate, n_pores, np.min_scalar_type(n_pores))
     n = 0
     for chunk in trace.chunks():
-        census = census_series(chunk, n_pores, open_current_pa, clogged_current_pa)
-        chunk_counts, chunk_sums = _census_tally(census, chunk, n_pores)
+        chunk_counts, chunk_sums = np.zeros_like(counts), np.zeros_like(sums)
+        census = _census_chunk(chunk, thresholds, chunk_counts, chunk_sums)
         counts += chunk_counts
         sums += chunk_sums
         dips.add(census)
@@ -1050,14 +1081,17 @@ class StatsReport:
     pore_census_histogram: dict[int, int]
 
 
-def _summary_counts(
-    samples: np.ndarray, threshold: float, n_pores: int, open_current_pa: float,
-    clogged_current_pa: float,
-) -> tuple[int, np.ndarray]:
-    """The samples at or above ``threshold`` and the samples in each census
-    state 0..n_pores, of one non-empty chunk."""
-    census = census_series(samples, n_pores, open_current_pa, clogged_current_pa)
-    return np.count_nonzero(samples >= threshold), _census_tally(census, samples, n_pores)[0]
+def _summary_counts(samples, threshold: float, thresholds, counts: np.ndarray) -> int:
+    """The samples of one chunk at or above ``threshold``; its samples in
+    each census state are added to ``counts``, by one compare per
+    threshold a slice crosses, and no census is kept."""
+    for _, values, lo, hi in _census_ranges(samples, thresholds):
+        if hi - lo < _FEW_STATES:
+            at_least = [np.count_nonzero(values >= t) for t in thresholds[lo:hi].tolist()]
+            counts[lo : hi + 1] -= np.diff([values.size, *at_least, 0])
+        else:
+            counts += np.bincount(thresholds.searchsorted(values, "right"), minlength=counts.size)
+    return int(np.count_nonzero(samples >= threshold))
 
 
 def _summary(
@@ -1088,16 +1122,12 @@ def trace_stats(
     """Aggregate detected events and census occupancy for one trace, whose
     summary counts are taken in one pass over ``trace.chunks()``."""
     threshold = _detection_threshold(open_current_pa, threshold_fraction)
-    _census_scale(n_pores, open_current_pa, clogged_current_pa)
+    thresholds = _census_thresholds(n_pores, open_current_pa, clogged_current_pa)
     n_samples = n_open = 0
     census_counts = np.zeros(n_pores + 1, dtype=np.int64)
     for chunk in trace.chunks():
-        chunk_open, chunk_counts = _summary_counts(
-            chunk, threshold, n_pores, open_current_pa, clogged_current_pa
-        )
         n_samples += chunk.size
-        n_open += chunk_open
-        census_counts += chunk_counts
+        n_open += _summary_counts(chunk, threshold, thresholds, census_counts)
     n_complete = int(np.count_nonzero(events.complete))
     open_fraction, complete_rate, partial_rate, histogram = _summary(
         n_samples, n_open, census_counts, n_samples / trace.sample_rate_hz, n_complete,

@@ -170,6 +170,21 @@ def test_incomplete_band_must_print_inside_0_1(overrides, name):
     CalibrationTable(incomplete_level_low=5.1e-7, incomplete_level_high=0.9999994)
 
 
+@pytest.mark.parametrize("blockage, printed", [(0.99999995, "0.000000"), (2e-7, "1.000000")])
+def test_monolevel_levels_without_spread_must_print_inside_0_1(blockage, printed):
+    """With monolevel_sigma = 0 a mono-level event's level is 1 - blockage,
+    which the event log must print inside (0, 1), so such a knot is refused,
+    naming the field; with a spread the draws can land inside."""
+    points = ((90.0, blockage), (210.0, blockage / 2))
+    with pytest.raises(
+        CalibrationError, match=f"^monolevel_blockage_points = 90:.* prints as {printed} "
+    ):
+        CalibrationTable(monolevel_blockage_points=points, monolevel_sigma=0.0)
+    CalibrationTable(monolevel_blockage_points=points, monolevel_sigma=0.05)
+    edges = ((90.0, 0.999999), (210.0, 1e-6))  # levels 0.000001 and 0.999999 as printed
+    CalibrationTable(monolevel_blockage_points=edges, monolevel_sigma=0.0)
+
+
 def test_incomplete_band_validation():
     with pytest.raises(CalibrationError):
         CalibrationTable(incomplete_level_low=0.7, incomplete_level_high=0.6)

@@ -532,6 +532,21 @@ def test_simulate_refuses_a_band_whose_levels_the_log_cannot_hold(tmp_path, caps
     assert not trace.exists() and not log.exists()
 
 
+def test_simulate_refuses_a_monolevel_level_the_log_cannot_hold(tmp_path, capsys):
+    """With no spread, a blockage of 0.99999995 leaves the level 5e-8, which
+    prints as 0.000000 in the log, so the table is refused before any draw."""
+    calib = tmp_path / "cal.txt"
+    calib.write_text(
+        "monolevel_blockage_points = 90:0.99999995 210:0.9999999\nmonolevel_sigma = 0\n"
+    )
+    code, trace, log = _simulate(tmp_path, "--voltage-mv", "90", "--calibration", str(calib))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: monolevel_blockage_points = 90:0.99999995 gives ")
+    assert err.count("\n") == 1
+    assert not trace.exists() and not log.exists()
+
+
 def test_simulate_rejects_unsimulatable_calibration(tmp_path, capsys):
     # A full monolevel blockage with no spread would leave no level in (0, 1).
     calib = tmp_path / "cal.txt"

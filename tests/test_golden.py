@@ -13,7 +13,8 @@ from them.
 
 The runs cover, between them: bi-level events decoded to payloads, a
 decode refusal (``dense``), two clogs and every census state of three
-pores (``w2*``), both trace formats, and the text trace reader.
+pores (``w2*``), slices spanning many census states (``w2wide``), both
+trace formats, and the text trace reader.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from molstore import cli
 DENSE_CALIBRATION = (
     "event_rate_points = 90:100:0.4 120:175:0.4 150:530:0.4 210:1050:0.4\n"
 )
-INPUTS = {"bits.txt": "0110\n", "dense.cal": DENSE_CALIBRATION}
+# A census step of 1 pA over 300 pores: the short W2 trace's noise spans
+# many census states in each slice, so the tally sorts them by state.
+WIDE_CALIBRATION = "clogged_current_pa = 1\n"
+INPUTS = {"bits.txt": "0110\n", "dense.cal": DENSE_CALIBRATION, "wide.cal": WIDE_CALIBRATION}
 
 _READ_A50C100 = ("--molecule", "A50C100", "--scheme", "A50C100", "--threshold-fraction", "0.75")
 
@@ -64,6 +68,8 @@ RUNS = [
     ("read", "--trace", "w1.trace", *_READ_A50C100, *_read_outputs("w1")),
     *_census_runs("text"),
     *_census_runs("binary"),
+    ("stats", "--trace", "w2binary.trace", "--voltage-mv", "150", "--pores", "300",
+     "--open-current-pa", "2", "--calibration", "wide.cal", "--out", "w2wide.stats"),
     # dense, 0.4 s: ~370 events.
     ("simulate", "--molecule", "A50C100", "--voltage-mv", "210", "--duration-s", "0.4",
      "--sample-rate-hz", "250000", "--calibration", "dense.cal", "--seed", "3",
@@ -97,6 +103,7 @@ GOLDEN = {
     "w2text.stats": "ffcb5f9786ceedbabeb98912080ab22d5108077a9da809421637f9f7f99bd286",
     "w2text.summary.txt": "34e644f6abc94092eeeb10895d4ddd4ceece4b74bd25bc5ce5cf5fa590dc55a8",
     "w2text.trace": "9baae51695e1505c277e21cd7d25525a276b31ebdbe50dcec7b59e1d11cd054f",
+    "w2wide.stats": "73f832b871df7069d330237bb5061320e151739c0c328cbdbc3ba728784a18ef",
 }
 
 

@@ -379,8 +379,32 @@ def test_census_series_matches_scalar():
 
 
 def _census_reference(x, n_pores, open_pa, clogged_pa):
-    """The census as five full-size temporaries computed it."""
-    return np.clip(np.rint((x - n_pores * clogged_pa) / (open_pa - clogged_pa)), 0, n_pores)
+    """The census by the rounding formula, in float64 arithmetic over the
+    whole array: the states the census thresholds must give."""
+    with np.errstate(over="ignore"):
+        return np.clip(np.rint((x - n_pores * clogged_pa) / (open_pa - clogged_pa)), 0, n_pores)
+
+
+def _ref_tally(census, x, n_pores):
+    """Samples and their sum per census state 0..n_pores, summed by one
+    reduction per _CENSUS_CHUNK slice and state; states above n_pores are
+    skipped.  A slice spanning 8 or more states sums each state's samples as
+    np.add.reduceat sums a segment, which past ~100 samples rounds otherwise
+    than np.add.reduce."""
+    counts, sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
+    for start in range(0, x.size, reader._CENSUS_CHUNK):
+        part = census[start : start + reader._CENSUS_CHUNK].astype(np.int64)
+        values = x[start : start + reader._CENSUS_CHUNK]
+        wide = part.max() - part.min() >= 8
+        for k in np.unique(part).tolist():
+            if k <= n_pores:
+                in_state = values[part == k]
+                counts[k] += in_state.size
+                with np.errstate(over="ignore", invalid="ignore"):
+                    sums[k] += (
+                        np.add.reduceat(in_state, [0])[0] if wide else np.add.reduce(in_state)
+                    )
+    return counts, sums
 
 
 @st.composite
@@ -425,16 +449,17 @@ def test_census_series_needs_a_pore():
 def test_census_counts_match_unique(case):
     x, n_pores, open_pa, clogged_pa = case
     census = census_series(x, n_pores, open_pa, clogged_pa)
-    counts, sums = reader._census_tally(census, x, n_pores)
-    assert counts.shape == sums.shape == (n_pores + 1,)
+    counts, sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
+    for start in range(0, x.size, reader._CENSUS_CHUNK):
+        part = census[start : start + reader._CENSUS_CHUNK]
+        values = x[start : start + reader._CENSUS_CHUNK]
+        reader._census_tally(part, values, int(part.min()), int(part.max()), counts, sums)
     states, expected = np.unique(census, return_counts=True)
     assert np.flatnonzero(counts).tolist() == states.tolist()
     assert counts[states].tolist() == expected.tolist()
-    for k in range(n_pores + 1):
-        # Summed in another order than x[census == k].sum(): each may round
-        # differently, relative to the sum of the magnitudes.
-        in_state = x[census == k]
-        assert abs(sums[k] - in_state.sum()) <= 1e-12 * np.abs(in_state).sum()
+    want_counts, want_sums = _ref_tally(census, x, n_pores)
+    assert np.array_equal(counts, want_counts)
+    assert np.array_equal(sums, want_sums, equal_nan=True)
 
 
 def test_census_rates_counts_dips_per_baseline():
@@ -610,11 +635,22 @@ def _stats_cases(draw):
         1, 142.5, 12.5,
     )
 )
+@example(
+    # Every state of a uint16 census in each slice: the tally sorts them.
+    case=(
+        _CENSUS_CHUNK, np.resize(np.linspace(290.0, 610.0, 1001), 2 * _CENSUS_CHUNK + 1),
+        300, 2.0, 1.0,
+    )
+)
 def test_census_stats_matches_whole_array_reference(case):
     chunk, x, n_pores, open_pa, clogged_pa = case
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(poresim, "_CHUNK", chunk)
         stats = census_stats(CurrentTrace(1000.0, x), n_pores, open_pa, clogged_pa)
+        summary = trace_stats(
+            CurrentTrace(1000.0, x), NO_EVENTS, open_pa, n_pores=n_pores,
+            clogged_current_pa=clogged_pa,
+        )
     census = _census_reference(x, n_pores, open_pa, clogged_pa)
     series = census_series(x, n_pores, open_pa, clogged_pa)
     assert series.dtype == np.min_scalar_type(n_pores)
@@ -623,12 +659,103 @@ def test_census_stats_matches_whole_array_reference(case):
     assert stats.state_counts.shape == (n_pores + 1,)
     assert np.flatnonzero(stats.state_counts).tolist() == states.tolist()
     assert stats.state_counts[states].tolist() == counts.tolist()
+    assert summary.pore_census_histogram == dict(zip(states.tolist(), counts.tolist()))
     assert stats.n_samples == x.size
-    assert stats.mean_pa == (pytest.approx(np.mean(x), rel=1e-12) if x.size else 0.0)
-    assert sorted(stats.current_means) == states.tolist()
-    for k, mean in stats.current_means.items():
-        assert mean == pytest.approx(np.mean(x[census == k]), rel=1e-12)
-    assert stats.rates == census_rates(series, 1000.0, n_pores)
+    want = _ref_census_stats(x, chunk, n_pores, open_pa, clogged_pa)
+    assert np.array_equal(stats.state_counts, want.state_counts)
+    assert (stats.current_means, stats.mean_pa) == (want.current_means, want.mean_pa)
+    assert stats.rates == want.rates
+
+
+def _ref_census_stats(x, chunk, n_pores, open_pa, clogged_pa, rate=1000.0):
+    """census_stats of x read in chunks of ``chunk`` samples, from
+    _census_reference and one np.add.reduce per chunk, _CENSUS_CHUNK slice
+    and state, added up in the order census_stats adds them."""
+    census = _census_reference(x, n_pores, open_pa, clogged_pa)
+    counts, sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
+    for start in range(0, x.size, chunk):
+        part = slice(start, start + chunk)
+        chunk_counts, chunk_sums = _ref_tally(census[part], x[part], n_pores)
+        counts += chunk_counts
+        sums += chunk_sums
+    means = {k: float(sums[k] / counts[k]) for k in np.flatnonzero(counts).tolist()}
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(sums.sum() / x.size) if x.size else 0.0
+    return reader.CensusStats(
+        x.size / rate, mean, x.size, counts, means,
+        census_rates(census.astype(np.min_scalar_type(n_pores)), rate, n_pores),
+    )
+
+
+@pytest.mark.parametrize(
+    "n_pores, open_pa, clogged_pa",
+    [
+        (3, 130.0, 30.0),
+        (300, 2.0, 1.0),
+        (5, 1e6 + 1e-9, 1e6),  # step 1e-9 on offset 5e6
+        (5, 1e6 + 3e-10, 1e6),  # step below half the offset's ulp
+        (3, -4e300 / 3 + 1e300, -4e300 / 3),  # offset -4e300
+        (3, 1.7e308, 0.0),  # t_2 and t_3 past float64
+    ],
+)
+def test_census_at_exact_thresholds(n_pores, open_pa, clogged_pa):
+    """Each threshold is the least float64 of its state by the rounding
+    formula, and currents at each threshold, one ulp either side of it,
+    half-way between census levels and at the float64 extremes get the
+    formula's census, counts and exact sums."""
+    t = reader._census_thresholds(n_pores, open_pa, clogged_pa)
+    k = np.arange(1, n_pores + 1)
+    finite = np.isfinite(t)
+    top = np.finfo(np.float64).max
+    assert np.all(_census_reference(t[finite], n_pores, open_pa, clogged_pa) >= k[finite])
+    below = np.nextafter(t[finite], -np.inf)
+    assert np.all(_census_reference(below, n_pores, open_pa, clogged_pa) < k[finite])
+    assert np.all(_census_reference(top, n_pores, open_pa, clogged_pa) < k[~finite])
+    levels = np.arange(-2, n_pores + 2) + 0.5
+    with np.errstate(over="ignore"):
+        halfway = n_pores * clogged_pa + levels * (open_pa - clogged_pa)
+    x = np.concatenate(
+        [t[finite], below, np.nextafter(t[finite], np.inf), halfway[np.isfinite(halfway)]]
+    )
+    everywhere = np.concatenate([x, [top, -top, np.inf, -np.inf, 0.0, -0.0]])
+    assert np.array_equal(
+        census_series(everywhere, n_pores, open_pa, clogged_pa),
+        _census_reference(everywhere, n_pores, open_pa, clogged_pa),
+    )
+    for x in (x, np.resize(x, 3 * _CENSUS_CHUNK + 5)):
+        want = _ref_census_stats(x, x.size, n_pores, open_pa, clogged_pa)
+        if not np.isfinite(want.mean_pa):
+            with pytest.raises(ReaderError, match="sum past the float64 range"):
+                census_stats(CurrentTrace(1000.0, x), n_pores, open_pa, clogged_pa)
+            continue
+        stats = census_stats(CurrentTrace(1000.0, x), n_pores, open_pa, clogged_pa)
+        assert np.array_equal(stats.state_counts, want.state_counts)
+        assert (stats.current_means, stats.mean_pa) == (want.current_means, want.mean_pa)
+        assert stats.rates == want.rates
+
+
+def test_census_threshold_edge_scales():
+    # Thresholds coincide when the step is below half the offset's ulp, and
+    # are inf when no float64 reaches their state.
+    assert (np.diff(reader._census_thresholds(5, 1e6 + 3e-10, 1e6)) == 0).any()
+    assert np.isinf(reader._census_thresholds(3, 1.7e308, 0.0)).tolist() == [False, True, True]
+
+
+def test_census_thresholds_computed_once_per_pass(monkeypatch):
+    calls = []
+    thresholds = reader._census_thresholds
+    monkeypatch.setattr(
+        reader, "_census_thresholds", lambda *args: calls.append(args) or thresholds(*args)
+    )
+    monkeypatch.setattr(poresim, "_CHUNK", 1000)
+    trace = CurrentTrace(RATE, np.resize([250.0, 100.0, 400.0], 10_000))
+    census_stats(trace, 3, 130.0, 30.0)
+    assert len(calls) == 1
+    scheme = RunLengthScheme.from_string("A50C100")
+    reader.read_station(trace, 250.0, 5.0, CALIB, scheme, 210.0, n_pores=3)
+    assert len(calls) == 2
+    trace_stats(trace, NO_EVENTS, 250.0, n_pores=3)
+    assert len(calls) == 3
 
 
 @st.composite
