@@ -735,9 +735,8 @@ def _census_thresholds(
     if step <= 0:
         raise ReaderError("open current must exceed clogged current")
     k = np.arange(1, n_pores + 1)
-    # Bisect between the keys of -inf (census 0 < k) and inf, where t_k stays
-    # if no finite float64 reaches k.  A key is a float64's bits as int64, the
-    # low 63 flipped if negative, so keys order as their values do.
+    # Bisect between the int64 keys of -inf (census 0 < k) and of inf (kept if
+    # no float64 reaches k): a float64's bits, the low 63 flipped if negative.
     thresholds = np.full(n_pores, np.inf)
     lo, hi = -1 - thresholds.view(np.int64), thresholds.view(np.int64).copy()
     while (lo + 1 < hi).any():  # at most 64 rounds
@@ -754,7 +753,8 @@ def _census_ranges(samples: np.ndarray, thresholds: np.ndarray) -> Iterator[tupl
     """Each ``_CENSUS_CHUNK`` slice: its start, samples and census states lo..hi."""
     for start in range(0, samples.size, _CENSUS_CHUNK):
         values = samples[start : start + _CENSUS_CHUNK]
-        lo, hi = thresholds.searchsorted((values.min(), values.max()), "right").tolist()
+        least, most = np.fmin.reduce(values), np.fmax.reduce(values)  # past any NaN
+        lo, hi = thresholds.searchsorted((least, most), "right").tolist()
         yield start, values, lo, hi
 
 

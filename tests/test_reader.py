@@ -438,6 +438,12 @@ def test_census_series_matches_reference(case):
     assert np.array_equal(census, _census_reference(x, n_pores, open_pa, clogged_pa))
 
 
+def test_census_series_nan_sample_leaves_its_slice_alone():
+    # A NaN has no census state, but the samples beside it keep theirs.
+    census = census_series(np.array([100.0, 250.0, np.nan, 400.0]), 3, 130.0, 30.0)
+    assert census[[0, 1, 3]].tolist() == [0, 2, 3]
+
+
 def test_census_series_needs_a_pore():
     for n_pores in (0, -1):
         with pytest.raises(ReaderError):
