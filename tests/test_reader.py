@@ -675,8 +675,9 @@ def test_census_stats_matches_whole_array_reference(case):
 
 def _ref_census_stats(x, chunk, n_pores, open_pa, clogged_pa, rate=1000.0):
     """census_stats of x read in chunks of ``chunk`` samples, from
-    _census_reference and one np.add.reduce per chunk, _CENSUS_CHUNK slice
-    and state, added up in the order census_stats adds them."""
+    _census_reference's states and _ref_tally's one reduction per chunk,
+    _CENSUS_CHUNK slice and state, added up in the order census_stats
+    adds them."""
     census = _census_reference(x, n_pores, open_pa, clogged_pa)
     counts, sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
     for start in range(0, x.size, chunk):
@@ -728,13 +729,14 @@ def test_census_at_exact_thresholds(n_pores, open_pa, clogged_pa):
         census_series(everywhere, n_pores, open_pa, clogged_pa),
         _census_reference(everywhere, n_pores, open_pa, clogged_pa),
     )
-    for x in (x, np.resize(x, 3 * _CENSUS_CHUNK + 5)):
-        want = _ref_census_stats(x, x.size, n_pores, open_pa, clogged_pa)
+    for samples in (x, np.resize(x, 3 * _CENSUS_CHUNK + 5)):
+        trace = CurrentTrace(1000.0, samples)
+        want = _ref_census_stats(samples, samples.size, n_pores, open_pa, clogged_pa)
         if not np.isfinite(want.mean_pa):
             with pytest.raises(ReaderError, match="sum past the float64 range"):
-                census_stats(CurrentTrace(1000.0, x), n_pores, open_pa, clogged_pa)
+                census_stats(trace, n_pores, open_pa, clogged_pa)
             continue
-        stats = census_stats(CurrentTrace(1000.0, x), n_pores, open_pa, clogged_pa)
+        stats = census_stats(trace, n_pores, open_pa, clogged_pa)
         assert np.array_equal(stats.state_counts, want.state_counts)
         assert (stats.current_means, stats.mean_pa) == (want.current_means, want.mean_pa)
         assert stats.rates == want.rates
