@@ -17,13 +17,20 @@ from typing import Mapping, NamedTuple
 class CalibrationError(ValueError):
     """Invalid calibration data or file contents."""
 
+    # The CLI prints each library error as "error: <category>: <message>".
+    category = "config"
+
 
 class RangeError(CalibrationError):
     """A lookup fell outside the tabulated range (no extrapolation)."""
 
+    category = "range"
+
 
 class ParamError(CalibrationError):
     """A measurement setting that is not finite or outside its range."""
+
+    category = "param"
 
 
 class LevelStats(NamedTuple):
@@ -159,6 +166,14 @@ class CalibrationTable:
                 raise CalibrationError(
                     f"level stats for ({base}, {end}) need mean in (0,1), finite sd > 0"
                 )
+            # simulate redraws a level until it prints inside (0, 1) as "%.6f".
+            for edge, bound in (("0.000000", stats.mean + 6 * stats.sd),
+                                ("1.000000", stats.mean - 6 * stats.sd)):
+                if f"{bound:.6f}" == edge:
+                    raise CalibrationError(
+                        f"level_{base.lower()}_{end} = {_fmt(stats)}: mean +- 6 sd prints as "
+                        f"{edge} in the event log, so no level can be drawn"
+                    )
         blockages = [b for _, b in self.monolevel_blockage_points]
         if any(later >= earlier for earlier, later in zip(blockages, blockages[1:])):
             raise CalibrationError(

@@ -16,6 +16,8 @@ from .calibration import field_defaults, parse_key_values, read_text
 class PlanError(ValueError):
     """Invalid layout or scenario parameters."""
 
+    category = "param"
+
 
 @dataclass(frozen=True)
 class ChipLayout:

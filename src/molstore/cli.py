@@ -4,7 +4,12 @@ Every command resolves its full configuration (including the seed for
 stochastic commands) and writes it as a ``# key = value`` header block in
 its primary text output, so any run can be reproduced byte for byte from
 the recorded header.  Failures exit nonzero with a one-line
-``error: <category>: <detail>`` message.
+``error: <category>: <detail>`` message, the category being the ``category``
+attribute of the error class.
+
+Each command imports the library modules it runs inside its own function,
+so ``--version``, ``--help``, ``encode``, ``decode`` and ``plan`` start
+without numpy, and ``simulate`` without the reader.
 """
 
 from __future__ import annotations
@@ -12,12 +17,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import secrets
 import stat
 import sys
 from typing import Iterable, Iterator, Sequence
 
-from . import __version__, calibration, chipmodel, codec, poresim, reader, traceio
+from . import __version__
 
 CALIBRATION_ENV = "MOLSTORE_CALIBRATION"
 
@@ -28,7 +32,9 @@ class CliError(Exception):
         self.category = category
 
 
-def _load_calibration(path: str | None) -> calibration.CalibrationTable:
+def _load_calibration(path: str | None):
+    from . import calibration
+
     if path is None:
         path = os.environ.get(CALIBRATION_ENV)
     if path is None:
@@ -80,6 +86,8 @@ def _fmt(value: float) -> str:
 
 
 def _cmd_encode(args) -> int:
+    from . import calibration, codec
+
     bits = codec.read_payload(calibration.read_text(args.infile))
     if args.mode == "direct":
         seq = codec.encode_direct(bits)
@@ -90,6 +98,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
+    from . import calibration, codec
+
     seq = codec.read_sequence(calibration.read_text(args.infile))
     if args.mode == "direct":
         bits = codec.decode_direct(seq)
@@ -118,9 +128,7 @@ def _parse_clogs(specs: Iterable[str]) -> dict[int, list[tuple[float, float]]]:
     return clogs
 
 
-def _config_items(
-    config: calibration.ChannelConfig, molecule, duration_s, seed, clog_specs
-) -> list[tuple[str, object]]:
+def _config_items(config, molecule, duration_s, seed, clog_specs) -> list[tuple[str, object]]:
     items = [
         ("molecule", molecule),
         ("voltage_mv", _fmt(config.voltage_mv)),
@@ -138,6 +146,8 @@ def _config_items(
 
 
 def _cmd_simulate(args) -> int:
+    from . import calibration, poresim, traceio
+
     calib = _load_calibration(args.calibration)
     molecule = poresim.MoleculeSpec.from_string(args.molecule)
     config = calibration.ChannelConfig(
@@ -148,7 +158,11 @@ def _cmd_simulate(args) -> int:
         noise_sigma_pa=args.noise_sigma_pa,
         n_pores=args.pores,
     )
-    seed = args.seed if args.seed is not None else secrets.randbits(63)
+    seed = args.seed
+    if seed is None:
+        import secrets
+
+        seed = secrets.randbits(63)
     result = poresim.simulate(
         molecule, config, args.duration_s, calib, seed, clogs=_parse_clogs(args.clog)
     )
@@ -170,19 +184,25 @@ def _cmd_simulate(args) -> int:
 
 
 def _resolve_open_current(args, calib) -> float:
+    from . import poresim
+
     if args.open_current_pa is not None:
         return args.open_current_pa
     return poresim.open_current(args.voltage_mv, args.kcl_molar, calib)
 
 
 def _check_pores(args) -> None:
+    from .calibration import MAX_PORES
+
     if args.pores < 1:
         raise CliError("usage", f"--pores must be >= 1, got {args.pores}")
-    if args.pores > calibration.MAX_PORES:
-        raise CliError("usage", f"--pores must be <= {calibration.MAX_PORES}, got {args.pores}")
+    if args.pores > MAX_PORES:
+        raise CliError("usage", f"--pores must be <= {MAX_PORES}, got {args.pores}")
 
 
 def _cmd_read(args) -> int:
+    from . import codec, poresim, reader, traceio
+
     _check_pores(args)
     calib = _load_calibration(args.calibration)
     trace = traceio.read_trace(args.trace)
@@ -254,6 +274,8 @@ def _cmd_read(args) -> int:
 
 
 def _cmd_stats(args) -> int:
+    from . import reader, traceio
+
     _check_pores(args)
     calib = _load_calibration(args.calibration)
     trace = traceio.read_trace(args.trace)
@@ -286,6 +308,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from . import chipmodel
+
     scenario = chipmodel.PlanScenario()
     if args.scenario:
         scenario = chipmodel.load_scenario(args.scenario, base=scenario)
@@ -396,35 +420,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CATEGORIES = (
-    (traceio.TraceFormatError, "format"),
-    (calibration.ParamError, "param"),
-    (calibration.RangeError, "range"),
-    (calibration.CalibrationError, "config"),
-    (codec.SizeError, "param"),
-    (codec.CodecError, "decode"),
-    (poresim.SimulationError, "param"),
-    (reader.ReaderError, "param"),
-    (chipmodel.PlanError, "param"),
-)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc.category}: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # noqa: BLE001 - mapped to categories below
-        for exc_type, category in _CATEGORIES:
-            if isinstance(exc, exc_type):
-                print(f"error: {category}: {exc}", file=sys.stderr)
-                return 1
-        raise
+    except Exception as exc:
+        category = getattr(exc, "category", None)
+        if category is None:
+            raise
+        print(f"error: {category}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -17,6 +17,8 @@ from typing import Iterable, Sequence
 class CodecError(ValueError):
     """Base class for encode/decode failures."""
 
+    category = "decode"
+
 
 class LengthError(CodecError):
     """Payload or run length does not fit the scheme.
@@ -33,6 +35,14 @@ class LengthError(CodecError):
 
 class SizeError(CodecError):
     """An encoding longer than ``MAX_SEQUENCE_BASES``."""
+
+    category = "param"
+
+
+class ArgumentError(CodecError):
+    """A scheme or tolerance outside its domain."""
+
+    category = "param"
 
 
 class AlphabetError(CodecError):
@@ -118,16 +128,16 @@ class RunLengthScheme:
 
     def __post_init__(self):
         if self.zero_base == self.one_base:
-            raise CodecError("scheme bases for 0 and 1 must differ")
+            raise ArgumentError("scheme bases for 0 and 1 must differ")
         if self.zero_run < 1 or self.one_run < 1:
-            raise CodecError("run lengths must be >= 1")
+            raise ArgumentError("run lengths must be >= 1")
 
     @classmethod
     def from_string(cls, text: str) -> "RunLengthScheme":
         """Parse a compact scheme spec such as "A20C30" (zero then one)."""
         m = re.fullmatch(r"([ACGT])(\d+)([ACGT])(\d+)", text.strip().upper())
         if not m:
-            raise CodecError(f"bad scheme spec {text!r}; expected e.g. A20C30")
+            raise ArgumentError(f"bad scheme spec {text!r}; expected e.g. A20C30")
         return cls(
             zero_base=Nucleotide(m.group(1)),
             zero_run=int(m.group(2)),
@@ -197,7 +207,7 @@ def bit_runs(
     first offending run.
     """
     if not 0.0 <= tolerance < 1.0:
-        raise CodecError(f"tolerance must be in [0, 1), got {tolerance}")
+        raise ArgumentError(f"tolerance must be in [0, 1), got {tolerance}")
     nominal = {scheme.zero_base: (0, scheme.zero_run), scheme.one_base: (1, scheme.one_run)}
     out: list[tuple[int, int]] = []
     for index, (base, group) in enumerate(itertools.groupby(runs, key=lambda run: run[0])):

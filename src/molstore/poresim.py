@@ -33,6 +33,8 @@ from .codec import BaseSequence, Nucleotide
 class SimulationError(ValueError):
     """Invalid simulation parameters."""
 
+    category = "param"
+
 
 class Orientation(str, enum.Enum):
     """Which chemical end of the molecule entered the pore first."""

@@ -34,6 +34,8 @@ from .poresim import (
 class ReaderError(ValueError):
     """Invalid analysis parameters or impossible request."""
 
+    category = "param"
+
 
 class OrientationUnknownError(ReaderError):
     """Base recovery refused because the entry direction is unresolved."""

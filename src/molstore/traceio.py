@@ -92,6 +92,8 @@ _HEADER = struct.Struct("<4sIdQ")
 class TraceFormatError(ValueError):
     """Malformed trace file."""
 
+    category = "format"
+
 
 # Samples formatted per numpy pass; bounds the writer's working memory.
 _TEXT_CHUNK = 1 << 14

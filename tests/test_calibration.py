@@ -185,6 +185,20 @@ def test_monolevel_levels_without_spread_must_print_inside_0_1(blockage, printed
     CalibrationTable(monolevel_blockage_points=edges, monolevel_sigma=0.0)
 
 
+@pytest.mark.parametrize(
+    "level, printed", [("5e-08:1e-09", "0.000000"), ("0.9999999:1e-08", "1.000000")]
+)
+def test_a_level_the_log_cannot_hold_is_refused_when_the_table_is_built(level, printed):
+    """A bi-level level whose mean +- 6 sd prints wholly as 0 or as 1 with
+    "%.6f" is refused naming its key, before simulate draws from it; one
+    whose tail reaches 0.000001 or 0.999999 as printed is kept."""
+    with pytest.raises(
+        CalibrationError, match=rf"^level_a_3prime = {level}: mean \+- 6 sd prints as {printed} "
+    ):
+        parse_calibration(f"level_a_3prime = {level}\nlevel_a_5prime = {level}\n")
+    parse_calibration("level_a_3prime = 4e-7:1e-7\nlevel_c_5prime = 0.9999996:1e-7\n")
+
+
 def test_incomplete_band_validation():
     with pytest.raises(CalibrationError):
         CalibrationTable(incomplete_level_low=0.7, incomplete_level_high=0.6)

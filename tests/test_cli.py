@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from molstore import cli, codec, poresim, traceio
+from molstore import calibration, chipmodel, cli, codec, poresim, reader, traceio
 from molstore.calibration import CalibrationTable, field_defaults, format_calibration
 from molstore.chipmodel import ChipLayout, PlanScenario
 from molstore.poresim import CurrentTrace
@@ -423,7 +423,7 @@ def test_simulate_interrupted_building_its_log_leaves_no_trace(tmp_path, monkeyp
     def interrupt(calib):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli.calibration, "format_calibration", interrupt)
+    monkeypatch.setattr(calibration, "format_calibration", interrupt)
     with pytest.raises(KeyboardInterrupt):
         run(*_SIMULATE, "--trace-out", "x.trace", "--log-out", "x.csv")
     assert not any(tmp_path.iterdir())
@@ -1139,3 +1139,129 @@ def test_calibration_flag_overrides(tmp_path):
     header, events, _ = poresim.parse_event_log(str(log))
     assert header["gating"] == "true"
     assert len(events) == 0
+
+
+@pytest.mark.parametrize(
+    "error, category",
+    [
+        (traceio.TraceFormatError("boom"), "format"),
+        (calibration.ParamError("boom"), "param"),
+        (calibration.RangeError("boom"), "range"),
+        (calibration.CalibrationError("boom"), "config"),
+        (codec.SizeError("boom"), "param"),
+        (codec.CodecError("boom"), "decode"),
+        (codec.LengthError("boom"), "decode"),
+        (codec.AlphabetError("boom", run_index=0), "decode"),
+        (poresim.SimulationError("boom"), "param"),
+        (reader.ReaderError("boom"), "param"),
+        (reader.OrientationUnknownError("boom"), "param"),
+        (chipmodel.PlanError("boom"), "param"),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else value,
+)
+def test_each_library_error_class_has_one_category(tmp_path, monkeypatch, capsys, error, category):
+    def fail(scenario):
+        raise error
+
+    monkeypatch.setattr(chipmodel, "plan", fail)
+    assert run("plan", "--out", str(tmp_path / "r.txt")) == 1
+    assert capsys.readouterr().err == f"error: {category}: boom\n"
+
+
+def test_an_error_from_outside_molstore_propagates(tmp_path, monkeypatch):
+    def fail(scenario):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(chipmodel, "plan", fail)
+    with pytest.raises(ValueError, match="^boom$"):
+        run("plan", "--out", str(tmp_path / "r.txt"))
+
+
+@pytest.mark.parametrize(
+    "argv, detail",
+    [
+        (["decode", "--mode", "runlength", "--scheme", "A50C100", "--tolerance", "nan"],
+         "tolerance must be in [0, 1), got nan"),
+        (["encode", "--mode", "runlength", "--scheme", "A0C1"], "run lengths must be >= 1"),
+        (["encode", "--mode", "runlength", "--scheme", "A1A2"],
+         "scheme bases for 0 and 1 must differ"),
+        (["decode", "--mode", "runlength", "--scheme", "X20"],
+         "bad scheme spec 'X20'; expected e.g. A20C30"),
+    ],
+    ids=["tolerance", "run", "bases", "spec"],
+)
+def test_bad_codec_argument_is_param_error(tmp_path, capsys, argv, detail):
+    infile = tmp_path / "in.txt"
+    infile.write_text("01\n" if argv[0] == "encode" else "AC\n")
+    code = run(*argv, "--in", str(infile), "--out", str(tmp_path / "out.txt"))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: param: {detail}\n"
+    assert not (tmp_path / "out.txt").exists()
+
+
+def test_read_with_a_bad_scheme_is_param_error(tmp_path, capsys):
+    trace = str(tmp_path / "t.trace")
+    traceio.write_trace(_fuzz_trace(), trace, "binary")
+    outs = [str(tmp_path / name) for name in ("e.csv", "s.txt", "p.txt")]
+    code = run(
+        "read", "--trace", trace, "--scheme", "A0C1", "--events-out", outs[0],
+        "--summary-out", outs[1], "--payload-out", outs[2],
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: param: run lengths must be >= 1\n"
+
+
+# Runs the CLI on its arguments and prints the modules loaded after it.
+_RUN_CLI = """
+import sys
+from molstore import cli
+try:
+    cli.main(sys.argv[1:])
+except SystemExit:
+    pass
+"""
+
+
+def _loaded_modules(cwd, code, *argv) -> set[str]:
+    """The modules in ``sys.modules`` after ``code`` runs in a fresh
+    interpreter that imports molstore from this source tree."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    child = subprocess.run(
+        [sys.executable, "-c", code + "\nprint(*sys.modules)", *argv], cwd=cwd,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert child.stderr == ""
+    return set(child.stdout.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--version"],
+        ["encode", "--in", "p.txt", "--out", "s.txt", "--mode", "runlength"],
+        ["decode", "--in", "s.txt", "--out", "d.txt"],
+        ["plan", "--out", "r.txt"],
+    ],
+    ids=lambda argv: argv[0].lstrip("-"),
+)
+def test_commands_without_arrays_start_without_numpy(tmp_path, argv):
+    (tmp_path / "p.txt").write_text("01\n")
+    (tmp_path / "s.txt").write_text("AC\n")
+    modules = _loaded_modules(tmp_path, _RUN_CLI, *argv)
+    assert "molstore.cli" in modules and "numpy" not in modules
+    assert argv == ["--version"] or (tmp_path / argv[argv.index("--out") + 1]).is_file()
+
+
+def test_simulate_does_not_load_the_reader(tmp_path):
+    modules = _loaded_modules(
+        tmp_path, _RUN_CLI, "simulate", "--molecule", "A50C100", "--duration-s", "0.01",
+        "--sample-rate-hz", "100000", "--seed", "1", "--trace-out", "t.trace",
+        "--log-out", "t.log",
+    )
+    assert (tmp_path / "t.log").is_file()
+    assert "molstore.traceio" in modules and "molstore.reader" not in modules
+
+
+def test_importing_the_package_loads_no_submodule(tmp_path):
+    modules = _loaded_modules(tmp_path, "import sys, molstore")
+    assert {m for m in modules if m.startswith("molstore")} == {"molstore"}
