@@ -42,17 +42,13 @@ def _load_calibration(path: str | None):
     return calibration.load_calibration(path)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 @contextlib.contextmanager
 def _all_or_none() -> Iterator[list[str]]:
-    """Yield the list a command adds each output path to once it is
-    written.  If the command then fails, the regular files on the list are
-    removed, so a failed command leaves none of its outputs behind; a
-    device, FIFO or symlink it wrote through is left as it is."""
+    """Yield the list a command adds each output path to once its file is
+    open.  If the command then fails, the regular files on the list are
+    removed, so a failed command leaves none of its outputs behind, not
+    even one it was writing; a device, FIFO or symlink it wrote through is
+    left as it is, and so is a file that could not be opened."""
     written: list[str] = []
     try:
         yield written
@@ -64,12 +60,18 @@ def _all_or_none() -> Iterator[list[str]]:
         raise
 
 
+def _write_text(path: str, text: str, written: list[str]) -> None:
+    """Write ``text`` to ``path``, added to ``written`` once it is open."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        written.append(path)
+        fh.write(text)
+
+
 def _write_texts(outputs: Iterable[tuple[str, str]]) -> None:
     """Write each ``(path, text)`` in turn, all or none (see ``_all_or_none``)."""
     with _all_or_none() as written:
         for path, text in outputs:
-            _write_text(path, text)
-            written.append(path)
+            _write_text(path, text, written)
 
 
 def _header_lines(command: str, items: Sequence[tuple[str, object]]) -> list[str]:
@@ -93,7 +95,7 @@ def _cmd_encode(args) -> int:
         seq = codec.encode_direct(bits)
     else:
         seq = codec.encode_runlength(bits, codec.RunLengthScheme.from_string(args.scheme))
-    _write_text(args.out, codec.format_sequence(seq))
+    _write_texts([(args.out, codec.format_sequence(seq))])
     return 0
 
 
@@ -107,7 +109,7 @@ def _cmd_decode(args) -> int:
         bits = codec.decode_runlength(
             seq, codec.RunLengthScheme.from_string(args.scheme), args.tolerance
         )
-    _write_text(args.out, codec.format_payload(bits))
+    _write_texts([(args.out, codec.format_payload(bits))])
     return 0
 
 
@@ -176,7 +178,8 @@ def _cmd_simulate(args) -> int:
         lines.append(f"# trace = {os.path.basename(args.trace_out)} ({args.format})")
         lines.append(f"# gating = {str(result.gating).lower()}")
         lines += [f"# cal.{line}" for line in calibration.format_calibration(calib).splitlines()]
-        poresim.write_event_log(args.log_out, lines, result.events, result.clogs)
+        log = poresim.format_event_log(lines, result.events, result.clogs)
+        _write_text(args.log_out, log, written)
     return 0
 
 
@@ -300,7 +303,7 @@ def _cmd_stats(args) -> int:
         lines.append(f"census_{k}_rate_per_s = {_fmt(entry.rate_per_s)}")
         if k in result.current_means:
             lines.append(f"census_{k}_mean_pa = {_fmt(result.current_means[k])}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_texts([(args.out, "\n".join(lines) + "\n")])
     return 0
 
 
@@ -340,6 +343,16 @@ class _Parser(argparse.ArgumentParser):
         raise CliError("usage", message)
 
 
+def _header_path(value: str) -> str:
+    """A path the command copies into an output header, which is UTF-8
+    text: one given as bytes that are not UTF-8 is refused."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"not UTF-8: {value!r}") from None
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="molstore",
@@ -376,12 +389,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--calibration", default=None)
     sim.add_argument("--clog", action="append", default=[], metavar="PORE:START:END")
     sim.add_argument("--format", choices=["text", "binary"], default="text")
-    sim.add_argument("--trace-out", required=True)
+    sim.add_argument("--trace-out", required=True, type=_header_path)
     sim.add_argument("--log-out", required=True)
     sim.set_defaults(func=_cmd_simulate)
 
     rd = sub.add_parser("read", help="detect, classify, and decode a trace")
-    rd.add_argument("--trace", required=True)
+    rd.add_argument("--trace", required=True, type=_header_path)
     rd.add_argument("--voltage-mv", type=float, default=210.0)
     rd.add_argument("--kcl-molar", type=float, default=1.0)
     rd.add_argument("--open-current-pa", type=float, default=None)
@@ -401,7 +414,7 @@ def _build_parser() -> argparse.ArgumentParser:
     rd.set_defaults(func=_cmd_read)
 
     st = sub.add_parser("stats", help="census occupancy and rates of a trace")
-    st.add_argument("--trace", required=True)
+    st.add_argument("--trace", required=True, type=_header_path)
     st.add_argument("--voltage-mv", type=float, default=150.0)
     st.add_argument("--kcl-molar", type=float, default=1.0)
     st.add_argument("--open-current-pa", type=float, default=None)
@@ -411,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     st.set_defaults(func=_cmd_stats)
 
     pl = sub.add_parser("plan", help="capacity / throughput report")
-    pl.add_argument("--scenario", default=None)
+    pl.add_argument("--scenario", default=None, type=_header_path)
     pl.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     pl.add_argument("--out", required=True)
     pl.add_argument("--csv-out", default=None)

@@ -308,10 +308,8 @@ ClogSchedule = Mapping[int, Sequence[tuple[float, float]]]
 # --- ground-truth log -------------------------------------------------------
 
 
-def write_event_log(
-    path: str, header: Sequence[str], events: EventTable, clogs: ClogSchedule
-) -> None:
-    """Write a ground-truth log: the ``header`` lines, the column row, an
+def format_event_log(header: Sequence[str], events: EventTable, clogs: ClogSchedule) -> str:
+    """A ground-truth log's text: the ``header`` lines, the column row, an
     ``event`` row per event, then a ``clog`` row per clog interval."""
     lines = [*header, "kind,pore,t_start_s,duration_us,complete,orientation,levels,durations_us"]
     levels = [f"{level:.6f}" for level in events.levels.tolist()]
@@ -329,8 +327,7 @@ def write_event_log(
     for pore in sorted(clogs):
         for start, end in clogs[pore]:
             lines.append(f"clog,{pore},{start:.9f},{(end - start) * 1e6:.3f},,,,")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 def parse_event_log(path: str) -> tuple[dict[str, str], EventTable, dict]:

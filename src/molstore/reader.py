@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from .calibration import MAX_PORES, CalibrationTable
-from .codec import CodecError, RunLengthScheme, bit_runs, decode_runs
+from .codec import CodecError, RunLengthScheme, bit_runs
 from .poresim import (
     MAX_MOLECULE_BASES,
     ORIENTATIONS,
@@ -435,10 +435,10 @@ def _decode_bilevels(
     ORIENTATIONS codes: the bits of each, or the error that refused it.
 
     Base recovery runs on the arrays, and decoding once per distinct
-    (base, count) layout, from its two runs; events with one layout share
-    its result.  A layout is refused when a count is not finite, or when it
-    carries more bits than a molecule may hold bases (each bit takes at
-    least one), before any bit is spelled out.
+    (base, count) layout, from one bit_runs call on its two runs; events
+    with one layout share its result.  A layout is refused when a count is
+    not finite, or when it carries more bits than a molecule may hold
+    bases (each bit takes at least one), before any bit is spelled out.
     """
     out: list[Decoded] = [None] * len(first)
     tie = OrientationUnknownError("level ordering is a tie; orientation unknown")
@@ -465,13 +465,13 @@ def _decode_bilevels(
                 try:
                     if not math.isfinite(n0 + n1):
                         raise ReaderError("recovered base count is not finite")
-                    runs = [(b0, int(n0)), (b1, int(n1))]
-                    if sum(k for _, k in bit_runs(runs, scheme, tolerance)) > MAX_MOLECULE_BASES:
+                    pairs = bit_runs([(b0, int(n0)), (b1, int(n1))], scheme, tolerance)
+                    if sum(k for _, k in pairs) > MAX_MOLECULE_BASES:
                         raise ReaderError(
                             f"event carries more bits than the {MAX_MOLECULE_BASES} "
                             "bases a molecule may hold"
                         )
-                    memo[layout] = tuple(decode_runs(runs, scheme, tolerance))
+                    memo[layout] = tuple(bit for bit, k in pairs for _ in range(k))
                 except (CodecError, ReaderError) as exc:
                     memo[layout] = exc
             out[i] = memo[layout]
@@ -605,7 +605,8 @@ def read_station(
     Gives per event what detect_events, classify_event, infer_orientation
     and decode_event give, bit for bit, and the summary trace_stats gives
     for those events, computed on arrays in one pass over
-    ``trace.chunks()``: the summary counts are taken per chunk, and the
+    ``trace.chunks()``: each chunk's open samples are counted, and its
+    samples per census state by _census_chunk, whose census is dropped; the
     samples of each event are held, by length, until about
     ``_HELD_CELLS`` of them are, then classified in batches of at most
     ``_BATCH_CELLS`` samples.  So the pass holds a chunk, the events not
@@ -628,7 +629,7 @@ def read_station(
     thresholds = _census_thresholds(n_pores, open_current_pa, calib.clogged_current_pa)
     noise_sigma_norm = noise_sigma_pa / open_current_pa
     n_samples = n_open = n_events = 0
-    census_counts = np.zeros(n_pores + 1, dtype=np.int64)
+    census_counts, census_sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
     event_starts: list[np.ndarray] = []
     event_lengths: list[np.ndarray] = []
     # Event samples not yet classified, by length: (event indices, rows).
@@ -640,7 +641,8 @@ def read_station(
     ):
         if chunk.size:
             n_samples += chunk.size
-            n_open += _summary_counts(chunk, threshold, thresholds, census_counts)
+            n_open += int(np.count_nonzero(chunk >= threshold))
+            _census_chunk(chunk, thresholds, census_counts, census_sums)
         found = []
         if carried is not None:
             start, samples = carried
@@ -696,10 +698,8 @@ def read_station(
     for i, outcome in zip(bi.tolist(), bi_decoded):
         decoded[i] = outcome
 
-    n_complete = int(np.count_nonzero(kind != INCOMPLETE))
     open_fraction, complete_rate, partial_rate, histogram = _summary(
-        n_samples, n_open, census_counts, n_samples / rate, n_complete,
-        n_events - n_complete,
+        n_samples, n_open, census_counts, n_samples / rate, kind != INCOMPLETE
     )
     return ReadResult(
         rate, starts, lengths, mean, kind, first, second, first_us, second_us,
@@ -710,8 +710,7 @@ def read_station(
 
 # --- multi-pore census -----------------------------------------------------
 
-# Samples per census slice.  Its states lie between those of its least and
-# greatest sample, so a slice of one state takes no per-sample census work.
+# Samples per census slice; a slice of one state takes no per-sample work.
 _CENSUS_CHUNK = 1 << 16
 # A slice spanning fewer states takes one compare or mask per state.
 _FEW_STATES = 8
@@ -751,29 +750,45 @@ def _census_thresholds(
     return thresholds
 
 
-def _census_ranges(samples: np.ndarray, thresholds: np.ndarray) -> Iterator[tuple]:
-    """Each ``_CENSUS_CHUNK`` slice: its start, samples and census states lo..hi."""
+@np.errstate(over="ignore", invalid="ignore")
+def _census_chunk(samples, thresholds, counts, sums) -> np.ndarray:
+    """The census of float64 ``samples`` against ``thresholds``; the samples
+    in each state 0..thresholds.size are added to ``counts`` and their sum
+    to ``sums``.
+
+    Each ``_CENSUS_CHUNK`` slice spans the states between those of its least
+    and greatest sample (past any NaN), and takes one branch: a slice of one
+    state is counted and summed whole; one of fewer than ``_FEW_STATES``
+    states takes one compare per threshold and one mask per state, summed
+    by ``np.add.reduce``; a wider one is read by ``searchsorted``, sorted by
+    state and summed by ``np.add.reduceat``.  A sum past the float64 range
+    is inf or NaN, without a warning.
+    """
+    census = np.empty(samples.shape, dtype=np.min_scalar_type(thresholds.size))
     for start in range(0, samples.size, _CENSUS_CHUNK):
         values = samples[start : start + _CENSUS_CHUNK]
-        least, most = np.fmin.reduce(values), np.fmax.reduce(values)  # past any NaN
+        part = census[start : start + _CENSUS_CHUNK]
+        least, most = np.fmin.reduce(values), np.fmax.reduce(values)
         lo, hi = thresholds.searchsorted((least, most), "right").tolist()
-        yield start, values, lo, hi
-
-
-def _census_chunk(samples, thresholds, counts=None, sums=None) -> np.ndarray:
-    """The census of float64 ``samples`` against ``thresholds``; with
-    ``counts`` and ``sums``, each slice is tallied into them too."""
-    census = np.empty(samples.shape, dtype=np.min_scalar_type(thresholds.size))
-    for start, values, lo, hi in _census_ranges(samples, thresholds):
-        part = census[start : start + values.size]
-        if hi - lo < _FEW_STATES:
+        if lo == hi:
+            part.fill(lo)
+            counts[lo] += values.size
+            sums[lo] += np.add.reduce(values)
+        elif hi - lo < _FEW_STATES:
             part.fill(lo)
             for threshold in thresholds[lo:hi].tolist():
                 part += values >= threshold
+            for k in range(lo, hi + 1):
+                in_state = part == k
+                counts[k] += np.count_nonzero(in_state)
+                sums[k] += np.add.reduce(values[in_state])
         else:
             part[...] = thresholds.searchsorted(values, "right")
-        if counts is not None:
-            _census_tally(part, values, lo, hi, counts, sums)
+            order = np.argsort(part, kind="stable")
+            states = part[order]
+            firsts = np.flatnonzero(np.r_[True, states[1:] != states[:-1]])
+            counts[states[firsts]] += np.diff(firsts, append=part.size)
+            sums[states[firsts]] += np.add.reduceat(values[order], firsts)
     return census
 
 
@@ -786,39 +801,10 @@ def census_series(
     """Per-sample census: the number of open pores k whose quantized total
     current ``k*open + (n_pores-k)*clogged`` sits nearest, in the smallest
     unsigned dtype that holds ``n_pores``: the states the rounding formula
-    gives, read against exact current thresholds (see _census_thresholds)."""
+    gives, read by _census_chunk against exact thresholds (_census_thresholds)."""
     thresholds = _census_thresholds(n_pores, open_current_pa, clogged_current_pa)
-    return _census_chunk(np.asarray(samples, dtype=np.float64), thresholds)
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _census_tally(census, values, lo: int, hi: int, counts, sums) -> None:
-    """Add the samples of one census slice (as read against exact current
-    thresholds), whose states lie in lo..hi, to ``counts`` and their sum
-    to ``sums``; states past ``counts`` are skipped.
-
-    A slice of fewer than ``_FEW_STATES`` states takes one mask per state
-    and sums each state by ``np.add.reduce``; a wider one is sorted by
-    state and summed by ``np.add.reduceat``.  A sum past the float64 range
-    is inf or NaN, without a warning.
-    """
-    top = counts.size - 1
-    if lo == hi <= top:
-        counts[lo] += census.size
-        sums[lo] += np.add.reduce(values)
-    elif hi - lo < _FEW_STATES:
-        for k in range(lo, min(hi, top) + 1):
-            in_state = census == k
-            counts[k] += np.count_nonzero(in_state)
-            sums[k] += np.add.reduce(values[in_state])
-    else:
-        order = np.argsort(census, kind="stable")
-        states = census[order]
-        firsts = np.flatnonzero(np.r_[True, states[1:] != states[:-1]])
-        present = states[firsts]
-        keep = present <= top
-        counts[present[keep]] += np.diff(firsts, append=census.size)[keep]
-        sums[present[keep]] += np.add.reduceat(values[order], firsts)[keep]
+    scratch = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
+    return _census_chunk(np.asarray(samples, dtype=np.float64), thresholds, *scratch)
 
 
 def _state_means(counts: np.ndarray, sums: np.ndarray) -> dict[int, float]:
@@ -1003,20 +989,19 @@ def census_current_means(
     samples: np.ndarray, census: np.ndarray, n_pores: int
 ) -> dict[int, float]:
     """Mean measured current of the samples assigned to each census state
-    present; ``census`` is the samples' census_series."""
-    samples, census = np.asarray(samples), np.asarray(census)
-    counts, sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
-    for start in range(0, census.size, _CENSUS_CHUNK):
-        part, values = (a[start : start + _CENSUS_CHUNK] for a in (census, samples))
-        _census_tally(part, values, int(part.min()), int(part.max()), counts, sums)
-    return _state_means(counts, sums)
+    0..n_pores present, as one sum over count per state; ``census`` is the
+    samples' census_series, and states above ``n_pores`` are skipped."""
+    census = np.asarray(census)
+    counts = np.bincount(census, minlength=n_pores + 1)[: n_pores + 1]
+    sums = np.bincount(census, np.asarray(samples, dtype=np.float64), n_pores + 1)
+    return _state_means(counts, sums[: n_pores + 1])
 
 
 @dataclass(frozen=True, eq=False)
 class CensusStats:
     """The census statistics of one trace: its sample count, the samples in
     each census state 0..n_pores, the mean current of the trace and of each
-    state present (as census_current_means gives it) and census_rates.
+    state present (from the sums of _census_chunk) and census_rates.
     """
 
     duration_s: float
@@ -1043,8 +1028,7 @@ def census_stats(
     """
     thresholds = _census_thresholds(n_pores, open_current_pa, clogged_current_pa)
     rate = trace.sample_rate_hz
-    counts = np.zeros(n_pores + 1, dtype=np.int64)
-    sums = np.zeros(n_pores + 1)
+    counts, sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
     dips = _DipCounter(rate, n_pores, np.min_scalar_type(n_pores))
     n = 0
     for chunk in trace.chunks():
@@ -1083,33 +1067,22 @@ class StatsReport:
     pore_census_histogram: dict[int, int]
 
 
-def _summary_counts(samples, threshold: float, thresholds, counts: np.ndarray) -> int:
-    """The samples of one chunk at or above ``threshold``; its samples in
-    each census state are added to ``counts``, by one compare per
-    threshold a slice crosses, and no census is kept."""
-    for _, values, lo, hi in _census_ranges(samples, thresholds):
-        if hi - lo < _FEW_STATES:
-            at_least = [np.count_nonzero(values >= t) for t in thresholds[lo:hi].tolist()]
-            counts[lo : hi + 1] -= np.diff([values.size, *at_least, 0])
-        else:
-            counts += np.bincount(thresholds.searchsorted(values, "right"), minlength=counts.size)
-    return int(np.count_nonzero(samples >= threshold))
-
-
 def _summary(
     n_samples: int,
     n_open: int,
     census_counts: np.ndarray,
     duration_s: float,
-    n_complete: int,
-    n_partial: int,
+    complete: np.ndarray,
 ) -> tuple[float, float, float, dict[int, int]]:
     """Open fraction, complete and partial event rates, census histogram,
-    from the counts _summary_counts gives summed over a trace."""
+    from a trace's samples, those at or above the detection threshold, those
+    in each census state (as _census_chunk counts them) and its duration,
+    and whether each event is complete."""
     open_fraction = float(n_open / n_samples) if n_samples else 1.0
     histogram = {k: int(census_counts[k]) for k in np.flatnonzero(census_counts).tolist()}
+    n_complete = int(np.count_nonzero(complete))
     complete_rate = n_complete / duration_s if duration_s > 0 else 0.0
-    partial_rate = n_partial / duration_s if duration_s > 0 else 0.0
+    partial_rate = (complete.size - n_complete) / duration_s if duration_s > 0 else 0.0
     return open_fraction, complete_rate, partial_rate, histogram
 
 
@@ -1122,18 +1095,18 @@ def trace_stats(
     clogged_current_pa: float = 30.0,
 ) -> StatsReport:
     """Aggregate detected events and census occupancy for one trace, whose
-    summary counts are taken in one pass over ``trace.chunks()``."""
+    open samples and census histogram (by _census_chunk) are counted in one
+    pass over ``trace.chunks()``."""
     threshold = _detection_threshold(open_current_pa, threshold_fraction)
     thresholds = _census_thresholds(n_pores, open_current_pa, clogged_current_pa)
     n_samples = n_open = 0
-    census_counts = np.zeros(n_pores + 1, dtype=np.int64)
+    census_counts, census_sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
     for chunk in trace.chunks():
         n_samples += chunk.size
-        n_open += _summary_counts(chunk, threshold, thresholds, census_counts)
-    n_complete = int(np.count_nonzero(events.complete))
+        n_open += int(np.count_nonzero(chunk >= threshold))
+        _census_chunk(chunk, thresholds, census_counts, census_sums)
     open_fraction, complete_rate, partial_rate, histogram = _summary(
-        n_samples, n_open, census_counts, n_samples / trace.sample_rate_hz, n_complete,
-        len(events) - n_complete,
+        n_samples, n_open, census_counts, n_samples / trace.sample_rate_hz, events.complete
     )
     pairs = zip(events.duration_us.tolist(), (100.0 * (1.0 - events.mean_level)).tolist())
     return StatsReport(

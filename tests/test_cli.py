@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import math
 import os
@@ -460,6 +461,95 @@ def test_plan_that_cannot_write_its_csv_leaves_no_report(tmp_path, monkeypatch, 
     assert run("plan", "--out", "report.txt", "--csv-out", "missing/report.csv") == 1
     assert capsys.readouterr().err.startswith("error: io: ")
     assert not any(tmp_path.iterdir())
+
+
+class _FullDisk:
+    """A file open for writing whose first write stops half-way with
+    ENOSPC, as on a full disk."""
+
+    def __init__(self, fh) -> None:
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.fh.close()
+
+    def write(self, data) -> None:
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "argv, full",
+    [
+        (("encode", "--in", "bits.txt", "--out", "seq.txt"), "seq.txt"),
+        (("decode", "--in", "seq.in", "--out", "bits.out"), "bits.out"),
+        ((*_SIMULATE, "--trace-out", "x.trace", "--log-out", "x.csv"), "x.csv"),
+        (("read", "--trace", "t.trace", *_READ[1:]), "p.txt"),
+        (("stats", "--trace", "t.trace", "--out", "stats.txt"), "stats.txt"),
+        (("plan", "--out", "report.txt", "--csv-out", "report.csv"), "report.csv"),
+    ],
+    ids=["encode", "decode", "simulate-log", "read-last", "stats", "plan-csv"],
+)
+def test_output_cut_short_by_a_full_disk_is_removed(tmp_path, monkeypatch, capsys, argv, full):
+    """An output whose write fails once its file is open is removed with
+    the command's other outputs: none is left, partly written or empty."""
+    monkeypatch.chdir(tmp_path)
+    Path("bits.txt").write_text("0110\n")
+    Path("seq.in").write_text("ACGT\n")
+    traceio.write_trace_text(_fuzz_trace(), "t.trace")
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    real_open = open
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return _FullDisk(fh) if file == full and "w" in mode else fh
+
+    monkeypatch.setattr("builtins.open", full_disk_open)
+    code = run(*argv)
+    monkeypatch.undo()
+    assert code == 1
+    assert capsys.readouterr().err == f"error: io: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
+def test_output_that_cannot_be_opened_is_kept(tmp_path, monkeypatch, capsys):
+    """A file that exists but cannot be opened for writing is not the
+    command's to remove."""
+    monkeypatch.chdir(tmp_path)
+    Path("bits.txt").write_text("01\n")
+    Path("seq.txt").mkdir()
+    assert run("encode", "--in", "bits.txt", "--out", "seq.txt") == 1
+    assert capsys.readouterr().err.startswith("error: io: ")
+    assert Path("seq.txt").is_dir()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*_SIMULATE, "--log-out", "x.csv", "--trace-out"),
+        ("read", *_READ[1:], "--trace"),
+        ("stats", "--out", "st.txt", "--trace"),
+        ("plan", "--out", "r.txt", "--scenario"),
+    ],
+    ids=["simulate", "read", "stats", "plan"],
+)
+def test_header_path_that_is_not_utf8_is_one_usage_error(tmp_path, monkeypatch, capsys, argv):
+    """A path copied into an output header, given as bytes that are not
+    UTF-8 (argv decodes the byte 0xff as the surrogate U+DCFF), is refused
+    before any output is opened."""
+    monkeypatch.chdir(tmp_path)
+    path = "u\udcff.in"
+    if argv[0] == "plan":
+        Path(path).write_text("stations = 10\n")
+    else:
+        traceio.write_trace_text(_fuzz_trace(), path)
+    assert run(*argv, path) == 1
+    assert capsys.readouterr().err == f"error: usage: argument {argv[-1]}: not UTF-8: {path!r}\n"
+    assert [p.name for p in tmp_path.iterdir()] == [path]
 
 
 @pytest.mark.parametrize(

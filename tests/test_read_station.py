@@ -433,6 +433,9 @@ def _traces(draw):
                 st.one_of(
                     st.sampled_from(_LEVELS),
                     st.floats(-0.5, 1.2, allow_nan=False),
+                    # open currents of up to ~300 pores, so a census of
+                    # many pores spans many states
+                    st.floats(1.0, 320.0),
                 ),
                 st.one_of(
                     st.integers(1, 3), st.integers(1, 60), st.sampled_from([50, 100, 150])
@@ -463,7 +466,7 @@ _PARAMS = st.fixed_dictionaries(
         "floor_us": st.sampled_from([0.0, 60.0]),
         "tolerance": st.sampled_from([0.45, 0.1]),
         "scheme": st.sampled_from(["A50C100", "A2C3"]),
-        "n_pores": st.sampled_from([1, 2]),
+        "n_pores": st.sampled_from([1, 2, 300]),
     }
 )
 
@@ -515,6 +518,17 @@ def _check_read(trace, open_pa, params, budget):
     )
     assert result.census_histogram == stats.pore_census_histogram
     assert list(result.census_histogram) == sorted(stats.pore_census_histogram)
+    assert result.census_histogram == _rounded_census_histogram(
+        trace.samples, params["n_pores"], open_pa, CALIB.clogged_current_pa
+    )
+
+
+def _rounded_census_histogram(x, n_pores, open_pa, clogged_pa):
+    """The samples in each census state by the rounding formula, in float64
+    arithmetic over the whole trace."""
+    census = np.clip(np.rint((x - n_pores * clogged_pa) / (open_pa - clogged_pa)), 0, n_pores)
+    states, counts = np.unique(census.astype(np.int64), return_counts=True)
+    return dict(zip(states.tolist(), counts.tolist()))
 
 
 @settings(deadline=None, max_examples=300)

@@ -454,12 +454,10 @@ def test_census_series_needs_a_pore():
 @given(case=_census_cases())
 def test_census_counts_match_unique(case):
     x, n_pores, open_pa, clogged_pa = case
-    census = census_series(x, n_pores, open_pa, clogged_pa)
+    thresholds = reader._census_thresholds(n_pores, open_pa, clogged_pa)
     counts, sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
-    for start in range(0, x.size, reader._CENSUS_CHUNK):
-        part = census[start : start + reader._CENSUS_CHUNK]
-        values = x[start : start + reader._CENSUS_CHUNK]
-        reader._census_tally(part, values, int(part.min()), int(part.max()), counts, sums)
+    census = reader._census_chunk(x, thresholds, counts, sums)
+    assert np.array_equal(census, census_series(x, n_pores, open_pa, clogged_pa))
     states, expected = np.unique(census, return_counts=True)
     assert np.flatnonzero(counts).tolist() == states.tolist()
     assert counts[states].tolist() == expected.tolist()
@@ -495,6 +493,10 @@ def test_census_current_means():
     assert means[2] == pytest.approx(290.0)
     # A state above n_pores is left out of the sums as of the counts.
     assert census_current_means([100.0, 100.0, 500.0], np.array([3, 3, 4]), 3) == {3: 100.0}
+    samples = np.random.default_rng(3).uniform(0.0, 420.0, 200_000)
+    census = census_series(samples, 3, 130.0, 30.0)
+    want = {k: pytest.approx(np.mean(samples[census == k]), rel=1e-12) for k in range(4)}
+    assert census_current_means(samples, census, 3) == want
 
 
 def _census_rates_loop(

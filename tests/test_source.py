@@ -94,3 +94,42 @@ def test_every_public_name_resolves():
     namespace: dict = {}
     exec("from molstore import *", namespace)
     assert set(molstore.__all__) <= set(namespace)
+
+
+def _private_names(tree: ast.Module):
+    """The module-level names ``tree`` defines that start with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from (name for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def _reads(tree: ast.Module):
+    """Every name ``tree`` reads, as a variable or an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_every_private_name_is_used():
+    """Each module-level private name of the source is read somewhere in
+    it, so a helper that a merge of two code paths leaves behind fails
+    here; tests alone do not keep one alive."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SOURCE.glob("*.py")
+    }
+    read = {name for tree in trees.values() for name in _reads(tree)}
+    unused = [
+        f"{file}: {name}"
+        for file, tree in sorted(trees.items())
+        for name in _private_names(tree)
+        if name not in read
+    ]
+    assert not unused
