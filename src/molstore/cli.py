@@ -60,18 +60,20 @@ def _all_or_none() -> Iterator[list[str]]:
         raise
 
 
-def _write_text(path: str, text: str, written: list[str]) -> None:
-    """Write ``text`` to ``path``, added to ``written`` once it is open."""
+def _write_text(path: str, pieces: Iterable[str], written: list[str]) -> None:
+    """Write the text ``pieces`` to ``path`` in turn, the path added to
+    ``written`` once it is open."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         written.append(path)
-        fh.write(text)
+        for piece in pieces:
+            fh.write(piece)
 
 
-def _write_texts(outputs: Iterable[tuple[str, str]]) -> None:
-    """Write each ``(path, text)`` in turn, all or none (see ``_all_or_none``)."""
+def _write_texts(outputs: Iterable[tuple[str, Iterable[str]]]) -> None:
+    """Write each ``(path, pieces)`` in turn, all or none (see ``_all_or_none``)."""
     with _all_or_none() as written:
-        for path, text in outputs:
-            _write_text(path, text, written)
+        for path, pieces in outputs:
+            _write_text(path, pieces, written)
 
 
 def _header_lines(command: str, items: Sequence[tuple[str, object]]) -> list[str]:
@@ -95,7 +97,7 @@ def _cmd_encode(args) -> int:
         seq = codec.encode_direct(bits)
     else:
         seq = codec.encode_runlength(bits, codec.RunLengthScheme.from_string(args.scheme))
-    _write_texts([(args.out, codec.format_sequence(seq))])
+    _write_texts([(args.out, [codec.format_sequence(seq)])])
     return 0
 
 
@@ -109,7 +111,7 @@ def _cmd_decode(args) -> int:
         bits = codec.decode_runlength(
             seq, codec.RunLengthScheme.from_string(args.scheme), args.tolerance
         )
-    _write_texts([(args.out, codec.format_payload(bits))])
+    _write_texts([(args.out, [codec.format_payload(bits)])])
     return 0
 
 
@@ -178,8 +180,9 @@ def _cmd_simulate(args) -> int:
         lines.append(f"# trace = {os.path.basename(args.trace_out)} ({args.format})")
         lines.append(f"# gating = {str(result.gating).lower()}")
         lines += [f"# cal.{line}" for line in calibration.format_calibration(calib).splitlines()]
-        log = poresim.format_event_log(lines, result.events, result.clogs)
-        _write_text(args.log_out, log, written)
+        _write_text(
+            args.log_out, poresim.format_event_log(lines, result.events, result.clogs), written
+        )
     return 0
 
 
@@ -201,6 +204,30 @@ def _check_pores(args) -> None:
         raise CliError("usage", f"--pores must be >= 1, got {args.pores}")
     if args.pores > MAX_PORES:
         raise CliError("usage", f"--pores must be <= {MAX_PORES}, got {args.pores}")
+
+
+def _format_events(header: Sequence[str], result) -> Iterator[str]:
+    """``read``'s events.csv: the ``header`` lines and the column row, then a
+    row per event of the ReadResult ``result``, in pieces of at most
+    ``poresim._LOG_ROWS`` rows, as the ground-truth log is written."""
+    from . import poresim, reader
+
+    columns = "start_s,duration_us,blockage_pct,class,orientation"
+    yield "".join(f"{line}\n" for line in (*header, columns))
+    names = [o.value for o in reader.ORIENTATIONS]
+    t_start_s, duration_us = result.t_start_s, result.duration_us
+    blockage_pct = 100.0 * (1.0 - result.mean_level)
+    for a in range(0, len(result), poresim._LOG_ROWS):
+        rows = slice(a, a + poresim._LOG_ROWS)
+        yield "".join(
+            f"{start:.9f},{duration:.3f},{blockage:.3f},{reader.EVENT_KINDS[kind]},"
+            f"{names[orientation]}\n"
+            for start, duration, blockage, kind, orientation in zip(
+                t_start_s[rows].tolist(), duration_us[rows].tolist(),
+                blockage_pct[rows].tolist(), result.kind[rows].tolist(),
+                result.orientation[rows].tolist(),
+            )
+        )
 
 
 def _cmd_read(args) -> int:
@@ -240,18 +267,7 @@ def _cmd_read(args) -> int:
         ("tolerance", _fmt(args.tolerance)),
         ("pores", args.pores),
     ]
-    lines = _header_lines("read", header_items)
-    lines.append("start_s,duration_us,blockage_pct,class,orientation")
-    kinds = [reader.EVENT_KINDS[k] for k in result.kind.tolist()]
-    names = [o.value for o in reader.ORIENTATIONS]
-    orientations = [names[o] for o in result.orientation.tolist()]
-    lines.extend(
-        f"{start:.9f},{duration:.3f},{blockage:.3f},{kind},{orientation}"
-        for start, duration, blockage, kind, orientation in zip(
-            result.t_start_s.tolist(), result.duration_us.tolist(),
-            (100.0 * (1.0 - result.mean_level)).tolist(), kinds, orientations,
-        )
-    )
+    events = _format_events(_header_lines("read", header_items), result)
 
     payload_lines = [
         codec.format_payload(bits).strip()
@@ -269,9 +285,9 @@ def _cmd_read(args) -> int:
     for k, count in result.census_histogram.items():
         summary.append(f"census_{k}_samples = {count}")
     _write_texts([
-        (args.events_out, "\n".join(lines) + "\n"),
-        (args.summary_out, "\n".join(summary) + "\n"),
-        (args.payload_out, "\n".join(payload_lines) + ("\n" if payload_lines else "")),
+        (args.events_out, events),
+        (args.summary_out, ["\n".join(summary) + "\n"]),
+        (args.payload_out, ["\n".join(payload_lines) + ("\n" if payload_lines else "")]),
     ])
     return 0
 
@@ -303,7 +319,7 @@ def _cmd_stats(args) -> int:
         lines.append(f"census_{k}_rate_per_s = {_fmt(entry.rate_per_s)}")
         if k in result.current_means:
             lines.append(f"census_{k}_mean_pa = {_fmt(result.current_means[k])}")
-    _write_texts([(args.out, "\n".join(lines) + "\n")])
+    _write_texts([(args.out, ["\n".join(lines) + "\n"])])
     return 0
 
 
@@ -322,13 +338,13 @@ def _cmd_plan(args) -> int:
     items = chipmodel.report_items(report)
     lines = _header_lines("plan", [("scenario", args.scenario or "defaults")])
     lines.extend(f"{key} = {value}" for key, value in items)
-    outputs = [(args.out, "\n".join(lines) + "\n")]
+    outputs = [(args.out, ["\n".join(lines) + "\n"])]
     if args.csv_out:
         csv_lines = [
             ",".join(key for key, _ in items),
             ",".join(value for _, value in items),
         ]
-        outputs.append((args.csv_out, "\n".join(csv_lines) + "\n"))
+        outputs.append((args.csv_out, ["\n".join(csv_lines) + "\n"]))
     _write_texts(outputs)
     return 0
 

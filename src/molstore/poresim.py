@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import itertools
 import math
 import queue
 import re
 import threading
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -308,26 +310,45 @@ ClogSchedule = Mapping[int, Sequence[tuple[float, float]]]
 # --- ground-truth log -------------------------------------------------------
 
 
-def format_event_log(header: Sequence[str], events: EventTable, clogs: ClogSchedule) -> str:
-    """A ground-truth log's text: the ``header`` lines, the column row, an
-    ``event`` row per event, then a ``clog`` row per clog interval."""
-    lines = [*header, "kind,pore,t_start_s,duration_us,complete,orientation,levels,durations_us"]
-    levels = [f"{level:.6f}" for level in events.levels.tolist()]
-    durations = [f"{duration:.3f}" for duration in events.durations_us.tolist()]
+# Rows per piece of a ground-truth log (and of the reader's events.csv), so
+# that a log is formatted in memory that does not grow with its events.  Read
+# at call time, so a test may patch it.
+_LOG_ROWS = 4096
+
+
+def format_event_log(
+    header: Sequence[str], events: EventTable, clogs: ClogSchedule
+) -> Iterator[str]:
+    """A ground-truth log's text, in pieces of at most ``_LOG_ROWS`` rows:
+    the ``header`` lines and the column row, an ``event`` row per event,
+    then a ``clog`` row per clog interval."""
+    columns = "kind,pore,t_start_s,duration_us,complete,orientation,levels,durations_us"
+    yield "".join(f"{line}\n" for line in (*header, columns))
     orientations = [o.value for o in ORIENTATIONS]
-    bounds = events.offsets.tolist()
-    for pore, t, duration, complete, code, a, b in zip(
-        events.pore.tolist(), events.t_start_s.tolist(), events.duration_us.tolist(),
-        events.complete.tolist(), events.orientation.tolist(), bounds, bounds[1:],
-    ):
-        lines.append(
+    duration_us = events.duration_us
+    for a in range(0, len(events), _LOG_ROWS):
+        b = min(a + _LOG_ROWS, len(events))
+        offsets = events.offsets[a : b + 1]
+        substates = slice(offsets[0], offsets[-1])
+        levels = [f"{level:.6f}" for level in events.levels[substates].tolist()]
+        durations = [f"{duration:.3f}" for duration in events.durations_us[substates].tolist()]
+        bounds = (offsets - offsets[0]).tolist()
+        yield "".join(
             f"event,{pore},{t:.9f},{duration:.3f},{int(complete)},{orientations[code]},"
-            f"{';'.join(levels[a:b])},{';'.join(durations[a:b])}"
+            f"{';'.join(levels[i:j])},{';'.join(durations[i:j])}\n"
+            for pore, t, duration, complete, code, i, j in zip(
+                events.pore[a:b].tolist(), events.t_start_s[a:b].tolist(),
+                duration_us[a:b].tolist(), events.complete[a:b].tolist(),
+                events.orientation[a:b].tolist(), bounds, bounds[1:],
+            )
         )
-    for pore in sorted(clogs):
-        for start, end in clogs[pore]:
-            lines.append(f"clog,{pore},{start:.9f},{(end - start) * 1e6:.3f},,,,")
-    return "\n".join(lines) + "\n"
+    clog_rows = (
+        f"clog,{pore},{start:.9f},{(end - start) * 1e6:.3f},,,,\n"
+        for pore in sorted(clogs)
+        for start, end in clogs[pore]
+    )
+    while piece := "".join(itertools.islice(clog_rows, _LOG_ROWS)):
+        yield piece
 
 
 def parse_event_log(path: str) -> tuple[dict[str, str], EventTable, dict]:
@@ -630,7 +651,9 @@ def pore_events(
     interval) are discarded, and events that would be clipped by the trace
     end are dropped so the ground truth matches the rendered trace.
     """
-    starts, completes, codes, counts, levels, durations = [], [], [], [], [], []
+    # Typed arrays, not lists: a few bytes per event rather than an object.
+    starts, levels, durations = array("d"), array("d"), array("d")
+    completes, codes, counts = array("b"), array("b"), array("q")
     if config.voltage_mv > 0:
         mean_gap_s = 1.0 / capture_rate(config.voltage_mv, calib)
         draw = _EventSampler(molecule, config, calib).draw
@@ -654,10 +677,10 @@ def pore_events(
             completes.append(complete)
             codes.append(code)
             counts.append(len(event_levels))
-            levels += event_levels
-            durations += event_durations
+            levels.extend(event_levels)
+            durations.extend(event_durations)
     return EventTable.from_columns(
-        [pore] * len(starts), starts, completes, codes, counts, levels, durations
+        np.full(len(starts), pore), starts, completes, codes, counts, levels, durations
     )
 
 

@@ -456,6 +456,9 @@ def _decode_bilevels(
                 ORIENTATIONS[code], calib, voltage_mv,
             )
         except ReaderError as exc:
+            # Kept without its traceback, whose frames would keep the
+            # caller's locals (read_station's held samples) alive with it.
+            exc = exc.with_traceback(None)
             for i in picked.tolist():
                 out[i] = exc
             continue
@@ -473,7 +476,7 @@ def _decode_bilevels(
                         )
                     memo[layout] = tuple(bit for bit, k in pairs for _ in range(k))
                 except (CodecError, ReaderError) as exc:
-                    memo[layout] = exc
+                    memo[layout] = exc.with_traceback(None)
             out[i] = memo[layout]
     return out
 
@@ -611,7 +614,8 @@ def read_station(
     ``_HELD_CELLS`` of them are, then classified in batches of at most
     ``_BATCH_CELLS`` samples.  So the pass holds a chunk, the events not
     yet classified and the run still open, whatever its length: an event
-    longer than a chunk is held whole.
+    longer than a chunk is held whole.  A NaN or infinite sample is a
+    ReaderError that names its index.
     """
     for name, value in (
         ("noise_sigma_pa", noise_sigma_pa),
@@ -629,7 +633,7 @@ def read_station(
     thresholds = _census_thresholds(n_pores, open_current_pa, calib.clogged_current_pa)
     noise_sigma_norm = noise_sigma_pa / open_current_pa
     n_samples = n_open = n_events = 0
-    census_counts, census_sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
+    census_counts = np.zeros(n_pores + 1, dtype=np.int64)
     event_starts: list[np.ndarray] = []
     event_lengths: list[np.ndarray] = []
     # Event samples not yet classified, by length: (event indices, rows).
@@ -640,9 +644,9 @@ def read_station(
         trace.chunks(), threshold, min_duration_us * 1e-6 * rate
     ):
         if chunk.size:
+            census_counts += _census_chunk(chunk, thresholds, n_samples)[1]
             n_samples += chunk.size
             n_open += int(np.count_nonzero(chunk >= threshold))
-            _census_chunk(chunk, thresholds, census_counts, census_sums)
         found = []
         if carried is not None:
             start, samples = carried
@@ -751,20 +755,26 @@ def _census_thresholds(
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _census_chunk(samples, thresholds, counts, sums) -> np.ndarray:
-    """The census of float64 ``samples`` against ``thresholds``; the samples
-    in each state 0..thresholds.size are added to ``counts`` and their sum
-    to ``sums``.
+def _census_chunk(
+    samples, thresholds, first: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The census of float64 ``samples`` against ``thresholds``, and the
+    count and sum of the samples in each state 0..thresholds.size.
 
     Each ``_CENSUS_CHUNK`` slice spans the states between those of its least
     and greatest sample (past any NaN), and takes one branch: a slice of one
     state is counted and summed whole; one of fewer than ``_FEW_STATES``
     states takes one compare per threshold and one mask per state, summed
     by ``np.add.reduce``; a wider one is read by ``searchsorted``, sorted by
-    state and summed by ``np.add.reduceat``.  A sum past the float64 range
-    is inf or NaN, without a warning.
+    state and summed by ``np.add.reduceat``.  Every branch adds each sample
+    to some state's sum, so a NaN or infinite sample makes a sum not finite:
+    only then are the samples searched, and the first of them not finite is
+    a ReaderError naming its index, ``first`` being that of ``samples[0]``.
+    A sum past the float64 range of finite samples is inf or NaN, without a
+    warning.
     """
     census = np.empty(samples.shape, dtype=np.min_scalar_type(thresholds.size))
+    counts, sums = np.zeros(thresholds.size + 1, dtype=np.int64), np.zeros(thresholds.size + 1)
     for start in range(0, samples.size, _CENSUS_CHUNK):
         values = samples[start : start + _CENSUS_CHUNK]
         part = census[start : start + _CENSUS_CHUNK]
@@ -789,7 +799,12 @@ def _census_chunk(samples, thresholds, counts, sums) -> np.ndarray:
             firsts = np.flatnonzero(np.r_[True, states[1:] != states[:-1]])
             counts[states[firsts]] += np.diff(firsts, append=part.size)
             sums[states[firsts]] += np.add.reduceat(values[order], firsts)
-    return census
+    if not np.isfinite(sums).all():
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if bad.size:
+            i = int(bad[0])
+            raise ReaderError(f"sample {first + i} is {samples[i]}, not a finite current")
+    return census, counts, sums
 
 
 def census_series(
@@ -801,10 +816,10 @@ def census_series(
     """Per-sample census: the number of open pores k whose quantized total
     current ``k*open + (n_pores-k)*clogged`` sits nearest, in the smallest
     unsigned dtype that holds ``n_pores``: the states the rounding formula
-    gives, read by _census_chunk against exact thresholds (_census_thresholds)."""
+    gives, read by _census_chunk against exact thresholds (_census_thresholds).
+    A NaN or infinite sample is a ReaderError that names its index."""
     thresholds = _census_thresholds(n_pores, open_current_pa, clogged_current_pa)
-    scratch = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
-    return _census_chunk(np.asarray(samples, dtype=np.float64), thresholds, *scratch)
+    return _census_chunk(np.asarray(samples, dtype=np.float64), thresholds)[0]
 
 
 def _state_means(counts: np.ndarray, sums: np.ndarray) -> dict[int, float]:
@@ -1025,6 +1040,8 @@ def census_stats(
     whence the means, and on to the dip count of census_rates.  Neither the
     float trace nor its census is held whole: the pass holds a chunk and
     the census the baseline still needs.  ``mean_pa`` of an empty trace is 0.
+    A NaN or infinite sample is a ReaderError that names its index, and
+    finite samples whose sum passes the float64 range are one too.
     """
     thresholds = _census_thresholds(n_pores, open_current_pa, clogged_current_pa)
     rate = trace.sample_rate_hz
@@ -1032,8 +1049,7 @@ def census_stats(
     dips = _DipCounter(rate, n_pores, np.min_scalar_type(n_pores))
     n = 0
     for chunk in trace.chunks():
-        chunk_counts, chunk_sums = np.zeros_like(counts), np.zeros_like(sums)
-        census = _census_chunk(chunk, thresholds, chunk_counts, chunk_sums)
+        census, chunk_counts, chunk_sums = _census_chunk(chunk, thresholds, n)
         counts += chunk_counts
         sums += chunk_sums
         dips.add(census)
@@ -1100,11 +1116,11 @@ def trace_stats(
     threshold = _detection_threshold(open_current_pa, threshold_fraction)
     thresholds = _census_thresholds(n_pores, open_current_pa, clogged_current_pa)
     n_samples = n_open = 0
-    census_counts, census_sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
+    census_counts = np.zeros(n_pores + 1, dtype=np.int64)
     for chunk in trace.chunks():
+        census_counts += _census_chunk(chunk, thresholds, n_samples)[1]
         n_samples += chunk.size
         n_open += int(np.count_nonzero(chunk >= threshold))
-        _census_chunk(chunk, thresholds, census_counts, census_sums)
     open_fraction, complete_rate, partial_rate, histogram = _summary(
         n_samples, n_open, census_counts, n_samples / trace.sample_rate_hz, events.complete
     )

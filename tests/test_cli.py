@@ -516,6 +516,100 @@ def test_output_cut_short_by_a_full_disk_is_removed(tmp_path, monkeypatch, capsy
     assert sorted(p.name for p in tmp_path.iterdir()) == inputs
 
 
+_BATCH_CLOGS = ("0:0.05:0.06", "0:0.1:0.11", "0:0.15:0.16")
+
+
+def _seed_with_events(n_events):
+    """The least seed whose 0.2 s ``simulate`` run (``_simulate_argv``) draws
+    ``n_events`` events."""
+    clogs = cli._parse_clogs(_BATCH_CLOGS)
+    for seed in range(1000):
+        result = poresim.simulate(
+            poresim.MoleculeSpec.from_string("A50C100"),
+            calibration.ChannelConfig(voltage_mv=210.0), 0.2, CalibrationTable(), seed, clogs,
+        )
+        if len(result.events) == n_events:
+            return seed
+    raise AssertionError(f"no seed below 1000 draws {n_events} events")
+
+
+def _simulate_argv(seed, stem):
+    clogs = [arg for spec in _BATCH_CLOGS for arg in ("--clog", spec)]
+    return (
+        "simulate", "--molecule", "A50C100", "--duration-s", "0.2", "--seed", str(seed),
+        *clogs, "--format", "binary", "--trace-out", f"{stem}.trace", "--log-out", f"{stem}.csv",
+    )
+
+
+def _bilevel_trace(n_events):
+    """A 1 MHz trace at 250 pA holding ``n_events`` A-then-C bi-level events."""
+    samples = np.full(1000 * (n_events + 1), 250.0)
+    for start in range(500, samples.size - 500, 1000):
+        samples[start : start + 100] = 0.37 * 250.0
+        samples[start + 100 : start + 150] = 0.17 * 250.0
+    return CurrentTrace(1e6, samples)
+
+
+def _rows(path):
+    """The lines of a CSV output after its ``#`` header and column row."""
+    lines = Path(path).read_text().splitlines()
+    return [line for line in lines if not line.startswith("#")][1:]
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3])
+def test_outputs_are_the_same_whatever_the_batch_size(tmp_path, monkeypatch, rows):
+    """The ground-truth log and ``read``'s events.csv are formatted in
+    pieces of ``poresim._LOG_ROWS`` rows; with 1, 2 or 3 rows a piece, a run
+    of no event, of one full piece and of one piece plus one event writes
+    the same bytes as with the real piece size, clog rows last."""
+    monkeypatch.chdir(tmp_path)
+    for n_events in (0, rows, rows + 1):
+        argv = _simulate_argv(_seed_with_events(n_events), "sim")
+        traceio.write_trace_binary(_bilevel_trace(n_events), "bi.trace")
+        read_argv = ("read", "--trace", "bi.trace", *_READ[1:])
+        assert run(*argv) == 0 and run(*read_argv) == 0
+        want = {name: Path(name).read_bytes() for name in ("sim.csv", "e.csv")}
+        with monkeypatch.context() as patched:
+            patched.setattr(poresim, "_LOG_ROWS", rows)
+            assert run(*argv) == 0 and run(*read_argv) == 0
+        assert {name: Path(name).read_bytes() for name in want} == want
+        kinds = [row.split(",")[0] for row in _rows("sim.csv")]
+        assert kinds == ["event"] * n_events + ["clog"] * len(_BATCH_CLOGS)
+        assert len(_rows("e.csv")) == n_events
+
+
+@pytest.mark.parametrize("command", ["simulate", "read"])
+def test_failure_while_an_output_is_streamed_leaves_no_output(
+    tmp_path, monkeypatch, capsys, command
+):
+    """An error raised between two pieces of the log or of events.csv, once
+    the file is open and partly written, leaves none of the command's
+    outputs behind."""
+    monkeypatch.chdir(tmp_path)
+    traceio.write_trace_binary(_bilevel_trace(3), "bi.trace")
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    if command == "simulate":
+        argv, out = _simulate_argv(_seed_with_events(3), "x"), "x.csv"
+        module, name = poresim, "format_event_log"
+    else:
+        argv, out = ("read", "--trace", "bi.trace", *_READ[1:]), "e.csv"
+        module, name = cli, "_format_events"
+    formatter = getattr(module, name)
+
+    def fails_on_its_second_batch(*args):
+        pieces = formatter(*args)
+        yield next(pieces)  # the header
+        yield next(pieces)  # the first batch
+        assert Path(out).is_file()
+        raise poresim.SimulationError("formatting failed on its second batch")
+
+    monkeypatch.setattr(poresim, "_LOG_ROWS", 1)
+    monkeypatch.setattr(module, name, fails_on_its_second_batch)
+    assert run(*argv) == 1
+    assert capsys.readouterr().err == "error: param: formatting failed on its second batch\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == inputs
+
+
 def test_output_that_cannot_be_opened_is_kept(tmp_path, monkeypatch, capsys):
     """A file that exists but cannot be opened for writing is not the
     command's to remove."""
@@ -1032,6 +1126,47 @@ def test_analysis_memory_flat_in_duration(tmp_path, command, fmt):
     # 8 bytes per sample is the float64 trace alone.
     assert one_s < 8 * one_n and four_s < 8 * four_n, (one_s, four_s)
     assert four_s <= 1.25 * one_s, (one_s, four_s)
+
+
+# The dense workload's calibration: 50x the default event rates.
+DENSE_CALIBRATION = (
+    "event_rate_points = 90:100:0.4 120:175:0.4 150:530:0.4 210:1050:0.4\n"
+)
+# Peak bytes one more event may add to ``simulate`` or ``read``: its rows
+# of typed arrays.  Lists of Python numbers and whole-file strings of the
+# log and of events.csv took ~470.
+MAX_PEAK_BYTES_PER_EVENT = 300
+
+
+def test_memory_per_event_is_bounded(tmp_path):
+    """From 10 s to 40 s of the dense run (~10k to ~39k events), the peak
+    of ``simulate`` and of ``read`` grows by at most
+    ``MAX_PEAK_BYTES_PER_EVENT`` per extra event: both write their per-event
+    text in pieces of ``poresim._LOG_ROWS`` rows, which the 10 s run
+    already fills."""
+    cal = tmp_path / "dense.cal"
+    cal.write_text(DENSE_CALIBRATION)
+    peaks = {}
+    for duration in ("10", "40"):
+        trace, log, events = (tmp_path / f"{duration}.{ext}" for ext in ("trace", "log", "csv"))
+        simulate_peak = _traced_peak(
+            "simulate", "--molecule", "A50C100", "--voltage-mv", "210",
+            "--duration-s", duration, "--sample-rate-hz", "250000",
+            "--calibration", str(cal), "--seed", "3", "--format", "binary",
+            "--trace-out", str(trace), "--log-out", str(log),
+        )
+        read_peak = _traced_peak(
+            "read", "--trace", str(trace), "--molecule", "A50C100", "--scheme", "A50C100",
+            "--threshold-fraction", "0.75", "--events-out", str(events),
+            "--summary-out", str(tmp_path / "summary.txt"),
+            "--payload-out", str(tmp_path / "payload.txt"),
+        )
+        truth = sum(row.startswith("event,") for row in _rows(log))
+        peaks[duration] = (simulate_peak, truth), (read_peak, len(_rows(events)))
+    for (one_peak, one_n), (four_peak, four_n) in zip(peaks["10"], peaks["40"]):
+        per_event = (four_peak - one_peak) / (four_n - one_n)
+        assert per_event <= MAX_PEAK_BYTES_PER_EVENT, (peaks, per_event)
+        assert one_n > poresim._LOG_ROWS
 
 
 def test_plan_defaults(tmp_path):

@@ -1005,7 +1005,7 @@ def test_event_log_round_trip(tmp_path, events, clogs):
     the clogs at the printed precision."""
     path = str(tmp_path / "truth.log")
     header = ["# molstore simulate", "# seed = 7", "# cal.iv_points = 0:0 210:250"]
-    Path(path).write_text(poresim.format_event_log(header, events, clogs))
+    Path(path).write_text("".join(poresim.format_event_log(header, events, clogs)))
     got_header, got, got_clogs = poresim.parse_event_log(path)
     assert got_header == {"seed": "7", "cal.iv_points": "0:0 210:250"}
     _assert_same_table(got, EventTable(
@@ -1040,7 +1040,7 @@ def test_levels_drawn_at_the_edges_print_inside_and_parse_back(tmp_path, mean, b
     events = simulate(MOLECULE, config, 0.05, calib, seed=2).events
     assert not events.complete.all() and set(events.orientation.tolist()) == {0, 1, 2}
     path = str(tmp_path / "truth.log")
-    Path(path).write_text(poresim.format_event_log([], events, {}))
+    Path(path).write_text("".join(poresim.format_event_log([], events, {})))
     levels = poresim.parse_event_log(path)[1].levels
     assert levels.tolist() == _printed(events.levels, 6).tolist()
     assert (1e-6 if mean < 0.5 else 0.999999) in levels.tolist()

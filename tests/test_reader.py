@@ -438,10 +438,36 @@ def test_census_series_matches_reference(case):
     assert np.array_equal(census, _census_reference(x, n_pores, open_pa, clogged_pa))
 
 
-def test_census_series_nan_sample_leaves_its_slice_alone():
-    # A NaN has no census state, but the samples beside it keep theirs.
-    census = census_series(np.array([100.0, 250.0, np.nan, 400.0]), 3, 130.0, 30.0)
-    assert census[[0, 1, 3]].tolist() == [0, 2, 3]
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "n_pores, samples",
+    [
+        (3, [100.0, 250.0, 0.0, 400.0]),  # a slice of a few states: compares
+        (3, [250.0, 250.0, 0.0, 250.0]),  # a slice of one state
+        (300, [0.0, 1e5, 0.0, 5e3]),  # a slice of many states: searchsorted
+    ],
+    ids=["few-states", "one-state", "many-states"],
+)
+def test_census_refuses_a_sample_that_is_not_finite(n_pores, samples, bad):
+    """A NaN or infinite sample has no census state: census_series,
+    census_stats and read_station refuse it with one ReaderError naming its
+    index, in whichever branch its slice takes, and in a later chunk."""
+    x = np.array(samples)
+    x[2] = bad
+    message = f"sample 2 is {bad}, not a finite current"
+    with pytest.raises(ReaderError, match=message):
+        census_series(x, n_pores, 130.0, 30.0)
+    late = np.concatenate([np.full(reader._CENSUS_CHUNK * 4 + 7, samples[0]), x])
+    calib = CalibrationTable(clogged_current_pa=30.0)
+    for trace, first in ((CurrentTrace(1e6, x), 2), (CurrentTrace(1e6, late), late.size - 2)):
+        message = f"sample {first} is {bad}, not a finite current"
+        with pytest.raises(ReaderError, match=message):
+            census_stats(trace, n_pores, 130.0, 30.0)
+        with pytest.raises(ReaderError, match=message):
+            reader.read_station(
+                trace, 130.0, 5.0, calib, RunLengthScheme.from_string("A50C100"), 210.0,
+                n_pores=n_pores,
+            )
 
 
 def test_census_series_needs_a_pore():
@@ -455,8 +481,7 @@ def test_census_series_needs_a_pore():
 def test_census_counts_match_unique(case):
     x, n_pores, open_pa, clogged_pa = case
     thresholds = reader._census_thresholds(n_pores, open_pa, clogged_pa)
-    counts, sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
-    census = reader._census_chunk(x, thresholds, counts, sums)
+    census, counts, sums = reader._census_chunk(x, thresholds)
     assert np.array_equal(census, census_series(x, n_pores, open_pa, clogged_pa))
     states, expected = np.unique(census, return_counts=True)
     assert np.flatnonzero(counts).tolist() == states.tolist()
@@ -726,11 +751,14 @@ def test_census_at_exact_thresholds(n_pores, open_pa, clogged_pa):
     x = np.concatenate(
         [t[finite], below, np.nextafter(t[finite], np.inf), halfway[np.isfinite(halfway)]]
     )
-    everywhere = np.concatenate([x, [top, -top, np.inf, -np.inf, 0.0, -0.0]])
+    everywhere = np.concatenate([x, [top, -top, 0.0, -0.0]])
     assert np.array_equal(
         census_series(everywhere, n_pores, open_pa, clogged_pa),
         _census_reference(everywhere, n_pores, open_pa, clogged_pa),
     )
+    for infinite in (np.inf, -np.inf):
+        with pytest.raises(ReaderError, match=f"sample {x.size} is {infinite}, not a finite current"):
+            census_series(np.append(x, infinite), n_pores, open_pa, clogged_pa)
     for samples in (x, np.resize(x, 3 * _CENSUS_CHUNK + 5)):
         trace = CurrentTrace(1000.0, samples)
         want = _ref_census_stats(samples, samples.size, n_pores, open_pa, clogged_pa)
