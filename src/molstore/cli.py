@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import stat
 import sys
@@ -230,6 +231,17 @@ def _format_events(header: Sequence[str], result) -> Iterator[str]:
         )
 
 
+def _format_payloads(result) -> Iterator[str]:
+    """``read``'s payload file: a line of bits per event of the ReadResult
+    ``result`` that decoded, in pieces of at most ``poresim._LOG_ROWS``
+    lines, as events.csv is written."""
+    from . import codec, poresim
+
+    lines = (codec.format_payload(bits) for bits in result.decoded if isinstance(bits, tuple))
+    while piece := "".join(itertools.islice(lines, poresim._LOG_ROWS)):
+        yield piece
+
+
 def _cmd_read(args) -> int:
     from . import codec, poresim, reader, traceio
 
@@ -269,10 +281,7 @@ def _cmd_read(args) -> int:
     ]
     events = _format_events(_header_lines("read", header_items), result)
 
-    payload_lines = [
-        codec.format_payload(bits).strip()
-        for bits in result.decoded if isinstance(bits, tuple)
-    ]
+    decoded_events = sum(isinstance(outcome, tuple) for outcome in result.decoded)
     failures = sum(isinstance(outcome, Exception) for outcome in result.decoded)
     summary = _header_lines("read summary", header_items)
     summary.append(f"events = {len(result)}")
@@ -280,14 +289,14 @@ def _cmd_read(args) -> int:
     summary.append(f"complete_rate_per_s = {_fmt(result.complete_rate)}")
     summary.append(f"partial_rate_per_s = {_fmt(result.partial_rate)}")
     summary.append(f"total_rate_per_s = {_fmt(result.total_rate)}")
-    summary.append(f"decoded_events = {len(payload_lines)}")
+    summary.append(f"decoded_events = {decoded_events}")
     summary.append(f"decode_failures = {failures}")
     for k, count in result.census_histogram.items():
         summary.append(f"census_{k}_samples = {count}")
     _write_texts([
         (args.events_out, events),
         (args.summary_out, ["\n".join(summary) + "\n"]),
-        (args.payload_out, ["\n".join(payload_lines) + ("\n" if payload_lines else "")]),
+        (args.payload_out, _format_payloads(result)),
     ])
     return 0
 

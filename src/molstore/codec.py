@@ -65,16 +65,12 @@ class Nucleotide(str, enum.Enum):
         return self.value
 
 
-# Fixed 2-bit mapping; not configurable.
-_DIRECT_TABLE = {
-    (0, 0): Nucleotide.A,
-    (0, 1): Nucleotide.C,
-    (1, 0): Nucleotide.G,
-    (1, 1): Nucleotide.T,
-}
-_DIRECT_INVERSE = {base: bits for bits, base in _DIRECT_TABLE.items()}
+# Fixed 2-bit mapping; not configurable.  _DIRECT_BITS spells each base as
+# its two bits, so that the ASCII bytes of a translated sequence are its bits.
+_DIRECT_TABLE = {(0, 0): "A", (0, 1): "C", (1, 0): "G", (1, 1): "T"}
+_DIRECT_BITS = str.maketrans({"A": "\x00\x00", "C": "\x00\x01", "G": "\x01\x00", "T": "\x01\x01"})
 
-_VALID_BASES = frozenset("ACGT")
+_BASES = "ACGT"
 # The most bases encode_runlength spells out: a 1 GB sequence string.
 MAX_SEQUENCE_BASES = 10**9
 
@@ -90,31 +86,25 @@ class BaseSequence:
     bases: str
 
     def __post_init__(self):
-        bad = set(self.bases) - _VALID_BASES
-        if bad:
+        if sum(map(self.bases.count, _BASES)) != len(self.bases):
+            bad = set(self.bases).difference(_BASES)
             raise AlphabetError(
                 f"sequence contains non-ACGT characters: {sorted(bad)}", run_index=0
             )
 
-    @classmethod
-    def from_nucleotides(cls, nucleotides: Iterable[Nucleotide]) -> "BaseSequence":
-        return cls("".join(n.value for n in nucleotides))
-
     def __len__(self) -> int:
         return len(self.bases)
-
-    def __iter__(self):
-        return (Nucleotide(ch) for ch in self.bases)
 
     def __str__(self) -> str:
         return self.bases
 
-    def runs(self) -> list[tuple[Nucleotide, int]]:
-        """Maximal runs of identical bases, in order, as (base, length)."""
-        out: list[tuple[Nucleotide, int]] = []
-        for match in re.finditer(r"(.)\1*", self.bases):
-            out.append((Nucleotide(match.group(1)), len(match.group(0))))
-        return out
+    def runs(self) -> list[tuple[str, int]]:
+        """Maximal runs of identical bases, in order, as (base, length); each
+        base is a one-letter ``str``, equal to its :class:`Nucleotide`."""
+        return [
+            (self.bases[a], b - a)
+            for a, b in (m.span() for m in re.finditer("A+|C+|G+|T+", self.bases))
+        ]
 
 
 @dataclass(frozen=True)
@@ -160,16 +150,13 @@ def encode_direct(bits: Sequence[int]) -> BaseSequence:
     _check_bits(bits)
     if len(bits) % 2 != 0:
         raise LengthError(f"payload length {len(bits)} is odd; need bit pairs")
-    out = [_DIRECT_TABLE[(bits[i], bits[i + 1])] for i in range(0, len(bits), 2)]
-    return BaseSequence.from_nucleotides(out)
+    it = iter(bits)
+    return BaseSequence("".join([_DIRECT_TABLE[pair] for pair in zip(it, it)]))
 
 
 def decode_direct(seq: BaseSequence) -> list[int]:
     """Inverse of :func:`encode_direct`; total on all sequences."""
-    out: list[int] = []
-    for base in seq:
-        out.extend(_DIRECT_INVERSE[base])
-    return out
+    return list(seq.bases.translate(_DIRECT_BITS).encode("ascii"))
 
 
 def encode_runlength(bits: Sequence[int], scheme: RunLengthScheme) -> BaseSequence:
@@ -180,13 +167,8 @@ def encode_runlength(bits: Sequence[int], scheme: RunLengthScheme) -> BaseSequen
     n_bases = (len(bits) - ones) * scheme.zero_run + ones * scheme.one_run
     if n_bases > MAX_SEQUENCE_BASES:
         raise SizeError(f"scheme {scheme} makes {n_bases} bases, more than {MAX_SEQUENCE_BASES}")
-    parts = []
-    for b in bits:
-        if b == 0:
-            parts.append(scheme.zero_base.value * scheme.zero_run)
-        else:
-            parts.append(scheme.one_base.value * scheme.one_run)
-    return BaseSequence("".join(parts))
+    runs = {0: scheme.zero_base.value * scheme.zero_run, 1: scheme.one_base.value * scheme.one_run}
+    return BaseSequence("".join([runs[b] for b in bits]))
 
 
 def bit_runs(
@@ -228,19 +210,12 @@ def bit_runs(
     return out
 
 
-def decode_runs(
-    runs: Iterable[tuple[str, int]], scheme: RunLengthScheme, tolerance: float
-) -> list[int]:
-    """The bits of :func:`bit_runs`, each spelled out."""
+def decode_runlength(seq: BaseSequence, scheme: RunLengthScheme, tolerance: float) -> list[int]:
+    """The bits :func:`bit_runs` finds in the maximal runs of ``seq``."""
     out: list[int] = []
-    for bit, k in bit_runs(runs, scheme, tolerance):
+    for bit, k in bit_runs(seq.runs(), scheme, tolerance):
         out.extend([bit] * k)
     return out
-
-
-def decode_runlength(seq: BaseSequence, scheme: RunLengthScheme, tolerance: float) -> list[int]:
-    """:func:`decode_runs` of the maximal runs of ``seq``."""
-    return decode_runs(seq.runs(), scheme, tolerance)
 
 
 def read_payload(text: str) -> list[int]:

@@ -120,7 +120,7 @@ class MoleculeSpec:
     def from_sequence(cls, seq: BaseSequence) -> "MoleculeSpec":
         if len(seq) == 0:
             raise SimulationError("empty sequence has no segments")
-        return cls(tuple(seq.runs()))
+        return cls(tuple((Nucleotide(base), count) for base, count in seq.runs()))
 
     def __str__(self) -> str:
         return "".join(f"{base}{count}" for base, count in self.segments)

@@ -558,17 +558,18 @@ def _rows(path):
 
 @pytest.mark.parametrize("rows", [1, 2, 3])
 def test_outputs_are_the_same_whatever_the_batch_size(tmp_path, monkeypatch, rows):
-    """The ground-truth log and ``read``'s events.csv are formatted in
-    pieces of ``poresim._LOG_ROWS`` rows; with 1, 2 or 3 rows a piece, a run
-    of no event, of one full piece and of one piece plus one event writes
-    the same bytes as with the real piece size, clog rows last."""
+    """The ground-truth log and ``read``'s events.csv and payload file are
+    formatted in pieces of ``poresim._LOG_ROWS`` rows; with 1, 2 or 3 rows a
+    piece, a run of no event, of one full piece and of one piece plus one
+    event writes the same bytes as with the real piece size, clog rows
+    last."""
     monkeypatch.chdir(tmp_path)
     for n_events in (0, rows, rows + 1):
         argv = _simulate_argv(_seed_with_events(n_events), "sim")
         traceio.write_trace_binary(_bilevel_trace(n_events), "bi.trace")
         read_argv = ("read", "--trace", "bi.trace", *_READ[1:])
         assert run(*argv) == 0 and run(*read_argv) == 0
-        want = {name: Path(name).read_bytes() for name in ("sim.csv", "e.csv")}
+        want = {name: Path(name).read_bytes() for name in ("sim.csv", "e.csv", "p.txt")}
         with monkeypatch.context() as patched:
             patched.setattr(poresim, "_LOG_ROWS", rows)
             assert run(*argv) == 0 and run(*read_argv) == 0
@@ -576,6 +577,7 @@ def test_outputs_are_the_same_whatever_the_batch_size(tmp_path, monkeypatch, row
         kinds = [row.split(",")[0] for row in _rows("sim.csv")]
         assert kinds == ["event"] * n_events + ["clog"] * len(_BATCH_CLOGS)
         assert len(_rows("e.csv")) == n_events
+        assert Path("p.txt").read_text() == "000111\n" * n_events
 
 
 @pytest.mark.parametrize("command", ["simulate", "read"])

@@ -10,9 +10,9 @@ from molstore.codec import (
     LengthError,
     Nucleotide,
     RunLengthScheme,
+    bit_runs,
     decode_direct,
     decode_runlength,
-    decode_runs,
     encode_direct,
     encode_runlength,
     format_payload,
@@ -42,6 +42,15 @@ def test_encode_direct_odd_length_rejected():
 def test_encode_direct_bad_symbol_rejected():
     with pytest.raises(CodecError):
         encode_direct([0, 2])
+    with pytest.raises(CodecError, match=r"^payload symbol at index 2 is 2, not 0/1$"):
+        encode_direct([0, 1, 2, 1])
+
+
+def test_bits_that_equal_0_and_1_encode_as_0_and_1():
+    bits = [True, 1.0, 0, 0]
+    assert encode_direct(bits) == encode_direct([1, 1, 0, 0])
+    scheme = RunLengthScheme()
+    assert encode_runlength(bits, scheme) == encode_runlength([1, 1, 0, 0], scheme)
 
 
 def test_decode_direct_mapping():
@@ -131,19 +140,19 @@ def test_decode_runlength_merged_runs_decode_to_repeats():
     assert decode_runlength(BaseSequence("A" * 40), scheme, 0.0) == [0, 0]
 
 
-def test_decode_runs_merges_adjacent_runs_of_one_base():
+def test_bit_runs_merges_adjacent_runs_of_one_base():
     scheme = RunLengthScheme()
     # Apart, each A run would be half a symbol, outside any tolerance.
-    assert decode_runs([("A", 10), ("A", 10), ("C", 60)], scheme, 0.0) == [0, 1, 1]
+    assert bit_runs([("A", 10), ("A", 10), ("C", 60)], scheme, 0.0) == [(0, 1), (1, 2)]
     # The short C run is the second run once the A runs merge.
     with pytest.raises(LengthError) as info:
-        decode_runs([("A", 10), ("A", 10), ("C", 10)], scheme, 0.1)
+        bit_runs([("A", 10), ("A", 10), ("C", 10)], scheme, 0.1)
     assert info.value.run_index == 1
 
 
-def test_decode_runs_names_the_base_outside_the_scheme():
+def test_bit_runs_names_the_base_outside_the_scheme():
     with pytest.raises(AlphabetError, match="run 1: base G is not part") as info:
-        decode_runs([("A", 20), (Nucleotide.G, 20)], RunLengthScheme(), 0.1)
+        bit_runs([("A", 20), (Nucleotide.G, 20)], RunLengthScheme(), 0.1)
     assert info.value.run_index == 1
 
 
@@ -204,13 +213,17 @@ def test_scheme_bad_spec():
 
 
 def test_base_sequence_validation_and_runs():
-    with pytest.raises(AlphabetError):
+    with pytest.raises(
+        AlphabetError, match=r"^sequence contains non-ACGT characters: \['X'\]$"
+    ) as info:
         BaseSequence("ACXG")
+    assert info.value.run_index == 0
     assert BaseSequence("AACCCA").runs() == [
         (Nucleotide.A, 2),
         (Nucleotide.C, 3),
         (Nucleotide.A, 1),
     ]
+    assert BaseSequence("").runs() == []
 
 
 def test_nucleotide_total_order():

@@ -11,15 +11,18 @@ The digests were taken with numpy 2.4.6.  A numpy whose ``Generator``
 streams differ would change the traces and logs, and every output read
 from them.
 
-The runs cover, between them: bi-level events decoded to payloads, a
-decode refusal (``dense``), two clogs and every census state of three
-pores (``w2*``), slices spanning many census states (``w2wide``), both
-trace formats, and the text trace reader.
+The runs cover, between them: ``encode`` and ``decode`` in both modes, a
+run-length decode of runs off their nominal length, bi-level events
+decoded to payloads, a decode refusal (``dense``), two clogs and every
+census state of three pores (``w2*``), slices spanning many census states
+(``w2wide``), both trace formats, and the text trace reader.
 """
 
 from __future__ import annotations
 
 import hashlib
+
+import pytest
 
 from molstore import cli
 
@@ -30,7 +33,27 @@ DENSE_CALIBRATION = (
 # A census step of 1 pA over 300 pores: the short W2 trace's noise spans
 # many census states in each slice, so the tally sorts them by state.
 WIDE_CALIBRATION = "clogged_current_pa = 1\n"
-INPUTS = {"bits.txt": "0110\n", "dense.cal": DENSE_CALIBRATION, "wide.cal": WIDE_CALIBRATION}
+
+
+def payload_bits(n: int) -> str:
+    """``n`` deterministic bits as 0/1 characters: the sha256 digests of
+    "0", "1", ..., spelled out in binary."""
+    words = (hashlib.sha256(str(i).encode()).digest() for i in range(-(-n // 256)))
+    return "".join(format(int.from_bytes(word, "big"), "0256b") for word in words)[:n]
+
+
+PAYLOAD = payload_bits(10240)
+# PAYLOAD under the default scheme A20C30, each bit's run 2 bases longer or
+# shorter than nominal by turns; adjacent equal bits merge into one run, so
+# decode's tolerance 0.1 still holds for every merged run.
+JITTERED = "".join(
+    ("A" if b == "0" else "C") * ((20 if b == "0" else 30) + i % 5 - 2)
+    for i, b in enumerate(PAYLOAD)
+)
+INPUTS = {
+    "bits.txt": "0110\n", "dense.cal": DENSE_CALIBRATION, "wide.cal": WIDE_CALIBRATION,
+    "payload.txt": PAYLOAD + "\n", "jitter.seq": JITTERED + "\n",
+}
 
 _READ_A50C100 = ("--molecule", "A50C100", "--scheme", "A50C100", "--threshold-fraction", "0.75")
 
@@ -61,6 +84,9 @@ def _census_runs(fmt: str) -> list[tuple[str, ...]]:
 RUNS = [
     ("encode", "--in", "bits.txt", "--mode", "runlength", "--scheme", "A50C100",
      "--out", "bits.seq"),
+    ("encode", "--in", "payload.txt", "--mode", "direct", "--out", "payload.direct.seq"),
+    ("decode", "--in", "jitter.seq", "--mode", "direct", "--out", "jitter.direct.txt"),
+    ("decode", "--in", "jitter.seq", "--mode", "runlength", "--out", "jitter.runlength.txt"),
     ("plan", "--set", "stations=3000", "--out", "plan.txt", "--csv-out", "plan.csv"),
     # W1, 1 s, text trace.
     ("simulate", "--molecule", "A50C100", "--voltage-mv", "210", "--duration-s", "1",
@@ -84,6 +110,9 @@ GOLDEN = {
     "dense.payload.txt": "a0630e89b31c1e92e6556ce70dbfef2da90486b7c732ac882a678b96baa2a3ac",
     "dense.summary.txt": "84ec98ffb37b82d10e1520588bf28e99cfa25f8527be7cd7f10c5ff2e448d823",
     "dense.trace": "5f160bb53f4c7cf803f1e31c8b37a2ddbc626be8a78cb5e6f4d95fbae88a313f",
+    "jitter.direct.txt": "f8b2ece9498191b7e8fa4390b7393214c265cd0b85a50ebfbb2bafa739fdc0c5",
+    "jitter.runlength.txt": "cecdd2018d2f62bab9beb6f00ea8ea0a5be04ef23631163fa1b0b517f460a306",
+    "payload.direct.seq": "437cbd635e06c7db60e6307b15a5d55a28a89aafafd4cf7ad97cd68746b1f4e9",
     "plan.csv": "99316837776093def8b747616e953f57d02236f7491e3c0c5af64945aee0c7a7",
     "plan.txt": "3dc24557f2e5fe94457a4812517f8084f91752953d4cb5da35883914a2352700",
     "w1.events.csv": "03e29ebaa917372b9bca05dd7a395a599fb5810d879f6fb4f8314ec09d7d8738",
@@ -120,3 +149,15 @@ def test_cli_outputs_match_golden_digests(tmp_path, monkeypatch):
         if path.name not in INPUTS
     }
     assert digests == GOLDEN
+
+
+@pytest.mark.parametrize("mode", ["direct", "runlength"])
+def test_cli_codec_round_trip_gives_back_the_payload(tmp_path, monkeypatch, mode):
+    """``encode`` then ``decode`` of 10^5 bits, in each mode with its
+    defaults, writes the payload file's bytes back."""
+    monkeypatch.chdir(tmp_path)
+    payload = (payload_bits(10**5) + "\n").encode()
+    (tmp_path / "bits.txt").write_bytes(payload)
+    assert cli.main(["encode", "--in", "bits.txt", "--mode", mode, "--out", "seq.txt"]) == 0
+    assert cli.main(["decode", "--in", "seq.txt", "--mode", mode, "--out", "back.txt"]) == 0
+    assert (tmp_path / "back.txt").read_bytes() == payload

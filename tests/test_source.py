@@ -1,11 +1,14 @@
-"""Guards on the molstore source itself: annotations that resolve, and no
-analysis path that reads a whole trace as one array."""
+"""Guards on the molstore source itself: annotations that resolve, no
+analysis path that reads a whole trace as one array, and no name that
+nothing uses."""
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import typing
+from collections import Counter
 from pathlib import Path
 
 import molstore
@@ -132,4 +135,37 @@ def test_every_private_name_is_used():
         for name in _private_names(tree)
         if name not in read
     ]
+    assert not unused
+
+
+def _public_definitions(tree: ast.Module):
+    """The public module-level functions and classes ``tree`` defines, and
+    the public methods of its classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                member.name
+                for member in node.body
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+            )
+
+
+def test_every_public_name_is_used():
+    """Each public function, class and method of the source is named in the
+    source, the tests or README.md somewhere besides its own ``def`` or
+    ``class`` line, so a public helper that a merge of two code paths leaves
+    behind fails here, as a private one fails the test above."""
+    sources = [path.read_text(encoding="utf-8") for path in SOURCE.glob("*.py")]
+    others = [*Path(__file__).parent.glob("*.py"), SOURCE.parent.parent / "README.md"]
+    text = "\n".join([*sources, *(path.read_text(encoding="utf-8") for path in others)])
+    named = Counter(re.findall(r"\w+", text))
+    named.subtract(re.findall(r"\b(?:def|class) (\w+)", text))
+    unused = sorted(
+        name
+        for source in sources
+        for name in _public_definitions(ast.parse(source))
+        if named[name] < 1
+    )
     assert not unused
