@@ -98,7 +98,7 @@ def _cmd_encode(args) -> int:
         seq = codec.encode_direct(bits)
     else:
         seq = codec.encode_runlength(bits, codec.RunLengthScheme.from_string(args.scheme))
-    _write_texts([(args.out, [codec.format_sequence(seq)])])
+    _write_texts([(args.out, codec.format_sequence(seq))])
     return 0
 
 

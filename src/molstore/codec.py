@@ -235,5 +235,5 @@ def read_sequence(text: str) -> BaseSequence:
     return BaseSequence(text.strip())
 
 
-def format_sequence(seq: BaseSequence) -> str:
-    return seq.bases + "\n"
+def format_sequence(seq: BaseSequence) -> list[str]:
+    return [seq.bases, "\n"]

@@ -169,26 +169,6 @@ class ChunkedTrace:
         return samples
 
 
-class _Work:
-    """Work arrays reused across the chunks of one pass: a fresh chunk-sized
-    array costs a page fault per page, because the allocator hands freed
-    memory back between chunks.  An array asked for more items than it
-    holds grows to at least twice its size, so one appended to a chunk at a
-    time is copied a few times, not once per chunk, and keeps its items."""
-
-    def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
-
-    def __call__(self, name: str, n: int, dtype) -> np.ndarray:
-        """The first ``n`` items of work array ``name``."""
-        held = self._arrays.get(name, np.empty(0, dtype))
-        if held.size < n:
-            grown = np.empty(max(n, 2 * held.size), dtype)
-            grown[: held.size] = held
-            held = self._arrays[name] = grown
-        return held[:n]
-
-
 @dataclass(eq=False)
 class CurrentTrace:
     """Uniformly sampled ionic current in pA, held in memory."""

@@ -26,7 +26,6 @@ from .poresim import (
     CurrentTrace,
     EventTable,
     Orientation,
-    _Work,
     mean_duration,
 )
 
@@ -122,22 +121,22 @@ def _event_runs(
     chunk's first sample index, the chunk, the bounds into it of the events
     that lie wholly inside it, and ``(start, samples)`` of an event that
     began in an earlier chunk and ends in this one (it precedes the
-    others), or None.  A run still open at a chunk's end is held, as one
-    array grown in place chunk by chunk, until it ends; then that array is
-    its ``samples``, the caller's to keep.  One open at the trace's end
-    comes last, with an empty chunk.
+    others), or None.  Between chunks only a run still open at a chunk's
+    end is held, with its start: one array grown in place chunk by chunk
+    until the run ends, when that array becomes its ``samples``, the
+    caller's to keep.  One open at the trace's end comes last, with an
+    empty chunk.
     """
     held = np.empty(0)  # the run open at the last chunk's end, if any
     held_start = offset = 0
     empty = np.empty(0, dtype=np.intp)
-    work = _Work()
     for chunk in chunks:
         if not chunk.size:
             continue
-        below = work("below", chunk.size + 2, bool)
+        below = np.empty(chunk.size + 2, bool)
         below[0], below[-1] = held.size > 0, False
         np.less(chunk, threshold, out=below[1:-1])
-        edges = _run_edges(below, work("change", chunk.size + 1, bool))
+        edges = _run_edges(below)
         carried = None
         if held.size:
             if edges[0] == chunk.size:  # the held run goes on past this chunk
@@ -173,12 +172,11 @@ def _extend(held: np.ndarray, piece: np.ndarray) -> None:
     held[size:] = piece
 
 
-def _run_edges(padded: np.ndarray, change: np.ndarray) -> np.ndarray:
+def _run_edges(padded: np.ndarray) -> np.ndarray:
     """Indices, into ``padded[1:-1]``, at which ``padded[1:]`` changes: the
     start and end of each maximal run of True in it, paired when
-    ``padded`` is False at both ends.  ``change`` is a bool work array of
-    ``padded.size - 1`` items."""
-    return np.flatnonzero(np.not_equal(padded[1:], padded[:-1], out=change))
+    ``padded`` is False at both ends."""
+    return np.flatnonzero(padded[1:] != padded[:-1])
 
 
 def detect_events(
@@ -844,10 +842,11 @@ class _DipCounter:
 
     The baseline of 1 ms block j is the median of the block-start values of
     blocks j-h .. j+h (h = half the window; past the ends, the first or the
-    last block's), so block j is compared once block j+h is whole.  The
-    counter holds the census not yet compared (at most one chunk plus h + 1
-    blocks), the h block-start values before it, the dip open at its start
-    and the last merged run, which the next dip may still join.  A census
+    last block's), so block j is compared once block j+h is whole.  Between
+    chunks the counter holds the census not yet compared (at most one chunk
+    plus h + 1 blocks, joined to the next chunk when it comes), the h
+    block-start values before it, the dip open at its start and the last
+    merged run, which the next dip may still join.  A census
     of fewer blocks than the window has one baseline, the median of them
     all, so nothing is compared until the window's worth has begun.
     """
@@ -860,9 +859,7 @@ class _DipCounter:
         self.window = window + 1 - window % 2
         self.max_samples = _MAX_EVENT_S * sample_rate_hz
         self.merge_gap = _MERGE_GAP_S * sample_rate_hz
-        self.work = _Work()
         self.pending = np.empty(0, dtype)  # the census from sample `done` on
-        self.size = 0  # of pending, held in a work array
         self.done = 0
         self.history: np.ndarray | None = None  # block starts before `done`
         self.dip: tuple[int, int] | None = None  # (start, baseline) open at `done`
@@ -873,10 +870,8 @@ class _DipCounter:
 
     def add(self, census: np.ndarray) -> None:
         """Take the next chunk of the census."""
-        size = self.size + census.size
-        self.pending = self.work("pending", size, self.pending.dtype)
-        self.pending[self.size : size] = census
-        self.size = size
+        self.pending = np.concatenate([self.pending, census])
+        size = self.pending.size
         half = self.window // 2
         if self.history is None:  # nothing compared yet
             if -(-size // self.stride) < self.window:
@@ -889,15 +884,16 @@ class _DipCounter:
 
     def rates(self) -> dict[int, CensusRate]:
         """The rates of the census taken so far."""
-        if not self.done + self.size:
+        size = self.pending.size
+        if not self.done + size:
             return {}
-        starts = self.pending[: self.size : self.stride]
+        starts = self.pending[:: self.stride]
         if self.history is None:
             base = np.full_like(starts, int(np.median(starts)))
-            self._compare(self.size, base, final=True)
+            self._compare(size, base, final=True)
         elif starts.size:
             padded = np.concatenate([starts, np.full(self.window // 2, starts[-1])])
-            self._compare(self.size, self._baselines(padded), final=True)
+            self._compare(size, self._baselines(padded), final=True)
         elif self.dip is not None:  # the census ended on a block edge, in a dip
             start, base = self.dip
             self._merge(np.array([start]), np.array([self.done]), np.array([base]))
@@ -925,7 +921,7 @@ class _DipCounter:
         census, stride = self.pending[:size], self.stride
         self.held += np.bincount(base, minlength=self.n_pores + 1)[: self.n_pores + 1] * stride
         self.last_base = int(base[-1])
-        dips = self.work("dips", size + 2, bool)
+        dips = np.empty(size + 2, bool)
         dips[0], dips[-1] = self.dip is not None, False
         whole = size - size % stride
         np.less(
@@ -934,7 +930,7 @@ class _DipCounter:
             out=dips[1 : whole + 1].reshape(-1, stride),
         )
         np.less(census[whole:], base[-1], out=dips[whole + 1 : -1])
-        edges = _run_edges(dips, self.work("change", size + 1, bool)) + self.done
+        edges = _run_edges(dips) + self.done
         if self.dip is not None:
             edges = np.concatenate([[self.dip[0]], edges])
         starts, ends = edges[0::2], edges[1::2]
@@ -946,8 +942,7 @@ class _DipCounter:
             self.dip = int(starts[-1]), int(bases[-1])
             starts, ends, bases = starts[:-1], ends[:-1], bases[:-1]
         self.done += size
-        self.size -= size
-        self.pending[: self.size] = self.pending[size : size + self.size]
+        self.pending = self.pending[size:]
         self._merge(starts, ends, bases)
 
     def _merge(self, starts: np.ndarray, ends: np.ndarray, bases: np.ndarray) -> None:

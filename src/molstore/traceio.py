@@ -82,7 +82,7 @@ import numpy as np
 
 from . import poresim
 from .calibration import MAX_SAMPLE_RATE_HZ
-from .poresim import ChunkedTrace, _Work
+from .poresim import ChunkedTrace
 
 MAGIC = b"MTRC"
 VERSION = 1
@@ -298,7 +298,7 @@ def _sample_value(line: bytes, number: int) -> float | None:
     return value
 
 
-def _line_ends(buf: np.ndarray, begin: int, line: int, work: _Work) -> np.ndarray:
+def _line_ends(buf: np.ndarray, begin: int, line: int) -> np.ndarray:
     """The index of each newline in ``buf[begin:]``, whose first line is
     file line ``line``; refuses a byte >= 0x80."""
     body = buf[begin:]
@@ -306,21 +306,17 @@ def _line_ends(buf: np.ndarray, begin: int, line: int, work: _Work) -> np.ndarra
         bad = begin + int(np.argmax(body >= 0x80))
         number = line + int(np.count_nonzero(buf[begin:bad] == ord("\n")))
         raise TraceFormatError(f"trace is not ASCII: byte {buf[bad]:#x} on line {number}")
-    ends = np.flatnonzero(np.equal(body, ord("\n"), out=work("newline", body.size, bool)))
+    ends = np.flatnonzero(body == ord("\n"))
     ends += begin
     return ends
 
 
-def _word_faults(
-    hi: np.ndarray, lo: np.ndarray, lo_check: int, faults: np.ndarray, spare: np.ndarray
-) -> np.ndarray:
-    """Set bit 7 of a byte of ``faults`` where the line's words ``hi`` and
+def _word_faults(hi: np.ndarray, lo: np.ndarray, lo_check: int) -> np.ndarray:
+    """Words with bit 7 of a byte set where the line's words ``hi`` and
     ``lo``, XORed to digit values and with the bytes before the line
     cleared from hi, hold a value above 9, or above 0 where ``lo_check``
     (like ``_LO_CHECK``) has 0x7F; every byte is below 0x80."""
-    np.add(hi, _HI_CHECK, out=faults)
-    faults |= np.add(lo, lo_check, out=spare)
-    return faults
+    return (hi + _HI_CHECK) | (lo + lo_check)
 
 
 def _word_values(
@@ -344,9 +340,7 @@ def _word_values(
     np.divide(hi.view(np.int64), scale, out=out[: hi.size])
 
 
-def _parse_block(
-    buf: np.ndarray, begin: int, ends: np.ndarray, out: np.ndarray, line: int, work: _Work
-) -> int:
+def _parse_block(buf: np.ndarray, begin: int, ends: np.ndarray, out: np.ndarray, line: int) -> int:
     """Parse the lines ``buf[begin:]`` that end at the newlines ``ends``
     (and ``begin >= _PAD``) into the front of ``out``, which has room for
     one sample per line; ``line`` is the file line number of the first.
@@ -358,47 +352,30 @@ def _parse_block(
     before them with any bytes before the line (and a leading '-')
     cleared.  They are checked by ``_word_faults`` and read by
     ``_word_values``, and a '-' negates the value.  Every other line goes
-    to ``_sample_value``.  Each step works in place or into the arrays of
-    ``work``; only the gathered words are allocated per call.
+    to ``_sample_value``.
     """
     n = ends.size
     if not n:
         return 0
-    lengths = work("lengths", n, np.int64)
-    lengths[0] = ends[0] - begin
-    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
-    lengths[1:] -= 1
-    ends -= 16
-    words = np.ndarray((buf.size - 15,), "V16", buf, 0, (1,))[ends]
-    ends += 16
+    lengths = np.diff(ends, prepend=begin - 1) - 1
+    words = np.ndarray((buf.size - 15,), "V16", buf, 0, (1,))[ends - 16]
     words = words.view("<u8").reshape(-1, 2)
     hi, lo = words[:, 0], words[:, 1]
     hi ^= _HI_XOR
     lo ^= _LO_XOR
     # Bits of hi below the line's first byte: a shift by 64 or more (lines
     # under 9 bytes) gives 0, and a line over 16 bytes is refused below.
-    below = np.multiply(lengths, -8, out=work("below", n, np.int64))
-    below += 128
-    below = below.view(np.uint64)
-    spare = np.right_shift(hi, below, out=work("spare", n, np.uint64))
-    spare &= 0xFF
-    negative = np.equal(spare, ord("-") ^ ord("0"), out=work("negative", n, bool))
+    below = (128 - 8 * lengths).view(np.uint64)
+    negative = (hi >> below) & 0xFF == ord("-") ^ ord("0")
     np.add(below, 8, out=below, where=negative)
-    hi &= np.left_shift(_ONES, below, out=spare)
-    faults = _word_faults(hi, lo, _LO_CHECK, below, spare)
-    faults &= 0x8080808080808080
-    ok = np.equal(faults, 0, out=work("ok", n, bool))
-    flag = work("flag", n, bool)
-    ok &= np.less_equal(lengths, 16, out=flag)
-    units = np.bitwise_and(lo, 0xFF, out=spare)
-    units *= 0xFF
-    lo += units  # units digit from byte 0 into byte 1, the '.' slot
+    hi &= _ONES << below
+    ok = (_word_faults(hi, lo, _LO_CHECK) & 0x8080808080808080 == 0) & (lengths <= 16)
+    lo += (lo & 0xFF) * 0xFF  # units digit from byte 0 into byte 1, the '.' slot
     held = out[:n]
     _word_values(words, hi, lo, held, 1e6)
     np.negative(held, out=held, where=negative)
-    blank = np.equal(lengths, 0, out=work("blank", n, bool))
-    ok |= blank
-    for i in np.flatnonzero(np.logical_not(ok, out=flag)).tolist():
+    blank = lengths == 0
+    for i in np.flatnonzero(~(ok | blank)).tolist():
         end = int(ends[i])
         value = _sample_value(buf[end - lengths[i] : end].tobytes(), line + i)
         if value is None:
@@ -412,7 +389,7 @@ def _parse_block(
     return kept.size
 
 
-def _run(buf: np.ndarray, p: int, rows: np.ndarray, work: _Work) -> tuple[int, int]:
+def _run(buf: np.ndarray, p: int, rows: np.ndarray) -> tuple[int, int]:
     """(width, lines) of the run of lines at ``buf[p:]`` that share the
     first one's width, 9 to 16 bytes, and are written as the writer writes
     a line with no sign; the checked words of line i are left in
@@ -439,9 +416,7 @@ def _run(buf: np.ndarray, p: int, rows: np.ndarray, work: _Work) -> tuple[int, i
         np.bitwise_xor(np.ndarray((m,), "<u8", buf, end - 8, (width,)), _RUN_LO_XOR, out=lo)
         if width < 16:
             hi &= _ONES << np.uint64(8 * (16 - width))
-        faults = _word_faults(
-            hi, lo, _RUN_LO_CHECK, work("faults", m, np.uint64), work("spare", m, np.uint64)
-        )
+        faults = _word_faults(hi, lo, _RUN_LO_CHECK)
         faults |= hi  # a byte >= 0x80, whose add may carry, fails by its own bit 7
         faults |= lo
         good = m
@@ -456,27 +431,27 @@ def _run(buf: np.ndarray, p: int, rows: np.ndarray, work: _Work) -> tuple[int, i
 
 
 def _segment(
-    buf: np.ndarray, begin: int, line: int, window: int, work: _Work
+    buf: np.ndarray, begin: int, line: int, window: int, rows: np.ndarray
 ) -> tuple[list, int, int]:
     """Split the lines ``buf[begin:]`` (file line ``line`` on) into runs
     that ``_run`` checks, of at least ``_MIN_RUN`` lines, and the lines
     between them, whose newlines ``_line_ends`` finds, ``window`` bytes at a
     time, doubled for each window in a row.  Returns the pieces, each the
-    checked words of a run or the (begin, ends) of a window, the number of
-    lines and the window size to go on with."""
-    rows = work("rows", 2 * ((buf.size - begin) // 9 + 1), np.uint64).reshape(2, -1)
+    checked words of a run, kept in ``rows`` (2 x ``buf.size // 9 + 1``
+    uint64), or the (begin, ends) of a window, the number of lines and the
+    window size to go on with."""
     pieces, lines, used, p = [], 0, 0, begin
     while p < buf.size:
-        width, k = _run(buf, p, rows[:, used:], work)
+        width, k = _run(buf, p, rows[:, used:])
         if k >= _MIN_RUN:
             pieces.append(rows[:, used : used + k])
             used += k
             p += k * width
             window = _WINDOW
         else:
-            ends = _line_ends(buf[: p + window], p, line + lines, work)
+            ends = _line_ends(buf[: p + window], p, line + lines)
             if not ends.size:  # the line at p is longer than the window
-                ends = _line_ends(buf, p, line + lines, work)
+                ends = _line_ends(buf, p, line + lines)
             pieces.append((p, ends))
             k = ends.size
             p = int(ends[-1]) + 1
@@ -485,7 +460,7 @@ def _segment(
     return pieces, lines, window
 
 
-def _parse_pieces(buf: np.ndarray, pieces: list, out: np.ndarray, line: int, work: _Work) -> int:
+def _parse_pieces(buf: np.ndarray, pieces: list, out: np.ndarray, line: int) -> int:
     """Parse the pieces ``_segment`` made of ``buf`` into the front of
     ``out``, whose first line is file line ``line``; returns the samples
     written."""
@@ -493,7 +468,7 @@ def _parse_pieces(buf: np.ndarray, pieces: list, out: np.ndarray, line: int, wor
     for piece in pieces:
         if isinstance(piece, tuple):
             begin, ends = piece
-            n += _parse_block(buf, begin, ends, out[n:], line, work)
+            n += _parse_block(buf, begin, ends, out[n:], line)
             line += ends.size
         else:
             _word_values(piece, *piece, out[n:], 1e7)
@@ -525,9 +500,12 @@ class TextTrace(ChunkedTrace):
         """The samples as float64, parsed a block at a time into one reused
         buffer and yielded up to ``poresim._CHUNK`` at a time (a block of more
         lines is one chunk), so each chunk is valid only until the next is
-        read; raises ``TraceFormatError`` at the first malformed line."""
-        work = _Work()
+        read; raises ``TraceFormatError`` at the first malformed line.  The
+        words of a block's runs go to one reused buffer too: a fresh one per
+        block more than doubled the page faults of reading a 10 s trace at
+        1 MHz."""
         out = np.empty(0)
+        rows = np.empty((2, 0), np.uint64)
         n = 0
         window = _WINDOW
         line = 1  # the file line number of the next line to parse
@@ -538,14 +516,16 @@ class TextTrace(ChunkedTrace):
                 return
             line, begin = 2, _header_end(first) + 1
             for buf in itertools.chain([first], blocks):
-                pieces, lines, window = _segment(buf, begin, line, window, work)
+                if rows.shape[1] <= buf.size // 9:
+                    rows = np.empty((2, buf.size // 9 + 1), np.uint64)
+                pieces, lines, window = _segment(buf, begin, line, window, rows)
                 if n + lines > out.size:
                     if n:
                         yield out[:n]
                         n = 0
                     if lines > out.size:
                         out = np.empty(max(poresim._CHUNK, lines))
-                n += _parse_pieces(buf, pieces, out[n:], line, work)
+                n += _parse_pieces(buf, pieces, out[n:], line)
                 line += lines
                 begin = _PAD
         if n:

@@ -72,6 +72,11 @@ def test_monolevel_sigma_non_negative(sigma):
     assert CalibrationTable(monolevel_sigma=0.0).monolevel_sigma == 0.0
 
 
+def test_duration_jitter_cv_non_negative():
+    with pytest.raises(CalibrationError, match="^duration_jitter_cv must be >= 0$"):
+        CalibrationTable(duration_jitter_cv=-0.1)
+
+
 def test_level_stats_bounds():
     bad = dict(CalibrationTable().level_stats)
     bad[("C", "3prime")] = LevelStats(1.2, 0.09)

@@ -141,6 +141,8 @@ def test_layout_validation():
         ChipLayout(layer_thickness_um=0.0)
     with pytest.raises(PlanError):
         ChipLayout(parking_area_cm2=-1.0)
+    with pytest.raises(PlanError, match="^counts must be >= 0$"):
+        ChipLayout(stations=-1)
 
 
 def test_parse_scenario_overrides():

@@ -52,6 +52,22 @@ def test_encode_runlength_default_scheme(tmp_path):
     assert out.read_text() == "A" * 20 + "C" * 30 + "\n"
 
 
+def test_encode_writes_its_sequence_without_a_joined_copy(tmp_path):
+    """The sequence string is written as it is, not joined to its newline:
+    at 10^5 bits (a 7.5 MB output) the peak traced allocation of ``encode``
+    is at most 2.5 times the output.  A joined copy takes it past 3."""
+    payload, out = tmp_path / "payload.txt", tmp_path / "seq.txt"
+    bits = np.random.default_rng(0).integers(0, 2, 100_000)
+    payload.write_text("".join(map(str, bits.tolist())) + "\n")
+    peak = _traced_peak(
+        "encode", "--in", str(payload), "--out", str(out), "--mode", "runlength",
+        "--scheme", "A50C100",
+    )
+    size = out.stat().st_size
+    assert size > 7_000_000
+    assert peak <= 2.5 * size, (peak, size)
+
+
 def test_encode_refuses_an_output_past_the_base_limit(tmp_path):
     """A scheme that asks for 10^10 bases is one ``param`` line and exit 1,
     before a base is spelled out.  The command runs in a child process under
@@ -659,8 +675,13 @@ def test_header_path_that_is_not_utf8_is_one_usage_error(tmp_path, monkeypatch, 
          "unrecognized arguments: --bogus"),
         (("bogus",), "argument command: invalid choice: 'bogus'"),
         ((), "the following arguments are required: command"),
+        ((*_SIMULATE, "--clog", "0:a:1", "--trace-out", "x.trace", "--log-out", "x.csv"),
+         "--clog wants numeric pore:start_s:end_s, got '0:a:1'"),
     ],
-    ids=["bad-int", "missing-value", "unknown-flag", "unknown-command", "no-command"],
+    ids=[
+        "bad-int", "missing-value", "unknown-flag", "unknown-command", "no-command",
+        "clog-not-numeric",
+    ],
 )
 def test_argument_error_is_one_line_usage_error(tmp_path, monkeypatch, capsys, argv, detail):
     monkeypatch.chdir(tmp_path)

@@ -234,6 +234,6 @@ def test_payload_and_sequence_text_formats():
     assert read_payload("0101\n") == [0, 1, 0, 1]
     assert format_payload([1, 0]) == "10\n"
     assert read_sequence("ACGT\n").bases == "ACGT"
-    assert format_sequence(BaseSequence("AC")) == "AC\n"
+    assert "".join(format_sequence(BaseSequence("AC"))) == "AC\n"
     with pytest.raises(CodecError):
         read_payload("01a")

@@ -145,6 +145,25 @@ def test_molecule_refuses_more_bases_than_the_limit():
             MoleculeSpec.from_string(spec)
 
 
+@pytest.mark.parametrize(
+    "refused, error, message",
+    [
+        (lambda: gating_active(0.0, CALIB), SimulationError, "kcl_molar must be > 0"),
+        (lambda: MoleculeSpec(()), SimulationError, "molecule needs at least one segment"),
+        (lambda: MoleculeSpec(((Nucleotide.A, 0),)), SimulationError,
+         "segment A has non-positive count 0"),
+        (lambda: MoleculeSpec(((Nucleotide.A, 1), (Nucleotide.A, 2))), SimulationError,
+         "adjacent segments must have distinct bases"),
+        (lambda: Orientation.UNKNOWN.entry_end, ValueError,
+         "unknown orientation has no entry end"),
+    ],
+    ids=["no-salt", "no-segment", "zero-count", "equal-neighbours", "unknown-entry-end"],
+)
+def test_refusal_names_its_cause(refused, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        refused()
+
+
 @st.composite
 def _molecules(draw):
     bases = [b for b, _ in itertools.groupby(
@@ -418,6 +437,22 @@ def test_simulate_refuses_a_run_past_each_limit(monkeypatch, limit, value, confi
     monkeypatch.setattr(poresim, "_gating_closed_intervals", _refuse_draws)
     with pytest.raises(SimulationError, match=f"more than {value:g}"):
         simulate(MOLECULE, config, duration_s * 1.01, CALIB, seed=1)
+
+
+def test_gating_closures_merge_into_clogs(tmp_path):
+    """At high salt a pore's gating closures are joined to its clog
+    intervals: the union is sorted and disjoint, still covers the clog, and
+    the log's clog rows read back as the same intervals."""
+    config = ChannelConfig(voltage_mv=120.0, kcl_molar=2.0, sample_rate_hz=10_000)
+    result = simulate(MOLECULE, config, 1.0, CALIB, seed=40, clogs={0: [(0.0, 0.5)]})
+    intervals = list(result.clogs[0])
+    assert intervals[0][0] == 0.0 and intervals[0][1] >= 0.5
+    assert all(start < end for start, end in intervals)
+    assert all(end < start for (_, end), (start, _) in zip(intervals, intervals[1:]))
+    path = str(tmp_path / "truth.log")
+    Path(path).write_text("".join(poresim.format_event_log([], result.events, result.clogs)))
+    logged = poresim.parse_event_log(path)[2][0]
+    assert logged == [pytest.approx(interval, abs=1e-9) for interval in intervals]
 
 
 def test_gating_suppresses_events_and_toggles_current():

@@ -699,6 +699,25 @@ def test_binary_truncated(tmp_path):
         read_trace_binary(str(path))
 
 
+def test_read_trace_refuses_a_binary_header_cut_short(tmp_path):
+    path = tmp_path / "short.mtrc"
+    path.write_bytes(struct.pack("<4sIdQ", MAGIC, 1, 1000.0, 0)[:20])
+    with pytest.raises(TraceFormatError, match="^truncated header$"):
+        read_trace(str(path))
+
+
+def test_binary_trace_cut_short_after_it_is_opened(tmp_path):
+    """The samples are read on each pass, so a file cut after the header
+    check is refused by the first pass, at the first chunk it cannot fill."""
+    path = tmp_path / "t.mtrc"
+    write_trace_binary(_trace(n=10), str(path))
+    trace = read_trace_binary(str(path))
+    with open(path, "r+b") as fh:
+        fh.truncate(struct.calcsize("<4sIdQ") + 8)
+    with pytest.raises(TraceFormatError, match="^truncated samples at index 0$"):
+        next(trace.chunks())
+
+
 def test_binary_count_beyond_file_size(tmp_path):
     path = tmp_path / "huge.mtrc"
     path.write_bytes(struct.pack("<4sIdQ", MAGIC, 1, 1000.0, 2**40))
