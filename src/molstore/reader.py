@@ -131,8 +131,6 @@ def _event_runs(
     held_start = offset = 0
     empty = np.empty(0, dtype=np.intp)
     for chunk in chunks:
-        if not chunk.size:
-            continue
         below = np.empty(chunk.size + 2, bool)
         below[0], below[-1] = held.size > 0, False
         np.less(chunk, threshold, out=below[1:-1])
@@ -641,10 +639,9 @@ def read_station(
     for offset, chunk, starts, ends, carried in _event_runs(
         trace.chunks(), threshold, min_duration_us * 1e-6 * rate
     ):
-        if chunk.size:
-            census_counts += _census_chunk(chunk, thresholds, n_samples)[1]
-            n_samples += chunk.size
-            n_open += int(np.count_nonzero(chunk >= threshold))
+        census_counts += _census_chunk(chunk, thresholds, n_samples)[1]
+        n_samples += chunk.size
+        n_open += int(np.count_nonzero(chunk >= threshold))
         found = []
         if carried is not None:
             start, samples = carried
@@ -845,10 +842,12 @@ class _DipCounter:
     last block's), so block j is compared once block j+h is whole.  Between
     chunks the counter holds the census not yet compared (at most one chunk
     plus h + 1 blocks, joined to the next chunk when it comes), the h
-    block-start values before it, the dip open at its start and the last
-    merged run, which the next dip may still join.  A census
-    of fewer blocks than the window has one baseline, the median of them
-    all, so nothing is compared until the window's worth has begun.
+    block-start values before it and the last merged run, which the next dip
+    may still join.  A dip still open where a comparison ends is cut there,
+    and the merge joins its two pieces again: the gap between them is 0,
+    and the merge gap is at least one sample.  A census of fewer blocks
+    than the window has one baseline, the median of them all, so nothing is
+    compared until the window's worth has begun.
     """
 
     def __init__(self, sample_rate_hz: float, n_pores: int, dtype) -> None:
@@ -858,11 +857,10 @@ class _DipCounter:
         window = max(1, int(round(_BASELINE_WINDOW_S / (self.stride / sample_rate_hz))))
         self.window = window + 1 - window % 2
         self.max_samples = _MAX_EVENT_S * sample_rate_hz
-        self.merge_gap = _MERGE_GAP_S * sample_rate_hz
+        self.merge_gap = max(_MERGE_GAP_S * sample_rate_hz, 1)
         self.pending = np.empty(0, dtype)  # the census from sample `done` on
         self.done = 0
         self.history: np.ndarray | None = None  # block starts before `done`
-        self.dip: tuple[int, int] | None = None  # (start, baseline) open at `done`
         self.run: tuple[int, int, int] | None = None  # (start, end, baseline)
         self.last_base = 0
         self.events = np.zeros(n_pores + 1, dtype=np.int64)
@@ -890,13 +888,10 @@ class _DipCounter:
         starts = self.pending[:: self.stride]
         if self.history is None:
             base = np.full_like(starts, int(np.median(starts)))
-            self._compare(size, base, final=True)
+            self._compare(size, base)
         elif starts.size:
             padded = np.concatenate([starts, np.full(self.window // 2, starts[-1])])
-            self._compare(size, self._baselines(padded), final=True)
-        elif self.dip is not None:  # the census ended on a block edge, in a dip
-            start, base = self.dip
-            self._merge(np.array([start]), np.array([self.done]), np.array([base]))
+            self._compare(size, self._baselines(padded))
         if self.run is not None:
             self._count(*(np.array([x]) for x in self.run))
         if self.last_base <= self.n_pores:
@@ -914,15 +909,15 @@ class _DipCounter:
         self.history = padded[view.shape[0] : view.shape[0] + self.window // 2].copy()
         return np.median(view, axis=1).astype(self.pending.dtype)
 
-    def _compare(self, size: int, base: np.ndarray, final: bool = False) -> None:
+    def _compare(self, size: int, base: np.ndarray) -> None:
         """Find the dips in the first ``size`` pending samples, whose blocks
         have baselines ``base`` (the last block may be partial), and merge
-        them; a dip open at the end is held unless this is the census's end."""
+        them; a dip open at the end is cut there."""
         census, stride = self.pending[:size], self.stride
         self.held += np.bincount(base, minlength=self.n_pores + 1)[: self.n_pores + 1] * stride
         self.last_base = int(base[-1])
         dips = np.empty(size + 2, bool)
-        dips[0], dips[-1] = self.dip is not None, False
+        dips[0] = dips[-1] = False
         whole = size - size % stride
         np.less(
             census[:whole].reshape(-1, stride),
@@ -930,20 +925,12 @@ class _DipCounter:
             out=dips[1 : whole + 1].reshape(-1, stride),
         )
         np.less(census[whole:], base[-1], out=dips[whole + 1 : -1])
-        edges = _run_edges(dips) + self.done
-        if self.dip is not None:
-            edges = np.concatenate([[self.dip[0]], edges])
-        starts, ends = edges[0::2], edges[1::2]
-        bases = base[np.maximum(starts - self.done, 0) // stride]
-        if self.dip is not None:
-            bases[0] = self.dip[1]
-        self.dip = None
-        if dips[-2] and not final:
-            self.dip = int(starts[-1]), int(bases[-1])
-            starts, ends, bases = starts[:-1], ends[:-1], bases[:-1]
+        edges = _run_edges(dips)
+        bases = base[edges[0::2] // stride]
+        edges += self.done
         self.done += size
         self.pending = self.pending[size:]
-        self._merge(starts, ends, bases)
+        self._merge(edges[0::2], edges[1::2], bases)
 
     def _merge(self, starts: np.ndarray, ends: np.ndarray, bases: np.ndarray) -> None:
         """Merge closed dips, in time order, with the last run: a dip joins

@@ -12,9 +12,10 @@ Readers return a lazy ``poresim.ChunkedTrace``, as ``simulate`` does.
 Both check the header when the file is opened and read the samples on
 each ``chunks()`` pass, so an error in the body (a malformed line, a
 non-finite sample) is reported by the first pass that reaches it.  A
-pass holds one chunk, not the trace; ``len()`` of a text trace, and so
-its ``duration_s`` and ``samples``, takes a pass of its own, as its
-header holds no count.
+binary trace cut short, or a text trace emptied (so without its header
+line), after it was opened is refused by the next pass.  A pass holds one
+chunk, not the trace; ``len()`` of a text trace, and so its
+``duration_s`` and ``samples``, takes a pass: its header holds no count.
 
 Text format: ASCII.  A header line ``sample_rate_hz=<integer>``, then one
 decimal pA value per line, written as ``"%.6f"`` formats it (the exact
@@ -70,7 +71,6 @@ the file is too short to hold.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import re
@@ -355,8 +355,6 @@ def _parse_block(buf: np.ndarray, begin: int, ends: np.ndarray, out: np.ndarray,
     to ``_sample_value``.
     """
     n = ends.size
-    if not n:
-        return 0
     lengths = np.diff(ends, prepend=begin - 1) - 1
     words = np.ndarray((buf.size - 15,), "V16", buf, 0, (1,))[ends - 16]
     words = words.view("<u8").reshape(-1, 2)
@@ -500,22 +498,20 @@ class TextTrace(ChunkedTrace):
         """The samples as float64, parsed a block at a time into one reused
         buffer and yielded up to ``poresim._CHUNK`` at a time (a block of more
         lines is one chunk), so each chunk is valid only until the next is
-        read; raises ``TraceFormatError`` at the first malformed line.  The
-        words of a block's runs go to one reused buffer too: a fresh one per
-        block more than doubled the page faults of reading a 10 s trace at
-        1 MHz."""
+        read; raises ``TraceFormatError`` at the first malformed line, or at
+        once if the file has been emptied since it was opened.
+        The words of a block's runs go to one reused buffer too: a fresh one
+        per block more than doubled the page faults of reading a 10 s trace
+        at 1 MHz."""
         out = np.empty(0)
         rows = np.empty((2, 0), np.uint64)
-        n = 0
+        n = begin = 0  # begin: where the block's lines start; 0 before the header
         window = _WINDOW
         line = 1  # the file line number of the next line to parse
         with open(self.path, "rb") as fh:
-            blocks = _text_blocks(fh, lambda: line)
-            first = next(blocks, None)
-            if first is None:
-                return
-            line, begin = 2, _header_end(first) + 1
-            for buf in itertools.chain([first], blocks):
+            for buf in _text_blocks(fh, lambda: line):
+                if not begin:  # the first block: the header line comes first
+                    line, begin = 2, _header_end(buf) + 1
                 if rows.shape[1] <= buf.size // 9:
                     rows = np.empty((2, buf.size // 9 + 1), np.uint64)
                 pieces, lines, window = _segment(buf, begin, line, window, rows)
@@ -528,6 +524,8 @@ class TextTrace(ChunkedTrace):
                 n += _parse_pieces(buf, pieces, out[n:], line)
                 line += lines
                 begin = _PAD
+        if not begin:  # no block: the file has been emptied since it was opened
+            raise TraceFormatError("missing sample_rate_hz header line")
         if n:
             yield out[:n]
 

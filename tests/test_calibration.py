@@ -72,6 +72,14 @@ def test_monolevel_sigma_non_negative(sigma):
     assert CalibrationTable(monolevel_sigma=0.0).monolevel_sigma == 0.0
 
 
+@pytest.mark.parametrize(
+    "name, value", [("bilevel_fraction", 1.5), ("three_prime_first_fraction", -0.1)]
+)
+def test_fractions_in_unit_interval(name, value):
+    with pytest.raises(CalibrationError, match=rf"^{name} must be in \[0, 1\]$"):
+        CalibrationTable(**{name: value})
+
+
 def test_duration_jitter_cv_non_negative():
     with pytest.raises(CalibrationError, match="^duration_jitter_cv must be >= 0$"):
         CalibrationTable(duration_jitter_cv=-0.1)

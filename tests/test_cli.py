@@ -677,10 +677,12 @@ def test_header_path_that_is_not_utf8_is_one_usage_error(tmp_path, monkeypatch, 
         ((), "the following arguments are required: command"),
         ((*_SIMULATE, "--clog", "0:a:1", "--trace-out", "x.trace", "--log-out", "x.csv"),
          "--clog wants numeric pore:start_s:end_s, got '0:a:1'"),
+        ((*_SIMULATE, "--clog", "0:1", "--trace-out", "x.trace", "--log-out", "x.csv"),
+         "--clog wants pore:start_s:end_s, got '0:1'"),
     ],
     ids=[
         "bad-int", "missing-value", "unknown-flag", "unknown-command", "no-command",
-        "clog-not-numeric",
+        "clog-not-numeric", "clog-two-fields",
     ],
 )
 def test_argument_error_is_one_line_usage_error(tmp_path, monkeypatch, capsys, argv, detail):

@@ -7,9 +7,11 @@ from molstore.codec import (
     AlphabetError,
     BaseSequence,
     CodecError,
+    MAX_SEQUENCE_BASES,
     LengthError,
     Nucleotide,
     RunLengthScheme,
+    SizeError,
     bit_runs,
     decode_direct,
     decode_runlength,
@@ -102,6 +104,15 @@ def test_encode_runlength_example():
 
 def test_encode_runlength_empty():
     assert encode_runlength([], RunLengthScheme()).bases == ""
+
+
+def test_encode_runlength_refuses_more_bases_than_the_limit():
+    with pytest.raises(SizeError, match=f"makes 10000000000 bases, more than {MAX_SEQUENCE_BASES}$"):
+        encode_runlength([0], RunLengthScheme(zero_run=10**10))
+
+
+def test_base_sequence_prints_its_bases():
+    assert str(BaseSequence("AC")) == "AC"
 
 
 def test_encode_runlength_repeated_ones():

@@ -190,6 +190,23 @@ def _draw(n, voltage, seed=7):
     return EventTable.concatenate([sample_event(MOLECULE, config, CALIB, rng) for _ in range(n)])
 
 
+def test_orientation_prints_its_value_and_a_trace_its_duration():
+    assert str(Orientation.THREE_PRIME_FIRST) == "3prime_first"
+    result = simulate(MOLECULE, ChannelConfig(voltage_mv=210.0), 0.25, CALIB, seed=1)
+    assert result.trace.duration_s == 0.25
+
+
+def test_no_bilevel_events_without_both_levels_of_each_segment():
+    """A two-segment molecule translocates in two levels only if the
+    table holds each base's level for both entry ends."""
+    levels = {key: stats for key, stats in CALIB.level_stats.items() if key != ("C", "5prime")}
+    config = ChannelConfig(voltage_mv=210.0)
+    full = simulate(MOLECULE, config, 3.0, CALIB, seed=2).events
+    partial = simulate(MOLECULE, config, 3.0, CALIB.replace(level_stats=levels), seed=2).events
+    assert (_substates(full) == 2).any()
+    assert len(partial) > 0 and not (_substates(partial) == 2).any()
+
+
 def _substates(events):
     """Each event's substate count."""
     return np.diff(events.offsets)

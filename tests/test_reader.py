@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -621,6 +622,14 @@ def _rates_cases(draw):
         4096.0, 3, 12 / 4096, 9 / 4096, 1 / 4096,
     )
 )
+@example(
+    # a dip across the cut between add and rates, which compares the last
+    # two blocks (half the 5-block window), and no merge gap: the merge
+    # joins its two pieces, as it joins no two dips a sample apart
+    case=(
+        np.array([3] * 38 + [2] * 4 + [3] * 6, np.uint8), 4096.0, 3, 20 / 4096, 4 / 4096, 0.0,
+    )
+)
 def test_census_rates_match_merge_loop(case):
     census, rate, n_pores, window_s, max_event_s, merge_gap_s = case
     with pytest.MonkeyPatch.context() as patch:
@@ -830,6 +839,22 @@ def test_census_stats_rates_match_merge_loop_across_chunk_edges(case):
     assert stats.rates == _census_rates_loop(census, rate, n_pores, 0.021, 0.01, 50e-6)
 
 
+@pytest.mark.parametrize("chunk", [40, 4], ids=["whole", "one-stride"])
+def test_census_stats_rates_when_the_census_ends_in_a_dip_on_a_block_edge(chunk):
+    """With a window of one 4-sample block, each chunk is compared to its
+    end, so a census a whole number of blocks long that ends inside a dip
+    leaves nothing to compare when the rates are taken: the dip was cut
+    at the end of the last comparison, and it counts."""
+    census = np.array([3] * 32 + [3, 2, 2, 3] + [3, 2, 2, 2], np.uint8)
+    x = 3 * 30.0 + census.astype(np.float64) * 100.0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poresim, "_CHUNK", chunk)
+        patch.setattr(reader, "_BASELINE_WINDOW_S", 0.0)
+        stats = census_stats(CurrentTrace(4096.0, x), 3, 130.0, 30.0)
+    assert stats.rates == _census_rates_loop(census, 4096.0, 3, 0.0, 0.01, 50e-6)
+    assert stats.rates[3].events == 2
+
+
 def test_census_stats_refuses_pore_counts_past_uint16():
     trace = _flat(250.0, 10)
     with pytest.raises(ReaderError, match="n_pores"):
@@ -930,6 +955,71 @@ def test_detect_and_stats_equal_on_every_trace_kind(tmp_path, monkeypatch, chunk
     assert _summaries(text_trace) == want
     assert _summaries(binary_trace) == want
     assert _summaries(held) == want
+
+
+class _CutTrace(poresim.ChunkedTrace):
+    """The samples of a trace in the chunks between consecutive ``cuts``;
+    a cut given twice makes an empty chunk."""
+
+    def __init__(self, trace, cuts):
+        self.sample_rate_hz, self.x, self.cuts = trace.sample_rate_hz, trace.samples, cuts
+
+    def __len__(self):
+        return self.x.size
+
+    def chunks(self):
+        bounds = [0, *self.cuts, self.x.size]
+        return (self.x[a:b] for a, b in zip(bounds, bounds[1:]))
+
+
+def _read_fields(result):
+    fields = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    return [f.tobytes() if isinstance(f, np.ndarray) else repr(f) for f in fields]
+
+
+def test_read_station_refuses_an_entry_direction_without_levels():
+    """Each bi-level event that entered 3' end first is refused, as one
+    error, by a table that holds no 3' levels; the others decode."""
+    config = ChannelConfig(voltage_mv=210.0)
+    trace = simulate(MoleculeSpec.from_string("A50C100"), config, 3.0, CALIB, seed=4).trace
+    levels = {key: stats for key, stats in CALIB.level_stats.items() if key[1] != "3prime"}
+    result = reader.read_station(
+        trace, open_current(210.0, 1.0, CALIB), 5.0, CALIB.replace(level_stats=levels),
+        RunLengthScheme.from_string("A50C100"), 210.0, threshold_fraction=0.75,
+    )
+    entered = [reader.ORIENTATIONS[code] for code in result.orientation.tolist()]
+    refused = [
+        i for i, outcome in enumerate(result.decoded) if isinstance(outcome, ReaderError)
+        and str(outcome) == "calibration has no level statistics for this orientation"
+    ]
+    assert refused == [i for i, o in enumerate(entered) if o is Orientation.THREE_PRIME_FIRST]
+    assert refused and Orientation.FIVE_PRIME_FIRST in entered
+
+
+def test_empty_chunks_change_nothing():
+    """An empty chunk first, between two chunks, while an event is held
+    open across it, and last gives what the same chunks without it give."""
+    held = _stepped_trace()
+    below = held.samples < 0.75 * 250.0
+    n = below.size
+    inside = int(np.argmax(below)) + 5  # an event is open across this cut
+    assert below[inside - 1 : inside + 1].all()
+    open_edges = np.flatnonzero(~below[:-1] & ~below[1:]) + 1  # no event is open across these
+    between = int(open_edges[open_edges > n // 2][0])
+    scheme = RunLengthScheme.from_string("A50C100")
+    results = []
+    for cuts in ([inside, between], [0, inside, inside, between, between, n]):
+        trace = _CutTrace(held, cuts)
+        assert [c.size for c in trace.chunks()].count(0) == len(cuts) - 2
+        stats = census_stats(trace, 1, 250.0, 30.0)
+        results.append((
+            _summaries(trace),
+            _read_fields(reader.read_station(trace, 250.0, 5.0, CALIB, scheme, 210.0, 0.75)),
+            (stats.n_samples, stats.mean_pa, stats.state_counts.tolist(), stats.current_means,
+             stats.rates),
+        ))
+    assert results[0] == results[1]
+    assert len(results[0][0][0]) > 10
 
 
 def test_trace_stats_never_holds_the_float64_trace(tmp_path):

@@ -62,6 +62,13 @@ def test_text_bad_header(tmp_path):
         read_trace_text(str(path)).samples
 
 
+def test_text_header_rate_not_an_integer(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("sample_rate_hz=abc\n1.0\n")
+    with pytest.raises(TraceFormatError, match="bad sample rate in header: 'sample_rate_hz=abc'"):
+        read_trace_text(str(path))
+
+
 def test_text_bad_sample(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("sample_rate_hz=1000\nnot-a-number\n")
@@ -716,6 +723,21 @@ def test_binary_trace_cut_short_after_it_is_opened(tmp_path):
         fh.truncate(struct.calcsize("<4sIdQ") + 8)
     with pytest.raises(TraceFormatError, match="^truncated samples at index 0$"):
         next(trace.chunks())
+
+
+def test_text_trace_emptied_after_it_is_opened(tmp_path):
+    """A text trace that has lost its header line since it was opened is
+    refused by the next pass, as opening it would refuse it, not read as
+    a trace of no samples."""
+    path = tmp_path / "t.txt"
+    write_trace_text(_trace(n=10), str(path))
+    trace = read_trace_text(str(path))
+    with open(path, "r+b") as fh:
+        fh.truncate(0)
+    with pytest.raises(TraceFormatError, match="^missing sample_rate_hz header line$"):
+        next(trace.chunks())
+    with pytest.raises(TraceFormatError, match="^missing sample_rate_hz header line$"):
+        read_trace_text(str(path))
 
 
 def test_binary_count_beyond_file_size(tmp_path):

@@ -11,8 +11,10 @@ Extra arguments go to pytest.  The tests run in this process under
 usual speed.  For each module the script then prints the executable lines,
 taken from the line tables of its code objects, that no test ran; ``def``,
 ``class``, decorator and docstring lines are left out, as they run on
-import or not at all.  Tests that run molstore in a child process (the CLI
-under ``subprocess``) are not traced: a line only they reach is listed.
+import or not at all, and so is the body of an ``if __name__ ==
+"__main__":`` block, which runs only as a script.  Tests that run
+molstore in a child process (the CLI under ``subprocess``) are not
+traced: a line only they reach is listed.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ PACKAGE = ROOT / "src" / "molstore"
 
 def _executable(path: Path) -> set[int]:
     """The lines of ``path`` that start an instruction of one of its code
-    objects, less its def, class, decorator and docstring lines."""
+    objects, less its def, class, decorator and docstring lines and the
+    body of its ``if __name__ == "__main__":`` block."""
     source = path.read_text(encoding="utf-8")
     lines: set[int] = set()
     codes = [compile(source, str(path), "exec")]
@@ -52,6 +55,8 @@ def _executable(path: Path) -> set[int]:
                 and isinstance(first.value.value, str)
             ):
                 skipped.update(range(first.lineno, first.end_lineno + 1))
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            skipped.update(range(node.body[0].lineno, node.end_lineno + 1))
     return lines - skipped
 
 
