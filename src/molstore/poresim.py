@@ -142,9 +142,9 @@ def _check_substate(level: float, duration_us: float) -> None:
         raise SimulationError("substate duration must be > 0")
 
 
-# Samples per chunk of a synthesized, held or binary trace (a text trace
-# yields about as many); bounds the working memory of every pass.  Read at
-# call time, so a test may patch it.
+# Samples per chunk of a held or binary trace (a text trace yields about as
+# many), the chunks the readers take; bounds the working memory of every
+# pass that reads.  Read at call time, so a test may patch it.
 _CHUNK = 1 << 18
 
 
@@ -693,9 +693,10 @@ def _sample_slices(
     return i0, i1
 
 
-# Samples per block of the noise stream.  A worker thread draws the blocks
-# into three buffers that rotate: one being added to a chunk, one ready in
-# a queue of depth 1, one being drawn.
+# Samples per block of the noise stream, and so per chunk of a synthesized
+# trace.  A worker thread draws the blocks into three buffers that rotate:
+# one being added to a chunk, one ready in a queue of depth 1, one being
+# drawn.  Read at call time, so a test may patch it.
 _NOISE_BLOCK = 1 << 16
 
 
@@ -704,10 +705,10 @@ def _noise_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
     blocks of ``_NOISE_BLOCK``, each valid until the next is asked for.
 
     A worker thread, started when the first block is asked for, draws them
-    up to two blocks ahead: ``standard_normal(out=...)`` releases the GIL,
-    so the draw runs beside the caller's work on the block before.  The
-    worker is joined however the pass ends, and an error it raises is
-    raised here, once.
+    up to two blocks ahead, which are two chunks of a synthesized trace:
+    ``standard_normal(out=...)`` releases the GIL, so the draw runs beside
+    the caller's work on the chunk before.  The worker is joined however
+    the pass ends, and an error it raises is raised here, once.
     """
     buffers = np.empty((3, min(_NOISE_BLOCK, n)))
     ready: queue.Queue = queue.Queue(maxsize=1)
@@ -744,17 +745,17 @@ def _noise_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
 
 @dataclass(eq=False)
 class SynthesizedTrace(ChunkedTrace):
-    """A simulated trace, produced in chunks of ``_CHUNK`` samples.
+    """A simulated trace, produced in chunks of ``_NOISE_BLOCK`` samples.
 
     Each chunk starts at the all-pores-open current and has every segment
     overlapping it subtracted, in the order given: segment j lowers samples
     ``starts[j]`` to ``stops[j] - 1`` by ``drops[j]`` pA, so samples where
     segments overlap round the same whatever the chunking.  Then it gets
-    its share of the one noise stream and runs through the low-pass
+    one block of the one noise stream and runs through the low-pass
     filter, whose state is carried across chunks.  The noise is drawn on a
-    second thread, a block or two ahead of the chunk that uses it, from the
-    same single stream in the same order (``_noise_blocks``), so chunked
-    noise and chunked filtering equal whole-array ``normal`` and
+    second thread, up to two chunks ahead of the chunk that uses it, from
+    the same single stream in the same order (``_noise_blocks``), so
+    chunked noise and chunked filtering equal whole-array ``normal`` and
     ``lfilter`` calls bit for bit.  Every ``chunks()`` pass restarts the
     noise from the seed; a noiseless pass starts no thread.
     """
@@ -778,47 +779,42 @@ class SynthesizedTrace(ChunkedTrace):
 
             alpha = 1.0 - math.exp(-2.0 * math.pi * self.cutoff_hz / self.sample_rate_hz)
             zi = np.zeros(1)
+        step = _NOISE_BLOCK
+        segments, bounds = self._segments_by_chunk(step)
         # Closed on every exit, which joins the noise worker if one started.
         with contextlib.closing(_noise_blocks(self.seed, self.n_samples)) as noise:
-            block = np.empty(0)  # the draws of the current block not yet used
-            for c0 in range(0, self.n_samples, _CHUNK):
-                c1 = min(c0 + _CHUNK, self.n_samples)
+            for k, c0 in enumerate(range(0, self.n_samples, step)):
+                c1 = min(c0 + step, self.n_samples)
                 chunk = np.full(c1 - c0, self.open_total_pa, dtype=np.float64)
-                overlapping = np.flatnonzero((self.starts < c1) & (self.stops > c0))
+                rows = segments[bounds[k] : bounds[k + 1]]
                 for i0, i1, drop_pa in zip(
-                    *(a[overlapping].tolist() for a in (self.starts, self.stops, self.drops))
+                    *(a[rows].tolist() for a in (self.starts, self.stops, self.drops))
                 ):
                     chunk[max(i0, c0) - c0 : min(i1, c1) - c0] -= drop_pa
                 if self.noise_sigma_pa > 0:
-                    block = self._add_noise(chunk, block, noise)
+                    block = next(noise)  # normal(0, sigma) draws sigma * standard normal
+                    try:
+                        with np.errstate(over="raise", invalid="raise"):
+                            chunk += np.multiply(block, self.noise_sigma_pa, out=block)
+                    except FloatingPointError:
+                        raise SimulationError(
+                            f"noise_sigma_pa {self.noise_sigma_pa:g} overflows the current"
+                        ) from None
                 if self.cutoff_hz is not None:
                     chunk, zi = lfilter([alpha], [1.0, alpha - 1.0], chunk, zi=zi)
                 yield chunk
 
-    def _add_noise(
-        self, chunk: np.ndarray, block: np.ndarray, noise: Iterator[np.ndarray]
-    ) -> np.ndarray:
-        """Add the noise of ``chunk`` to it in place: ``noise_sigma_pa``
-        times the next ``chunk.size`` draws, which start at ``block`` (the
-        draws of the current block not yet used) and go on into the next
-        blocks of ``noise`` as needed.  Returns the draws left unused."""
-        filled = 0
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                while filled < chunk.size:
-                    if not block.size:
-                        block = next(noise)
-                    # The draws normal(0, sigma) makes: sigma * standard normal.
-                    part = block[: chunk.size - filled]
-                    block = block[part.size :]
-                    part *= self.noise_sigma_pa
-                    chunk[filled : filled + part.size] += part
-                    filled += part.size
-        except FloatingPointError:
-            raise SimulationError(
-                f"noise_sigma_pa {self.noise_sigma_pa:g} overflows the current"
-            ) from None
-        return block
+    def _segments_by_chunk(self, step: int) -> tuple[np.ndarray, np.ndarray]:
+        """The segments that chunk k of ``step`` samples overlaps, in their
+        given order, are ``segments[bounds[k] : bounds[k + 1]]``."""
+        first = self.starts // step
+        counts = np.where(self.stops > self.starts, (self.stops - 1) // step - first + 1, 0)
+        # Segment j is listed once for each chunk it touches, from its first.
+        chunk_of = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        order = np.argsort(chunk_of, kind="stable")
+        segments = np.repeat(np.arange(counts.size), counts)[order]
+        n_chunks = len(range(0, self.n_samples, step))
+        return segments, np.searchsorted(chunk_of[order], np.arange(n_chunks + 1))
 
 
 @dataclass(eq=False)
@@ -887,7 +883,8 @@ def simulate(
             pore_events(molecule, config, calib, seed, pore, duration_s, clog_map.get(pore, ()))
             for pore in range(config.n_pores)
         ]
-    events = EventTable.concatenate(tables)
+    events = tables[0] if len(tables) == 1 else EventTable.concatenate(tables)
+    del tables
 
     # Segments in pore-major event order, then the clogs: where segments
     # overlap, the order they are subtracted in sets how samples round.

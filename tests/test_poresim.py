@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -584,13 +585,12 @@ def test_simulate_independent_of_chunk_size(seed, noise, bandwidth, chunk):
         voltage_mv=210.0, sample_rate_hz=100_000, noise_sigma_pa=noise,
         bandwidth_khz=bandwidth, n_pores=3,
     )
-    # Past one noise block, so that chunks and blocks do not line up,
-    # unless a chunk is a few samples.
+    # Past one block of the default size, unless a block is a few samples.
     duration_s = 0.03 if chunk < 100 else 0.7
     clogs = {0: [(0.004, 0.012)], 2: [(0.01, 0.03)]}
     reference = simulate(MOLECULE, config, duration_s, _BUSY, seed, clogs)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(poresim, "_CHUNK", chunk)
+        patch.setattr(poresim, "_NOISE_BLOCK", chunk)
         chunked = simulate(MOLECULE, config, duration_s, _BUSY, seed, clogs)
         pieces = [c.size for c in chunked.trace.chunks()]
         samples = chunked.trace.samples
@@ -629,11 +629,109 @@ def test_noise_and_filter_match_whole_array_calls(monkeypatch, bandwidth):
     if bandwidth is not None:
         alpha = 1.0 - math.exp(-2.0 * math.pi * bandwidth * 1e3 / 10_000)
         expected = lfilter([alpha], [1.0, alpha - 1.0], expected)
-    # Chunks that take part of a noise block, or end one sample short of,
-    # on, or one sample past a block's end.
+    # Noise blocks, and so chunks, of part of the default block, one
+    # sample short of it, the default block and one sample past it.
     for chunk in (999, _BLOCK - 1, _BLOCK, _BLOCK + 1):
-        monkeypatch.setattr(poresim, "_CHUNK", chunk)
+        monkeypatch.setattr(poresim, "_NOISE_BLOCK", chunk)
         assert trace.samples.tobytes() == expected.tobytes(), chunk
+
+
+def _whole_array_samples(trace):
+    """The samples of a SynthesizedTrace made as one array: the open
+    current, each segment's drop in the given order, one ``normal`` call
+    and one ``lfilter`` call."""
+    from scipy.signal import lfilter
+
+    x = np.full(trace.n_samples, trace.open_total_pa)
+    for i0, i1, drop_pa in zip(*(a.tolist() for a in (trace.starts, trace.stops, trace.drops))):
+        x[i0:i1] -= drop_pa
+    if trace.noise_sigma_pa > 0:
+        x += poresim._noise_rng(trace.seed).normal(0.0, trace.noise_sigma_pa, trace.n_samples)
+    if trace.cutoff_hz is not None:
+        alpha = 1.0 - math.exp(-2.0 * math.pi * trace.cutoff_hz / trace.sample_rate_hz)
+        x = lfilter([alpha], [1.0, alpha - 1.0], x)
+    return x
+
+
+def _crowded_segments(n, size):
+    """``size`` segments of up to 40 samples within ``n``, in no order, as
+    three pores' events interleave: many overlap, with drops whose sums
+    round differently in another order."""
+    rng = np.random.default_rng(11)
+    starts = rng.integers(0, n, size)
+    return starts, np.minimum(starts + rng.integers(1, 40, size), n), rng.uniform(0.1, 90.0, size)
+
+
+# (starts, stops, drops) in a trace of 9 blocks of 16 samples and 5 more.
+_LOOKUP_CASES = {
+    "ends-on-a-block-edge": ([5, 40], [16, 48], [30.5, 70.25]),
+    "starts-on-a-block-edge": ([16, 30], [21, 32], [30.5, 70.25]),
+    "clog-over-many-blocks": ([3, 20, 60], [16 * 7 + 5, 24, 61], [120.0, 30.5, 0.3]),
+    "no-samples": (
+        [16, 10, 149, 150, 40, 70], [16, 10, 149, 149, 3, 80], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+    ),
+    "pores-overlap-in-a-block": _crowded_segments(149, 300),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOOKUP_CASES))
+@pytest.mark.parametrize("cutoff_hz", [None, 10e3])
+def test_segments_found_by_block_match_whole_array_reference(monkeypatch, case, cutoff_hz):
+    starts, stops, drops = (np.asarray(a) for a in _LOOKUP_CASES[case])
+    trace = poresim.SynthesizedTrace(
+        1e5, 149, 400.0, starts.astype(np.int64), stops.astype(np.int64),
+        drops.astype(np.float64), 2.0, 5, cutoff_hz,
+    )
+    expected = _whole_array_samples(trace)
+    monkeypatch.setattr(poresim, "_NOISE_BLOCK", 16)
+    assert [c.size for c in trace.chunks()] == [16] * 9 + [5]
+    assert trace.samples.tobytes() == expected.tobytes()
+
+
+def test_crowded_segments_round_by_their_order():
+    """The crowded case fails unless the segments of a block are subtracted
+    in their given order."""
+    starts, stops, drops = _crowded_segments(149, 300)
+    got, backwards = np.full(149, 400.0), np.full(149, 400.0)
+    for i0, i1, drop_pa in zip(starts, stops, drops):
+        got[i0:i1] -= drop_pa
+    for i0, i1, drop_pa in zip(starts[::-1], stops[::-1], drops[::-1]):
+        backwards[i0:i1] -= drop_pa
+    assert got.tobytes() != backwards.tobytes()
+
+
+@pytest.mark.parametrize("block", [7, 4096])
+def test_overlapping_pores_match_whole_array_reference(monkeypatch, block):
+    config = ChannelConfig(
+        voltage_mv=210.0, sample_rate_hz=100_000, noise_sigma_pa=5.0, bandwidth_khz=10.0,
+        n_pores=3,
+    )
+    result = simulate(MOLECULE, config, 0.3, _BUSY, seed=2, clogs={1: [(0.05, 0.2)]})
+    assert _overlap_across_pores(result.events)
+    monkeypatch.setattr(poresim, "_NOISE_BLOCK", block)
+    assert result.trace.samples.tobytes() == _whole_array_samples(result.trace).tobytes()
+
+
+def test_one_pass_holds_a_few_blocks_and_the_segments():
+    """A pass over a noisy, filtered 3-pore trace of 10^7 samples with
+    clogs holds a few noise blocks and the segment arrays: not chunks of
+    ``_CHUNK`` samples, nor every segment as Python numbers."""
+    import scipy.signal  # noqa: F401 - imported before the pass is measured
+
+    config = ChannelConfig(
+        voltage_mv=210.0, sample_rate_hz=1_000_000, noise_sigma_pa=5.0, bandwidth_khz=100.0,
+        n_pores=3,
+    )
+    trace = simulate(MOLECULE, config, 10.0, _BUSY, 7, {0: [(2.0, 6.0)], 2: [(5.0, 10.0)]}).trace
+    segment_bytes = trace.starts.nbytes + trace.stops.nbytes + trace.drops.nbytes
+    assert trace.starts.size > 40_000
+    tracemalloc.start()
+    try:
+        assert sum(c.size for c in trace.chunks()) == len(trace) == 10**7
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * poresim._NOISE_BLOCK * 8 + segment_bytes, peak
 
 
 # --- the noise worker --------------------------------------------------------
@@ -649,7 +747,7 @@ def _noise_trace(duration_s: float = 100.0, noise_sigma_pa: float = 3.0):
 
 
 def test_closing_a_pass_early_joins_the_noise_worker(monkeypatch):
-    monkeypatch.setattr(poresim, "_CHUNK", 4096)
+    monkeypatch.setattr(poresim, "_NOISE_BLOCK", 4096)
     trace = _noise_trace()
     before = set(threading.enumerate())
     chunks = trace.chunks()
@@ -701,9 +799,9 @@ class _FailsOnThirdBlock:
 
 
 def test_a_draw_error_reaches_the_pass_once_and_joins_the_worker(monkeypatch):
-    monkeypatch.setattr(poresim, "_CHUNK", 4096)
+    monkeypatch.setattr(poresim, "_NOISE_BLOCK", 4096)
     trace = _noise_trace()
-    expected = trace.samples[: 2 * _BLOCK]
+    expected = trace.samples[: 2 * 4096]
     monkeypatch.setattr(poresim, "_noise_rng", _FailsOnThirdBlock)
     before = set(threading.enumerate())
     chunks = trace.chunks()
@@ -728,7 +826,7 @@ def test_a_draw_error_while_writing_removes_the_partial_trace(monkeypatch, tmp_p
 def test_noise_passes_on_many_threads_at_once_match_the_serial_draw(monkeypatch):
     """Four passes at once, switching threads every microsecond: a block
     drawn over before its chunk took it would change the samples."""
-    monkeypatch.setattr(poresim, "_CHUNK", 4096)
+    monkeypatch.setattr(poresim, "_NOISE_BLOCK", 4096)
     trace = _noise_trace(duration_s=30.0)
     noise = poresim._noise_rng(21).normal(0.0, 3.0, 300_000)
     expected = (np.full(300_000, 0.0) + noise).tobytes()

@@ -662,6 +662,7 @@ def test_binary_writer_refuses_float32_overflow(tmp_path):
 @pytest.mark.parametrize("fmt", ["text", "binary"])
 def test_streamed_trace_writes_held_trace_bytes(tmp_path, monkeypatch, fmt):
     monkeypatch.setattr(poresim, "_CHUNK", 1000)
+    monkeypatch.setattr(poresim, "_NOISE_BLOCK", 1000)
     config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=100_000, n_pores=2)
     result = simulate(MoleculeSpec.from_string("A50C100"), config, 0.1, CalibrationTable(), 6)
     streamed, held = tmp_path / "streamed", tmp_path / "held"
