@@ -142,10 +142,10 @@ def _check_substate(level: float, duration_us: float) -> None:
         raise SimulationError("substate duration must be > 0")
 
 
-# Samples per chunk of a held or binary trace (a text trace yields about as
-# many), the chunks the readers take; bounds the working memory of every
-# pass that reads.  Read at call time, so a test may patch it.
-_CHUNK = 1 << 18
+# Samples per chunk of every pass: of a trace (a text trace yields about as
+# many), of a synthesized trace's noise and of the census; bounds each
+# pass's working memory.  Read at call time, so a test may patch it.
+_CHUNK = 1 << 16
 
 
 class ChunkedTrace:
@@ -693,31 +693,26 @@ def _sample_slices(
     return i0, i1
 
 
-# Samples per block of the noise stream, and so per chunk of a synthesized
-# trace.  A worker thread draws the blocks into three buffers that rotate:
-# one being added to a chunk, one ready in a queue of depth 1, one being
-# drawn.  Read at call time, so a test may patch it.
-_NOISE_BLOCK = 1 << 16
-
-
 def _noise_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
     """The first ``n`` draws of ``_noise_rng(seed).standard_normal()``, in
-    blocks of ``_NOISE_BLOCK``, each valid until the next is asked for.
+    blocks of ``_CHUNK``, one per chunk of a synthesized trace, each valid
+    until the next is asked for.
 
     A worker thread, started when the first block is asked for, draws them
-    up to two blocks ahead, which are two chunks of a synthesized trace:
+    into three buffers that rotate (one being added to a chunk, one ready
+    in a queue of depth 1, one being drawn), so up to two chunks ahead:
     ``standard_normal(out=...)`` releases the GIL, so the draw runs beside
     the caller's work on the chunk before.  The worker is joined however
     the pass ends, and an error it raises is raised here, once.
     """
-    buffers = np.empty((3, min(_NOISE_BLOCK, n)))
+    buffers = np.empty((3, min(_CHUNK, n)))
     ready: queue.Queue = queue.Queue(maxsize=1)
     stop = threading.Event()
 
     def draw() -> None:
         try:
             rng = _noise_rng(seed)
-            for i, start in enumerate(range(0, n, _NOISE_BLOCK)):
+            for i, start in enumerate(range(0, n, _CHUNK)):
                 if stop.is_set():
                     return
                 ready.put(rng.standard_normal(out=buffers[i % 3, : n - start]))
@@ -729,7 +724,7 @@ def _noise_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
     worker = threading.Thread(target=draw, name="molstore-noise", daemon=True)
     worker.start()
     try:
-        for _ in range(0, n, _NOISE_BLOCK):
+        for _ in range(0, n, _CHUNK):
             block = ready.get()
             if isinstance(block, Exception):
                 raise block
@@ -745,7 +740,7 @@ def _noise_blocks(seed: int, n: int) -> Iterator[np.ndarray]:
 
 @dataclass(eq=False)
 class SynthesizedTrace(ChunkedTrace):
-    """A simulated trace, produced in chunks of ``_NOISE_BLOCK`` samples.
+    """A simulated trace, produced in chunks of ``_CHUNK`` samples.
 
     Each chunk starts at the all-pores-open current and has every segment
     overlapping it subtracted, in the order given: segment j lowers samples
@@ -779,7 +774,7 @@ class SynthesizedTrace(ChunkedTrace):
 
             alpha = 1.0 - math.exp(-2.0 * math.pi * self.cutoff_hz / self.sample_rate_hz)
             zi = np.zeros(1)
-        step = _NOISE_BLOCK
+        step = _CHUNK
         segments, bounds = self._segments_by_chunk(step)
         # Closed on every exit, which joins the noise worker if one started.
         with contextlib.closing(_noise_blocks(self.seed, self.n_samples)) as noise:

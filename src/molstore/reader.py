@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
+from . import poresim
 from .calibration import MAX_PORES, CalibrationTable
 from .codec import CodecError, RunLengthScheme, bit_runs
 from .poresim import (
@@ -162,8 +163,8 @@ def _event_runs(
 def _extend(held: np.ndarray, piece: np.ndarray) -> None:
     """Append ``piece`` to ``held`` in place; ``held`` owns its data and no
     view of it exists.  ``resize`` reallocates, which moves a large array's
-    pages without copying them, so a run is held once, never beside a
-    joined or grown copy of itself.  It stays one contiguous row, whose
+    pages without copying them, so what is grown is held once, never beside
+    a joined or grown copy of itself.  A run stays one contiguous row, whose
     pairwise sums ``_classify_rows`` takes as for an event inside a chunk."""
     size = held.size
     held.resize(size + piece.size, refcheck=False)
@@ -511,32 +512,35 @@ def decode_event(
 # --- the read station ------------------------------------------------------
 
 # Cells (events x samples) of event samples read_station holds before it
-# classifies them; past this, every length group held is classified.
-_HELD_CELLS = 1 << 20
+# classifies them; past this, every event held is classified.
+_HELD_CELLS = 1 << 18
 
 
-def _classify_groups(
-    groups: dict[int, list[tuple[np.ndarray, np.ndarray]]],
-    sample_rate_hz: float,
-    noise_sigma_norm: float,
-    min_substate_us: float,
-    complete_floor_us: float,
+def _classify_held(
+    held: np.ndarray, index: list[np.ndarray], lengths: list[np.ndarray], classify: tuple
 ) -> list[tuple[np.ndarray, tuple[np.ndarray, ...]]]:
-    """_classify_rows for held normalized event samples, by length: each
-    length's rows (with their event indices) go in time order, in batches
-    of at most ``_BATCH_CELLS`` samples, and are overwritten.  Returns
-    (event indices, results) per batch."""
+    """_classify_rows, given its arguments after the first in ``classify``,
+    for the events of the indices and lengths in ``index`` and ``lengths``,
+    whose normalized samples lie one after another in ``held``: one gather
+    orders them by length, and each length's rows go in time order, in
+    batches of at most ``_BATCH_CELLS`` samples.  Returns (event indices,
+    results) per batch."""
+    index, lengths = (np.concatenate([np.empty(0, np.intp), *parts]) for parts in (index, lengths))
+    order = np.argsort(lengths, kind="stable")
+    index, by_length = index[order], lengths[order]
+    firsts = np.cumsum(by_length) - by_length  # of each row, in the gathered samples
+    gather = np.repeat((np.cumsum(lengths) - lengths)[order] - firsts, by_length)
+    gather += np.arange(gather.size)
+    rows = held[gather]
     out = []
-    for n, held in groups.items():
-        index = np.concatenate([i for i, _ in held])
-        rows = np.concatenate([r for _, r in held]) if len(held) > 1 else held[0][1]
+    groups = np.flatnonzero(np.diff(by_length, prepend=-1)).tolist()
+    for a, b in zip(groups, groups[1:] + [by_length.size]):
+        n = int(by_length[a])
+        group = rows[firsts[a] : firsts[a] + (b - a) * n].reshape(b - a, n)
         step = max(1, _BATCH_CELLS // n)
-        for b in range(0, index.size, step):
-            results = _classify_rows(
-                rows[b : b + step], sample_rate_hz, noise_sigma_norm, min_substate_us,
-                complete_floor_us,
-            )
-            out.append((index[b : b + step], results))
+        for c in range(0, b - a, step):
+            results = _classify_rows(group[c : c + step], *classify)
+            out.append((index[a + c : min(a + c + step, b)], results))
     return out
 
 
@@ -606,9 +610,11 @@ def read_station(
     for those events, computed on arrays in one pass over
     ``trace.chunks()``: each chunk's open samples are counted, and its
     samples per census state by _census_chunk, whose census is dropped; the
-    samples of each event are held, by length, until about
-    ``_HELD_CELLS`` of them are, then classified in batches of at most
-    ``_BATCH_CELLS`` samples.  So the pass holds a chunk, the events not
+    samples of the events inside each chunk are gathered onto one array
+    until about ``_HELD_CELLS`` are held, then grouped by length and
+    classified in batches of at most ``_BATCH_CELLS`` samples; an event
+    that began in an earlier chunk is classified as one row when it ends.
+    So the pass holds a chunk of ``poresim._CHUNK`` samples, the events not
     yet classified and the run still open, whatever its length: an event
     longer than a chunk is held whole.  A NaN or infinite sample is a
     ReaderError that names its index.
@@ -632,50 +638,37 @@ def read_station(
     census_counts = np.zeros(n_pores + 1, dtype=np.int64)
     event_starts: list[np.ndarray] = []
     event_lengths: list[np.ndarray] = []
-    # Event samples not yet classified, by length: (event indices, rows).
-    groups: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    held_cells = 0
+    classify = (rate, noise_sigma_norm, min_substate_us, complete_floor_us)
     classified: list[tuple[np.ndarray, tuple[np.ndarray, ...]]] = []
+    # The normalized samples of the events not yet classified, one after
+    # another, and the indices and lengths of those events.
+    held, held_index, held_lengths = np.empty(0), [], []
     for offset, chunk, starts, ends, carried in _event_runs(
         trace.chunks(), threshold, min_duration_us * 1e-6 * rate
     ):
         census_counts += _census_chunk(chunk, thresholds, n_samples)[1]
         n_samples += chunk.size
         n_open += int(np.count_nonzero(chunk >= threshold))
-        found = []
         if carried is not None:
             start, samples = carried
+            samples /= open_current_pa
+            classified.append((np.array([n_events]), _classify_rows(samples[None, :], *classify)))
             event_starts.append(np.array([start]))
             event_lengths.append(np.array([samples.size]))
-            found.append((np.array([n_events]), samples[None, :]))
             n_events += 1
         lengths = ends - starts
         event_starts.append(starts + offset)
         event_lengths.append(lengths)
-        order = np.argsort(lengths, kind="stable")
-        for group in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-            if group.size:
-                # Rows of n samples from each start; as_strided, because a
-                # chunk makes one such view per event length it holds, and
-                # sliding_window_view's checks cost more than the copy.
-                n = int(lengths[group[0]])
-                windows = np.lib.stride_tricks.as_strided(
-                    chunk, (chunk.size - n + 1, n), chunk.strides * 2, writeable=False
-                )
-                found.append((group + n_events, windows[starts[group]]))
+        gather = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+        gather += np.arange(gather.size)
+        _extend(held, chunk[gather] / open_current_pa)
+        held_index.append(np.arange(n_events, n_events + starts.size))
+        held_lengths.append(lengths)
         n_events += starts.size
-        for index, rows in found:
-            rows /= open_current_pa
-            groups.setdefault(rows.shape[1], []).append((index, rows))
-            held_cells += rows.size
-        if held_cells >= _HELD_CELLS:
-            classified += _classify_groups(
-                groups, rate, noise_sigma_norm, min_substate_us, complete_floor_us
-            )
-            groups, held_cells = {}, 0
-    classified += _classify_groups(
-        groups, rate, noise_sigma_norm, min_substate_us, complete_floor_us
-    )
+        if held.size >= _HELD_CELLS:
+            classified += _classify_held(held, held_index, held_lengths, classify)
+            held, held_index, held_lengths = np.empty(0), [], []
+    classified += _classify_held(held, held_index, held_lengths, classify)
     starts, lengths = (
         np.concatenate([np.empty(0, np.intp), *parts]) for parts in (event_starts, event_lengths)
     )
@@ -709,9 +702,7 @@ def read_station(
 
 # --- multi-pore census -----------------------------------------------------
 
-# Samples per census slice; a slice of one state takes no per-sample work.
-_CENSUS_CHUNK = 1 << 16
-# A slice spanning fewer states takes one compare or mask per state.
+# A census slice spanning fewer states takes one compare or mask per state.
 _FEW_STATES = 8
 
 
@@ -756,23 +747,23 @@ def _census_chunk(
     """The census of float64 ``samples`` against ``thresholds``, and the
     count and sum of the samples in each state 0..thresholds.size.
 
-    Each ``_CENSUS_CHUNK`` slice spans the states between those of its least
-    and greatest sample (past any NaN), and takes one branch: a slice of one
-    state is counted and summed whole; one of fewer than ``_FEW_STATES``
-    states takes one compare per threshold and one mask per state, summed
-    by ``np.add.reduce``; a wider one is read by ``searchsorted``, sorted by
-    state and summed by ``np.add.reduceat``.  Every branch adds each sample
-    to some state's sum, so a NaN or infinite sample makes a sum not finite:
-    only then are the samples searched, and the first of them not finite is
-    a ReaderError naming its index, ``first`` being that of ``samples[0]``.
-    A sum past the float64 range of finite samples is inf or NaN, without a
-    warning.
+    Each slice of ``poresim._CHUNK`` samples (a trace's chunk is one) spans
+    the states between those of its least and greatest sample (past any
+    NaN), and takes one branch: a slice of one state is counted and summed
+    whole; one of fewer than ``_FEW_STATES`` states takes one compare per
+    threshold and one mask per state, summed by ``np.add.reduce``; a wider
+    one is read by ``searchsorted``, sorted by state and summed by
+    ``np.add.reduceat``.  Every branch adds each sample to some state's sum,
+    so a NaN or infinite sample makes a sum not finite: only then are the
+    samples searched, and the first of them not finite is a ReaderError
+    naming its index, ``first`` being that of ``samples[0]``.  A sum past
+    the float64 range of finite samples is inf or NaN, without a warning.
     """
     census = np.empty(samples.shape, dtype=np.min_scalar_type(thresholds.size))
     counts, sums = np.zeros(thresholds.size + 1, dtype=np.int64), np.zeros(thresholds.size + 1)
-    for start in range(0, samples.size, _CENSUS_CHUNK):
-        values = samples[start : start + _CENSUS_CHUNK]
-        part = census[start : start + _CENSUS_CHUNK]
+    for start in range(0, samples.size, poresim._CHUNK):
+        values = samples[start : start + poresim._CHUNK]
+        part = census[start : start + poresim._CHUNK]
         least, most = np.fmin.reduce(values), np.fmax.reduce(values)
         lo, hi = thresholds.searchsorted((least, most), "right").tolist()
         if lo == hi:
@@ -861,7 +852,7 @@ class _DipCounter:
         self.pending = np.empty(0, dtype)  # the census from sample `done` on
         self.done = 0
         self.history: np.ndarray | None = None  # block starts before `done`
-        self.run: tuple[int, int, int] | None = None  # (start, end, baseline)
+        self.run: tuple[np.ndarray, ...] | None = None  # (start, end, baseline) arrays
         self.last_base = 0
         self.events = np.zeros(n_pores + 1, dtype=np.int64)
         self.held = np.zeros(n_pores + 1, dtype=np.int64)
@@ -893,7 +884,7 @@ class _DipCounter:
             padded = np.concatenate([starts, np.full(self.window // 2, starts[-1])])
             self._compare(size, self._baselines(padded))
         if self.run is not None:
-            self._count(*(np.array([x]) for x in self.run))
+            self._count(*self.run)
         if self.last_base <= self.n_pores:
             self.held[self.last_base] -= -self.done % self.stride
         out: dict[int, CensusRate] = {}
@@ -905,9 +896,13 @@ class _DipCounter:
     def _baselines(self, starts: np.ndarray) -> np.ndarray:
         """The baseline of each block whose window ``history + starts`` holds."""
         padded = np.concatenate([self.history, starts])
-        view = np.lib.stride_tricks.sliding_window_view(padded, self.window)
-        self.history = padded[view.shape[0] : view.shape[0] + self.window // 2].copy()
-        return np.median(view, axis=1).astype(self.pending.dtype)
+        # Windows as strided rows, made directly: sliding_window_view's
+        # checks cost more than the rest of a chunk's baselines.
+        rows = padded.size - self.window + 1
+        view = np.ndarray((rows, self.window), padded.dtype, padded, 0, padded.strides * 2)
+        self.history = padded[rows : rows + self.window // 2].copy()
+        # The window is odd, so its median is its middle value, exactly.
+        return np.partition(view, self.window // 2, axis=1)[:, self.window // 2]
 
     def _compare(self, size: int, base: np.ndarray) -> None:
         """Find the dips in the first ``size`` pending samples, whose blocks
@@ -938,17 +933,14 @@ class _DipCounter:
         merge gap, and each merged run keeps its first start and baseline
         and its last end.  All runs but the last are counted."""
         if self.run is not None:
-            run_start, run_end, run_base = self.run
-            starts = np.concatenate([[run_start], starts])
-            ends = np.concatenate([[run_end], ends])
-            bases = np.concatenate([[run_base], bases])
+            starts, ends, bases = map(np.concatenate, zip(self.run, (starts, ends, bases)))
         if not starts.size:
             return
-        split = starts[1:] - ends[:-1] >= self.merge_gap
-        first = np.concatenate([[True], split])
-        last = np.concatenate([split, [True]])
-        starts, ends, bases = starts[first], ends[last], bases[first]
-        self.run = int(starts[-1]), int(ends[-1]), int(bases[-1])
+        split = np.empty(starts.size + 1, bool)
+        split[0] = split[-1] = True
+        np.greater_equal(starts[1:] - ends[:-1], self.merge_gap, out=split[1:-1])
+        starts, ends, bases = starts[split[:-1]], ends[split[1:]], bases[split[:-1]]
+        self.run = starts[-1:], ends[-1:], bases[-1:]
         self._count(starts[:-1], ends[:-1], bases[:-1])
 
     def _count(self, starts: np.ndarray, ends: np.ndarray, bases: np.ndarray) -> None:

@@ -12,8 +12,8 @@ Readers return a lazy ``poresim.ChunkedTrace``, as ``simulate`` does.
 Both check the header when the file is opened and read the samples on
 each ``chunks()`` pass, so an error in the body (a malformed line, a
 non-finite sample) is reported by the first pass that reaches it.  A
-binary trace cut short, or a text trace emptied (so without its header
-line), after it was opened is refused by the next pass.  A pass holds one
+binary trace cut short, or a text trace of another size than when it was
+opened, is refused by the next pass.  A pass holds one ``poresim._CHUNK``
 chunk, not the trace; ``len()`` of a text trace, and so its
 ``duration_s`` and ``samples``, takes a pass: its header holds no count.
 
@@ -485,10 +485,12 @@ def _header_end(buf: np.ndarray) -> int:
 class TextTrace(ChunkedTrace):
     """A text trace file whose header has been checked; its body is parsed
     on each ``chunks()`` pass, so a malformed line is reported by the first
-    pass that reaches it."""
+    pass that reaches it.  ``n_bytes`` is the file's size when it was
+    opened."""
 
     path: str
     sample_rate_hz: float
+    n_bytes: int
 
     def __len__(self) -> int:
         """The sample count, from one parse of the body."""
@@ -498,8 +500,10 @@ class TextTrace(ChunkedTrace):
         """The samples as float64, parsed a block at a time into one reused
         buffer and yielded up to ``poresim._CHUNK`` at a time (a block of more
         lines is one chunk), so each chunk is valid only until the next is
-        read; raises ``TraceFormatError`` at the first malformed line, or at
-        once if the file has been emptied since it was opened.
+        read; raises ``TraceFormatError`` at the first malformed line, at
+        once if the file has been emptied since it was opened, and before
+        the last chunk if the pass read other than ``n_bytes`` bytes: a
+        file cut short may end in part of a line, which reads as a sample.
         The words of a block's runs go to one reused buffer too: a fresh one
         per block more than doubled the page faults of reading a 10 s trace
         at 1 MHz."""
@@ -524,8 +528,11 @@ class TextTrace(ChunkedTrace):
                 n += _parse_pieces(buf, pieces, out[n:], line)
                 line += lines
                 begin = _PAD
+            read = fh.tell()
         if not begin:  # no block: the file has been emptied since it was opened
             raise TraceFormatError("missing sample_rate_hz header line")
+        if read != self.n_bytes:
+            raise TraceFormatError(f"trace is {read} bytes, was {self.n_bytes} when opened")
         if n:
             yield out[:n]
 
@@ -534,6 +541,7 @@ def read_trace_text(path: str) -> TextTrace:
     """Open a text trace: check its header line, and leave the body to be
     parsed on each ``chunks()`` pass."""
     with open(path, "rb") as fh:
+        n_bytes = os.fstat(fh.fileno()).st_size
         buf = next(_text_blocks(fh, lambda: 1), np.frombuffer(b"0" * _PAD + b"\n", np.uint8))
     try:
         header = buf[_PAD : _header_end(buf)].tobytes().decode("ascii").strip()
@@ -547,7 +555,7 @@ def read_trace_text(path: str) -> TextTrace:
         raise TraceFormatError(f"bad sample rate in header: {header!r}") from exc
     if not 1 <= rate <= MAX_SAMPLE_RATE_HZ:
         raise TraceFormatError(f"sample rate must be in [1, {MAX_SAMPLE_RATE_HZ:g}] Hz")
-    return TextTrace(path, float(rate))
+    return TextTrace(path, float(rate), n_bytes)
 
 
 def _write_binary_chunk(fh, samples: np.ndarray, start: int) -> None:
@@ -576,10 +584,12 @@ class BinaryTrace(ChunkedTrace):
 
     def chunks(self) -> Iterator[np.ndarray]:
         """The samples as float64, ``poresim._CHUNK`` at a time, read from
-        the file through one reused float32 buffer; raises
-        ``TraceFormatError`` on a non-finite sample."""
+        the file through one reused float32 buffer and converted into one
+        reused float64 buffer, so each chunk is valid only until the next is
+        read; raises ``TraceFormatError`` on a non-finite sample."""
         step = poresim._CHUNK
         buffer = np.empty(min(self.n_samples, step), dtype="<f4")
+        out = np.empty(buffer.size)
         with open(self.path, "rb") as fh:
             fh.seek(_HEADER.size)
             for start in range(0, self.n_samples, step):
@@ -587,7 +597,8 @@ class BinaryTrace(ChunkedTrace):
                 if fh.readinto(part) != part.nbytes:
                     raise TraceFormatError(f"truncated samples at index {start}")
                 _refuse_non_finite(part, start)
-                yield part.astype(np.float64)
+                out[: part.size] = part
+                yield out[: part.size]
 
 
 def read_trace_binary(path: str) -> BinaryTrace:

@@ -570,7 +570,7 @@ def _overlap_across_pores(events) -> bool:
     return any(b[0] < a[1] and b[2] != a[2] for a, b in zip(spans, spans[1:]))
 
 
-_BLOCK = poresim._NOISE_BLOCK
+_CHUNK = poresim._CHUNK
 
 
 @settings(max_examples=12, deadline=None)
@@ -578,19 +578,19 @@ _BLOCK = poresim._NOISE_BLOCK
     seed=st.integers(0, 2**32),
     noise=st.sampled_from([0.0, 5.0]),
     bandwidth=st.sampled_from([None, 10.0]),
-    chunk=st.sampled_from([1, 7, 4096, _BLOCK - 1, _BLOCK, _BLOCK + 1, 10**6]),
+    chunk=st.sampled_from([1, 7, 4096, _CHUNK - 1, _CHUNK, _CHUNK + 1, 10**6]),
 )
 def test_simulate_independent_of_chunk_size(seed, noise, bandwidth, chunk):
     config = ChannelConfig(
         voltage_mv=210.0, sample_rate_hz=100_000, noise_sigma_pa=noise,
         bandwidth_khz=bandwidth, n_pores=3,
     )
-    # Past one block of the default size, unless a block is a few samples.
+    # Past one chunk of the default size, unless a chunk is a few samples.
     duration_s = 0.03 if chunk < 100 else 0.7
     clogs = {0: [(0.004, 0.012)], 2: [(0.01, 0.03)]}
     reference = simulate(MOLECULE, config, duration_s, _BUSY, seed, clogs)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(poresim, "_NOISE_BLOCK", chunk)
+        patch.setattr(poresim, "_CHUNK", chunk)
         chunked = simulate(MOLECULE, config, duration_s, _BUSY, seed, clogs)
         pieces = [c.size for c in chunked.trace.chunks()]
         samples = chunked.trace.samples
@@ -624,15 +624,15 @@ def test_noise_and_filter_match_whole_array_calls(monkeypatch, bandwidth):
         voltage_mv=0.0, sample_rate_hz=10_000, noise_sigma_pa=3.0, bandwidth_khz=bandwidth
     )
     trace = simulate(MOLECULE, config, 20.0, CALIB, seed=21).trace
-    assert len(trace) == 200_000 > 3 * _BLOCK
+    assert len(trace) == 200_000 > 3 * _CHUNK
     expected = np.full(200_000, 0.0) + poresim._noise_rng(21).normal(0.0, 3.0, 200_000)
     if bandwidth is not None:
         alpha = 1.0 - math.exp(-2.0 * math.pi * bandwidth * 1e3 / 10_000)
         expected = lfilter([alpha], [1.0, alpha - 1.0], expected)
-    # Noise blocks, and so chunks, of part of the default block, one
-    # sample short of it, the default block and one sample past it.
-    for chunk in (999, _BLOCK - 1, _BLOCK, _BLOCK + 1):
-        monkeypatch.setattr(poresim, "_NOISE_BLOCK", chunk)
+    # Chunks, and so noise blocks, of part of the default chunk, one
+    # sample short of it, the default chunk and one sample past it.
+    for chunk in (999, _CHUNK - 1, _CHUNK, _CHUNK + 1):
+        monkeypatch.setattr(poresim, "_CHUNK", chunk)
         assert trace.samples.tobytes() == expected.tobytes(), chunk
 
 
@@ -683,7 +683,7 @@ def test_segments_found_by_block_match_whole_array_reference(monkeypatch, case, 
         drops.astype(np.float64), 2.0, 5, cutoff_hz,
     )
     expected = _whole_array_samples(trace)
-    monkeypatch.setattr(poresim, "_NOISE_BLOCK", 16)
+    monkeypatch.setattr(poresim, "_CHUNK", 16)
     assert [c.size for c in trace.chunks()] == [16] * 9 + [5]
     assert trace.samples.tobytes() == expected.tobytes()
 
@@ -708,14 +708,14 @@ def test_overlapping_pores_match_whole_array_reference(monkeypatch, block):
     )
     result = simulate(MOLECULE, config, 0.3, _BUSY, seed=2, clogs={1: [(0.05, 0.2)]})
     assert _overlap_across_pores(result.events)
-    monkeypatch.setattr(poresim, "_NOISE_BLOCK", block)
+    monkeypatch.setattr(poresim, "_CHUNK", block)
     assert result.trace.samples.tobytes() == _whole_array_samples(result.trace).tobytes()
 
 
 def test_one_pass_holds_a_few_blocks_and_the_segments():
     """A pass over a noisy, filtered 3-pore trace of 10^7 samples with
-    clogs holds a few noise blocks and the segment arrays: not chunks of
-    ``_CHUNK`` samples, nor every segment as Python numbers."""
+    clogs holds a few chunks, its noise blocks among them, and the segment
+    arrays, not every segment as Python numbers."""
     import scipy.signal  # noqa: F401 - imported before the pass is measured
 
     config = ChannelConfig(
@@ -731,7 +731,7 @@ def test_one_pass_holds_a_few_blocks_and_the_segments():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * poresim._NOISE_BLOCK * 8 + segment_bytes, peak
+    assert peak < 8 * poresim._CHUNK * 8 + segment_bytes, peak
 
 
 # --- the noise worker --------------------------------------------------------
@@ -747,7 +747,7 @@ def _noise_trace(duration_s: float = 100.0, noise_sigma_pa: float = 3.0):
 
 
 def test_closing_a_pass_early_joins_the_noise_worker(monkeypatch):
-    monkeypatch.setattr(poresim, "_NOISE_BLOCK", 4096)
+    monkeypatch.setattr(poresim, "_CHUNK", 4096)
     trace = _noise_trace()
     before = set(threading.enumerate())
     chunks = trace.chunks()
@@ -799,7 +799,7 @@ class _FailsOnThirdBlock:
 
 
 def test_a_draw_error_reaches_the_pass_once_and_joins_the_worker(monkeypatch):
-    monkeypatch.setattr(poresim, "_NOISE_BLOCK", 4096)
+    monkeypatch.setattr(poresim, "_CHUNK", 4096)
     trace = _noise_trace()
     expected = trace.samples[: 2 * 4096]
     monkeypatch.setattr(poresim, "_noise_rng", _FailsOnThirdBlock)
@@ -826,7 +826,7 @@ def test_a_draw_error_while_writing_removes_the_partial_trace(monkeypatch, tmp_p
 def test_noise_passes_on_many_threads_at_once_match_the_serial_draw(monkeypatch):
     """Four passes at once, switching threads every microsecond: a block
     drawn over before its chunk took it would change the samples."""
-    monkeypatch.setattr(poresim, "_NOISE_BLOCK", 4096)
+    monkeypatch.setattr(poresim, "_CHUNK", 4096)
     trace = _noise_trace(duration_s=30.0)
     noise = poresim._noise_rng(21).normal(0.0, 3.0, 300_000)
     expected = (np.full(300_000, 0.0) + noise).tobytes()

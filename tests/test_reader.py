@@ -388,14 +388,14 @@ def _census_reference(x, n_pores, open_pa, clogged_pa):
 
 def _ref_tally(census, x, n_pores):
     """Samples and their sum per census state 0..n_pores, summed by one
-    reduction per _CENSUS_CHUNK slice and state; states above n_pores are
+    reduction per poresim._CHUNK slice and state; states above n_pores are
     skipped.  A slice spanning 8 or more states sums each state's samples as
     np.add.reduceat sums a segment, which past ~100 samples rounds otherwise
     than np.add.reduce."""
     counts, sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
-    for start in range(0, x.size, reader._CENSUS_CHUNK):
-        part = census[start : start + reader._CENSUS_CHUNK].astype(np.int64)
-        values = x[start : start + reader._CENSUS_CHUNK]
+    for start in range(0, x.size, poresim._CHUNK):
+        part = census[start : start + poresim._CHUNK].astype(np.int64)
+        values = x[start : start + poresim._CHUNK]
         wide = part.max() - part.min() >= 8
         for k in np.unique(part).tolist():
             if k <= n_pores:
@@ -421,7 +421,7 @@ def _census_cases(draw):
     values = draw(
         st.lists(st.one_of(st.floats(-1e300, 1e300), halfway), min_size=1, max_size=40)
     )
-    chunk = reader._CENSUS_CHUNK
+    chunk = poresim._CHUNK
     length = draw(
         st.one_of(st.sampled_from([0, 1, chunk - 1, chunk, chunk + 1]), st.integers(2, 64))
     )
@@ -458,7 +458,7 @@ def test_census_refuses_a_sample_that_is_not_finite(n_pores, samples, bad):
     message = f"sample 2 is {bad}, not a finite current"
     with pytest.raises(ReaderError, match=message):
         census_series(x, n_pores, 130.0, 30.0)
-    late = np.concatenate([np.full(reader._CENSUS_CHUNK * 4 + 7, samples[0]), x])
+    late = np.concatenate([np.full(poresim._CHUNK * 4 + 7, samples[0]), x])
     calib = CalibrationTable(clogged_current_pa=30.0)
     for trace, first in ((CurrentTrace(1e6, x), 2), (CurrentTrace(1e6, late), late.size - 2)):
         message = f"sample {first} is {bad}, not a finite current"
@@ -641,15 +641,15 @@ def test_census_rates_match_merge_loop(case):
     assert got == want
 
 
-_CENSUS_CHUNK = reader._CENSUS_CHUNK
+_CHUNK = poresim._CHUNK
 
 
 @st.composite
 def _stats_cases(draw):
     # The size of the trace's chunks (CurrentTrace.chunks() yields
-    # poresim._CHUNK samples), at and around census_series' own chunk.
+    # poresim._CHUNK samples), at and around the default.
     chunk = draw(
-        st.sampled_from([1, 7, _CENSUS_CHUNK - 1, _CENSUS_CHUNK, _CENSUS_CHUNK + 1])
+        st.sampled_from([1, 7, _CHUNK - 1, _CHUNK, _CHUNK + 1])
     )
     n_pores = draw(st.one_of(st.integers(1, 8), st.just(300)))
     clogged = draw(st.sampled_from([30.0, 12.5]))
@@ -661,7 +661,7 @@ def _stats_cases(draw):
     )
     lengths = [0, 1, chunk - 1, chunk, chunk + 1]
     if chunk > 100:
-        lengths += [2 * chunk + 1, _CENSUS_CHUNK + 1]
+        lengths += [2 * chunk + 1, _CHUNK + 1]
     length = draw(st.one_of(st.sampled_from(lengths), st.integers(2, 64)))
     x = np.resize(np.array(values, dtype=np.float64), length)
     return chunk, x, n_pores, clogged + step, clogged
@@ -673,14 +673,14 @@ def _stats_cases(draw):
     # Long runs of cancelling sums, which a sequential sum gets wrong by
     # more than 1e-12.
     case=(
-        _CENSUS_CHUNK - 1, np.resize([153.1781458684767, -52.5], _CENSUS_CHUNK - 2),
+        _CHUNK - 1, np.resize([153.1781458684767, -52.5], _CHUNK - 2),
         1, 142.5, 12.5,
     )
 )
 @example(
     # Every state of a uint16 census in each slice: the tally sorts them.
     case=(
-        _CENSUS_CHUNK, np.resize(np.linspace(290.0, 610.0, 1001), 2 * _CENSUS_CHUNK + 1),
+        _CHUNK, np.resize(np.linspace(290.0, 610.0, 1001), 2 * _CHUNK + 1),
         300, 2.0, 1.0,
     )
 )
@@ -693,6 +693,8 @@ def test_census_stats_matches_whole_array_reference(case):
             CurrentTrace(1000.0, x), NO_EVENTS, open_pa, n_pores=n_pores,
             clogged_current_pa=clogged_pa,
         )
+        # The census slices of the patched chunk size.
+        want = _ref_census_stats(x, chunk, n_pores, open_pa, clogged_pa)
     census = _census_reference(x, n_pores, open_pa, clogged_pa)
     series = census_series(x, n_pores, open_pa, clogged_pa)
     assert series.dtype == np.min_scalar_type(n_pores)
@@ -703,7 +705,6 @@ def test_census_stats_matches_whole_array_reference(case):
     assert stats.state_counts[states].tolist() == counts.tolist()
     assert summary.pore_census_histogram == dict(zip(states.tolist(), counts.tolist()))
     assert stats.n_samples == x.size
-    want = _ref_census_stats(x, chunk, n_pores, open_pa, clogged_pa)
     assert np.array_equal(stats.state_counts, want.state_counts)
     assert (stats.current_means, stats.mean_pa) == (want.current_means, want.mean_pa)
     assert stats.rates == want.rates
@@ -712,7 +713,7 @@ def test_census_stats_matches_whole_array_reference(case):
 def _ref_census_stats(x, chunk, n_pores, open_pa, clogged_pa, rate=1000.0):
     """census_stats of x read in chunks of ``chunk`` samples, from
     _census_reference's states and _ref_tally's one reduction per chunk,
-    _CENSUS_CHUNK slice and state, added up in the order census_stats
+    poresim._CHUNK slice and state, added up in the order census_stats
     adds them."""
     census = _census_reference(x, n_pores, open_pa, clogged_pa)
     counts, sums = np.zeros(n_pores + 1, dtype=np.int64), np.zeros(n_pores + 1)
@@ -768,7 +769,7 @@ def test_census_at_exact_thresholds(n_pores, open_pa, clogged_pa):
     for infinite in (np.inf, -np.inf):
         with pytest.raises(ReaderError, match=f"sample {x.size} is {infinite}, not a finite current"):
             census_series(np.append(x, infinite), n_pores, open_pa, clogged_pa)
-    for samples in (x, np.resize(x, 3 * _CENSUS_CHUNK + 5)):
+    for samples in (x, np.resize(x, 3 * _CHUNK + 5)):
         trace = CurrentTrace(1000.0, samples)
         want = _ref_census_stats(samples, samples.size, n_pores, open_pa, clogged_pa)
         if not np.isfinite(want.mean_pa):
@@ -809,7 +810,7 @@ def test_census_thresholds_computed_once_per_pass(monkeypatch):
 def _chunked_rates_cases(draw):
     """A trace whose census is drawn as _rates_cases draws it, with the
     size of its chunks at and around one stride, ten strides (half the
-    baseline window) and census_series' own chunk."""
+    baseline window) and the default chunk."""
     census, rate, n_pores, _, _, _ = draw(_rates_cases())
     stride = max(1, int(rate * 1e-3))
     if draw(st.booleans()):
@@ -819,7 +820,7 @@ def _chunked_rates_cases(draw):
         level = census[0]
         census = np.concatenate([np.full(pad, level), census, np.full(30 * stride, level)])
     chunk = draw(
-        st.sampled_from([1, 7, _CENSUS_CHUNK - 1, _CENSUS_CHUNK + 1])
+        st.sampled_from([1, 7, _CHUNK - 1, _CHUNK + 1])
         | st.integers(-1, 1).map(lambda d: stride + d)
         | st.integers(-1, 1).map(lambda d: 10 * stride + d)
     )
@@ -1022,19 +1023,34 @@ def test_empty_chunks_change_nothing():
     assert len(results[0][0][0]) > 10
 
 
-def test_trace_stats_never_holds_the_float64_trace(tmp_path):
-    config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=1_000_000)
-    result = simulate(MoleculeSpec.from_string("A50C100"), config, 2.0, CALIB, seed=3)
-    path = str(tmp_path / "t.bin")
-    traceio.write_trace_binary(result.trace, path)
-    trace = traceio.read_trace(path)
-    open_pa = open_current(210.0, 1.0, CALIB)
+def _traced(run):
+    """``run()`` and the peak traced allocation it made."""
     tracemalloc.start()
     try:
-        stats = trace_stats(trace, NO_EVENTS, open_pa, 0.75)
-        peak = tracemalloc.get_traced_memory()[1]
+        return run(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_trace_stats_never_holds_the_float64_trace(tmp_path):
+    """trace_stats holds less than the float64 trace, and census_stats and
+    read_station hold a few chunks, whatever the trace's length."""
+    config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=1_000_000)
+    open_pa = open_current(210.0, 1.0, CALIB)
+    scheme = RunLengthScheme.from_string("A50C100")
+    for duration in (0.5, 2.0):
+        result = simulate(MoleculeSpec.from_string("A50C100"), config, duration, CALIB, seed=3)
+        path = str(tmp_path / f"{duration}.bin")
+        traceio.write_trace_binary(result.trace, path)
+        trace = traceio.read_trace(path)
+        for run in (
+            lambda: census_stats(trace, 1, open_pa, CALIB.clogged_current_pa),
+            lambda: reader.read_station(trace, open_pa, 5.0, CALIB, scheme, 210.0, 0.75),
+        ):
+            peak = _traced(run)[1]
+            # About three float64 chunks at either length.
+            assert peak < 4 * 8 * poresim._CHUNK, (duration, peak)
+    stats, peak = _traced(lambda: trace_stats(trace, NO_EVENTS, open_pa, 0.75))
     assert sum(stats.pore_census_histogram.values()) == len(trace) == 2_000_000
     # 8 bytes per sample is the float64 trace alone.
     assert peak < 8 * len(trace), peak

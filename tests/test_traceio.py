@@ -614,7 +614,8 @@ def test_binary_chunk_passes_close_their_files(tmp_path, monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for _ in range(2):
-            assert np.concatenate(list(trace.chunks())).tolist() == values
+            # Chunks share one buffer, so each is copied before the next.
+            assert np.concatenate([c.copy() for c in trace.chunks()]).tolist() == values
             for chunk in trace.chunks():
                 assert chunk.tolist() == values[:3]
                 break  # an abandoned pass
@@ -662,7 +663,6 @@ def test_binary_writer_refuses_float32_overflow(tmp_path):
 @pytest.mark.parametrize("fmt", ["text", "binary"])
 def test_streamed_trace_writes_held_trace_bytes(tmp_path, monkeypatch, fmt):
     monkeypatch.setattr(poresim, "_CHUNK", 1000)
-    monkeypatch.setattr(poresim, "_NOISE_BLOCK", 1000)
     config = ChannelConfig(voltage_mv=210.0, sample_rate_hz=100_000, n_pores=2)
     result = simulate(MoleculeSpec.from_string("A50C100"), config, 0.1, CalibrationTable(), 6)
     streamed, held = tmp_path / "streamed", tmp_path / "held"
@@ -739,6 +739,23 @@ def test_text_trace_emptied_after_it_is_opened(tmp_path):
         next(trace.chunks())
     with pytest.raises(TraceFormatError, match="^missing sample_rate_hz header line$"):
         read_trace_text(str(path))
+
+
+def test_text_trace_cut_short_after_it_is_opened(tmp_path):
+    """A text trace of another size than when it was opened is refused by
+    the next pass, before it yields a cut line as a sample; a file written
+    by hand without a last newline still reads."""
+    path = tmp_path / "t.txt"
+    write_trace_text(CurrentTrace(1e6, np.full(100, 250.0)), str(path))
+    trace = read_trace_text(str(path))
+    with open(path, "r+b") as fh:
+        fh.truncate(25)
+    assert path.read_bytes() == b"sample_rate_hz=1000000\n25"
+    message = "^trace is 25 bytes, was 1123 when opened$"
+    with pytest.raises(TraceFormatError, match=message):
+        next(trace.chunks())
+    path.write_bytes(b"sample_rate_hz=10\n1.5\n2.5")
+    assert read_trace_text(str(path)).samples.tolist() == [1.5, 2.5]
 
 
 def test_binary_count_beyond_file_size(tmp_path):
